@@ -1,9 +1,9 @@
 """Command line front end: build a kite fixture, run check sweeps, print
 window tables, and emit deterministic reports.
 
-Exit codes: 0 when everything checked Holds, 1 when anything Fails, 2 when
-the only non-Holds results are Unknown, 64 for configuration errors and
-budget refusals. Reports are reproducible: given the same config the JSON is
+Exit codes (for a sweep, over all cells): 0 when every requested check
+Holds, 1 when anything Fails, 2 when nothing Fails but some result is
+Unknown, 64 for configuration errors and budget refusals. Reports are reproducible: given the same config the JSON is
 byte-identical except for the wall_ms timing fields.
 """
 

@@ -75,8 +75,19 @@ class KiteElement:
         return f"{self.tag}({inner})"
 
 
+def _values(x: KiteElement) -> list:
+    return [c.value for c in x.coords]
+
+
 class Kite:
-    """Operations of the kite algebra for one shape."""
+    """Operations of the kite algebra for one shape.
+
+    Each operation checks its operands once against the kite's shape
+    (identity first, then structural equality), then computes on the raw
+    base values and wraps only the result. Coordinates are validated where
+    elements are built: lower and upper check the cones, the base group's
+    make and deserialize check the values.
+    """
 
     def __init__(self, shape: KiteShape):
         self.shape = shape
@@ -87,6 +98,7 @@ class Kite:
         self.lam_inv = perms.inverse(self.lam)
         self.rho_inv = perms.inverse(self.rho)
         e = self.base.e
+        self._e = e.value
         self.zero = KiteElement(shape, LOWER, tuple(e for _ in range(self.n)))
         self.one = KiteElement(shape, UPPER, tuple(e for _ in range(self.n)))
 
@@ -97,9 +109,8 @@ class Kite:
         coords = tuple(self.base.make(v) for v in values)
         if len(coords) != self.n:
             raise UsageError(f"expected {self.n} coordinates")
-        e = self.base.e
         for c in coords:
-            if not self.base.leq(e, c):
+            if not self.base.leq_values(self._e, c.value):
                 raise UsageError(f"lower coordinate {c!r} is not positive")
         return KiteElement(self.shape, LOWER, coords)
 
@@ -108,23 +119,30 @@ class Kite:
         coords = tuple(self.base.make(v) for v in values)
         if len(coords) != self.n:
             raise UsageError(f"expected {self.n} coordinates")
-        e = self.base.e
         for c in coords:
-            if not self.base.leq(c, e):
+            if not self.base.leq_values(c.value, self._e):
                 raise UsageError(f"upper coordinate {c!r} is not negative")
         return KiteElement(self.shape, UPPER, coords)
 
     def own(self, x: KiteElement) -> None:
-        if x.shape != self.shape:
+        if x.shape is not self.shape and x.shape != self.shape:
             raise UsageError("element belongs to a different kite shape")
+
+    def _wrap(self, tag: str, values) -> KiteElement:
+        base = self.base
+        return KiteElement(self.shape, tag, tuple([Elem(base, v) for v in values]))
 
     # -- order ---------------------------------------------------------------
 
     def leq(self, x: KiteElement, y: KiteElement) -> bool:
         self.own(x)
         self.own(y)
+        return self._leq(x, y)
+
+    def _leq(self, x: KiteElement, y: KiteElement) -> bool:
         if x.tag == y.tag:
-            return all(self.base.leq(a, b) for a, b in zip(x.coords, y.coords))
+            leq = self.base.leq_values
+            return all(leq(a.value, b.value) for a, b in zip(x.coords, y.coords))
         return x.tag == LOWER
 
     # -- partial addition ------------------------------------------------------
@@ -132,48 +150,50 @@ class Kite:
     def add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
         self.own(x)
         self.own(y)
-        base = self.base
-        e = base.e
-        if x.tag == UPPER and y.tag == UPPER:
+        s = self._sum(x.tag, _values(x), y.tag, _values(y))
+        return None if s is None else self._wrap(*s)
+
+    def _twisted(self, xtag: str, xs: list, ys: list) -> list:
+        """Coordinate products of a mixed pair: an upper x threads y through
+        rho, a lower x threads itself through lam."""
+        mul = self.base.mul_values
+        if xtag == UPPER:
+            return [mul(a, ys[j]) for a, j in zip(xs, self.rho_inv)]
+        return [mul(xs[j], b) for j, b in zip(self.lam_inv, ys)]
+
+    def _sum(self, xtag: str, xs: list, ytag: str, ys: list):
+        """(tag, values) of x + y on raw values, or None when undefined."""
+        if xtag == LOWER and ytag == LOWER:
+            mul = self.base.mul_values
+            return LOWER, [mul(a, b) for a, b in zip(xs, ys)]
+        if xtag == UPPER and ytag == UPPER:
             return None
-        if x.tag == LOWER and y.tag == LOWER:
-            coords = tuple(base.mul(a, b) for a, b in zip(x.coords, y.coords))
-            return KiteElement(self.shape, LOWER, coords)
-        if x.tag == UPPER:
-            coords = tuple(
-                base.mul(x.coords[i], y.coords[self.rho_inv[i]])
-                for i in range(self.n))
-        else:
-            coords = tuple(
-                base.mul(x.coords[self.lam_inv[i]], y.coords[i])
-                for i in range(self.n))
-        if all(base.leq(c, e) for c in coords):
-            return KiteElement(self.shape, UPPER, coords)
-        return None
+        vals = self._twisted(xtag, xs, ys)
+        leq, e = self.base.leq_values, self._e
+        for v in vals:
+            if not leq(v, e):
+                return None
+        return UPPER, vals
 
     # -- complements ------------------------------------------------------------
 
     def complement_left(self, x: KiteElement) -> KiteElement:
         """The unique d with d + x = 1."""
-        self.own(x)
-        base = self.base
-        if x.tag == LOWER:
-            coords = tuple(
-                base.inv(x.coords[self.rho_inv[i]]) for i in range(self.n))
-            return KiteElement(self.shape, UPPER, coords)
-        coords = tuple(base.inv(x.coords[self.lam[j]]) for j in range(self.n))
-        return KiteElement(self.shape, LOWER, coords)
+        return self._complement(x, self.rho_inv, self.lam)
 
     def complement_right(self, x: KiteElement) -> KiteElement:
         """The unique d with x + d = 1."""
+        return self._complement(x, self.lam_inv, self.rho)
+
+    def _complement(self, x: KiteElement, lower_perm, upper_perm) -> KiteElement:
+        """Inverted coordinates of x re-indexed through lower_perm (x lower,
+        the result is upper) or upper_perm (x upper, the result is lower)."""
         self.own(x)
-        base = self.base
+        inv = self.base.inv_value
+        xs = x.coords
         if x.tag == LOWER:
-            coords = tuple(
-                base.inv(x.coords[self.lam_inv[i]]) for i in range(self.n))
-            return KiteElement(self.shape, UPPER, coords)
-        coords = tuple(base.inv(x.coords[self.rho[j]]) for j in range(self.n))
-        return KiteElement(self.shape, LOWER, coords)
+            return self._wrap(UPPER, [inv(xs[j].value) for j in lower_perm])
+        return self._wrap(LOWER, [inv(xs[j].value) for j in upper_perm])
 
     def negations(self, x: KiteElement) -> tuple[KiteElement, KiteElement]:
         """(right complement, left complement): d with x+d=1, then d with d+x=1."""
@@ -185,50 +205,36 @@ class Kite:
         """The c with c + a = b, when a <= b; None otherwise."""
         self.own(a)
         self.own(b)
-        if not self.leq(a, b):
+        if not self._leq(a, b):
             return None
-        base = self.base
+        mul, inv = self.base.mul_values, self.base.inv_value
+        av, bv = _values(a), _values(b)
         if a.tag == LOWER and b.tag == LOWER:
-            coords = tuple(
-                base.mul(q, base.inv(p)) for p, q in zip(a.coords, b.coords))
-            c = KiteElement(self.shape, LOWER, coords)
-        elif a.tag == LOWER and b.tag == UPPER:
-            coords = tuple(
-                base.mul(b.coords[i], base.inv(a.coords[self.rho_inv[i]]))
-                for i in range(self.n))
-            c = KiteElement(self.shape, UPPER, coords)
+            tag, vals = LOWER, [mul(q, inv(p)) for p, q in zip(av, bv)]
+        elif a.tag == LOWER:
+            tag, vals = UPPER, [mul(q, inv(av[j])) for q, j in zip(bv, self.rho_inv)]
         else:
-            coords = tuple(
-                base.mul(b.coords[self.lam[j]], base.inv(a.coords[self.lam[j]]))
-                for j in range(self.n))
-            c = KiteElement(self.shape, LOWER, coords)
-        if self.add(c, a) == b:
-            return c
+            tag, vals = LOWER, [mul(bv[k], inv(av[k])) for k in self.lam]
+        if self._sum(tag, vals, a.tag, av) == (b.tag, bv):
+            return self._wrap(tag, vals)
         return None
 
     def rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
         """The c with a + c = b, when a <= b; None otherwise."""
         self.own(a)
         self.own(b)
-        if not self.leq(a, b):
+        if not self._leq(a, b):
             return None
-        base = self.base
+        mul, inv = self.base.mul_values, self.base.inv_value
+        av, bv = _values(a), _values(b)
         if a.tag == LOWER and b.tag == LOWER:
-            coords = tuple(
-                base.mul(base.inv(p), q) for p, q in zip(a.coords, b.coords))
-            c = KiteElement(self.shape, LOWER, coords)
-        elif a.tag == LOWER and b.tag == UPPER:
-            coords = tuple(
-                base.mul(base.inv(a.coords[self.lam_inv[i]]), b.coords[i])
-                for i in range(self.n))
-            c = KiteElement(self.shape, UPPER, coords)
+            tag, vals = LOWER, [mul(inv(p), q) for p, q in zip(av, bv)]
+        elif a.tag == LOWER:
+            tag, vals = UPPER, [mul(inv(av[j]), q) for j, q in zip(self.lam_inv, bv)]
         else:
-            coords = tuple(
-                base.mul(base.inv(a.coords[self.rho[j]]), b.coords[self.rho[j]])
-                for j in range(self.n))
-            c = KiteElement(self.shape, LOWER, coords)
-        if self.add(a, c) == b:
-            return c
+            tag, vals = LOWER, [mul(inv(av[k]), bv[k]) for k in self.rho]
+        if self._sum(a.tag, av, tag, vals) == (b.tag, bv):
+            return self._wrap(tag, vals)
         return None
 
     # -- lattice and MV layer --------------------------------------------------
@@ -243,8 +249,9 @@ class Kite:
         self._need_lattice()
         if x.tag != y.tag:
             return x if x.tag == UPPER else y
-        coords = tuple(self.base.join(a, b) for a, b in zip(x.coords, y.coords))
-        return KiteElement(self.shape, x.tag, coords)
+        join = self.base.join_values
+        return self._wrap(x.tag, [join(a.value, b.value)
+                                  for a, b in zip(x.coords, y.coords)])
 
     def meet(self, x: KiteElement, y: KiteElement) -> KiteElement:
         self.own(x)
@@ -252,52 +259,41 @@ class Kite:
         self._need_lattice()
         if x.tag != y.tag:
             return x if x.tag == LOWER else y
-        coords = tuple(self.base.meet(a, b) for a, b in zip(x.coords, y.coords))
-        return KiteElement(self.shape, x.tag, coords)
+        meet = self.base.meet_values
+        return self._wrap(x.tag, [meet(a.value, b.value)
+                                  for a, b in zip(x.coords, y.coords)])
 
     def mv_oplus(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated sum; equals x + (x~ and y) and extends add."""
         self.own(x)
         self.own(y)
         self._need_lattice()
-        base = self.base
-        e = base.e
-        if x.tag == LOWER and y.tag == LOWER:
-            coords = tuple(base.mul(a, b) for a, b in zip(x.coords, y.coords))
-            return KiteElement(self.shape, LOWER, coords)
         if x.tag == UPPER and y.tag == UPPER:
             return self.one
-        if x.tag == UPPER:
-            coords = tuple(
-                base.meet(base.mul(x.coords[i], y.coords[self.rho_inv[i]]), e)
-                for i in range(self.n))
-        else:
-            coords = tuple(
-                base.meet(base.mul(x.coords[self.lam_inv[i]], y.coords[i]), e)
-                for i in range(self.n))
-        return KiteElement(self.shape, UPPER, coords)
+        xs, ys = _values(x), _values(y)
+        if x.tag == LOWER and y.tag == LOWER:
+            mul = self.base.mul_values
+            return self._wrap(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
+        meet, e = self.base.meet_values, self._e
+        return self._wrap(UPPER, [meet(v, e) for v in self._twisted(x.tag, xs, ys)])
 
     def mv_odot(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated product; odot(x, y) = 0 exactly when x + y is defined."""
         self.own(x)
         self.own(y)
         self._need_lattice()
-        base = self.base
-        e = base.e
         if x.tag == LOWER and y.tag == LOWER:
             return self.zero
+        mul = self.base.mul_values
+        xs, ys = _values(x), _values(y)
         if x.tag == UPPER and y.tag == UPPER:
-            coords = tuple(base.mul(a, b) for a, b in zip(x.coords, y.coords))
-            return KiteElement(self.shape, UPPER, coords)
+            return self._wrap(UPPER, [mul(a, b) for a, b in zip(xs, ys)])
+        join, e = self.base.join_values, self._e
         if x.tag == UPPER:
-            coords = tuple(
-                base.join(base.mul(x.coords[self.rho[j]], y.coords[j]), e)
-                for j in range(self.n))
+            vals = [join(mul(xs[k], b), e) for k, b in zip(self.rho, ys)]
         else:
-            coords = tuple(
-                base.join(base.mul(x.coords[j], y.coords[self.lam[j]]), e)
-                for j in range(self.n))
-        return KiteElement(self.shape, LOWER, coords)
+            vals = [join(mul(a, ys[k]), e) for a, k in zip(xs, self.lam)]
+        return self._wrap(LOWER, vals)
 
     def mv_add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
         """The partial addition induced by the MV layer (cross-check of add)."""
@@ -309,15 +305,19 @@ class Kite:
 
     def dimension(self, x: KiteElement) -> int:
         self.own(x)
-        e = self.base.e
-        return sum(1 for c in x.coords if c != e)
+        return len(self.support(x))
 
     def support(self, x: KiteElement) -> tuple[int, ...]:
-        e = self.base.e
-        return tuple(i for i, c in enumerate(x.coords) if c != e)
+        e = self._e
+        return tuple(i for i, c in enumerate(x.coords) if c.value != e)
 
     def norm(self, x: KiteElement) -> int:
-        return max((self.base.norm(c) for c in x.coords), default=0)
+        self.own(x)
+        return self._norm(x)
+
+    def _norm(self, x: KiteElement) -> int:
+        norm = self.base.norm_value
+        return max((norm(c.value) for c in x.coords), default=0)
 
     def serialize(self, x: KiteElement) -> dict:
         return x.serialized()
@@ -326,22 +326,23 @@ class Kite:
         tag_rank = 0 if x.tag == LOWER else 1
         flat = tuple(itertools.chain.from_iterable(
             self.base.value_key(c.value) for c in x.coords))
-        return (self.norm(x), tag_rank) + flat
+        return (self._norm(x), tag_rank) + flat
 
     # -- enumeration -------------------------------------------------------------
+
+    def _negated(self, pool: list) -> list:
+        base = self.base
+        return [Elem(base, base.inv_value(c.value)) for c in pool]
 
     def _part_values(self, w: Window, negative: bool) -> Iterator[tuple]:
         pool = cone_window(self.base, Window(w.height))
         if negative:
-            pool = [self.base.inv(c) for c in pool]
+            pool = self._negated(pool)
         return itertools.product(pool, repeat=self.n)
 
     def carrier_size(self, w: Window) -> int:
         k = len(cone_window(self.base, Window(w.height)))
         return 2 * k ** self.n
-
-    def carrier_truncated(self, w: Window) -> bool:
-        return w.cap is not None and self.carrier_size(w) > w.cap
 
     def elements(self, w: Window) -> list[KiteElement]:
         """Window carrier sample, sorted by (norm, tag, coords), capped if set."""
@@ -354,17 +355,17 @@ class Kite:
             return out
         # Capped: emit norm shells in order and stop early, so a small cap never
         # forces the full product space to materialize.
-        base = self.base
-        pool = cone_window(base, Window(w.height))
+        norm = self.base.norm_value
+        pool = cone_window(self.base, Window(w.height))
         out = []
         for s in range(w.height + 1):
-            allowed = [c for c in pool if base.norm(c) <= s]
+            allowed = [c for c in pool if norm(c.value) <= s]
             for tag in (LOWER, UPPER):
-                vals = allowed if tag == LOWER else [base.inv(c) for c in allowed]
+                vals = allowed if tag == LOWER else self._negated(allowed)
                 shell = [
                     KiteElement(self.shape, tag, coords)
                     for coords in itertools.product(vals, repeat=self.n)
-                    if max((base.norm(c) for c in coords), default=0) == s
+                    if max((norm(c.value) for c in coords), default=0) == s
                 ]
                 shell.sort(key=self.sort_key)
                 out.extend(shell)
@@ -379,10 +380,9 @@ class Kite:
         self.own(b)
         if a.tag == UPPER and b.tag == LOWER:
             return [], True
-        h = max([w.height, self.norm(a), self.norm(b)])
-        wide = Window(h)
+        wide = Window(max(w.height, self._norm(a), self._norm(b)))
         out = [x for x in self.elements(wide)
-               if self.leq(a, x) and self.leq(x, b)]
+               if self._leq(a, x) and self._leq(x, b)]
         if a.tag == LOWER and b.tag == UPPER:
             exhaustive = self.base.is_trivial or self.n == 0
         else:

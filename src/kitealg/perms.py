@@ -62,10 +62,6 @@ def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def orbit_sets(p: Sequence[int]) -> list[frozenset[int]]:
-    return [frozenset(c) for c in cycles(p)]
-
-
 def is_identity(p: Sequence[int]) -> bool:
     return all(p[i] == i for i in range(len(p)))
 

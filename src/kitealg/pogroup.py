@@ -69,9 +69,19 @@ class Elem:
 
 
 class PoGroup:
-    """Base class for the pluggable po-group backends."""
+    """Base class for the pluggable po-group backends.
+
+    Subclasses set their parameters before calling this constructor, which
+    fixes the structural key and the identity element. Groups are immutable
+    after construction.
+    """
 
     kind = "?"
+
+    def __init__(self) -> None:
+        self.key = self._key()
+        self._hash = hash(self.key)
+        self.e = Elem(self, self.identity_value())
 
     # -- identity & structural equality ------------------------------------
 
@@ -79,10 +89,11 @@ class PoGroup:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PoGroup) and self._key() == other._key()
+        return self is other or (isinstance(other, PoGroup)
+                                 and self.key == other.key)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     # -- capability flags ---------------------------------------------------
 
@@ -101,10 +112,6 @@ class PoGroup:
     def identity_value(self):
         raise NotImplementedError
 
-    @property
-    def e(self) -> Elem:
-        return Elem(self, self.identity_value())
-
     def make(self, value) -> Elem:
         return Elem(self, self.check_value(value))
 
@@ -112,7 +119,7 @@ class PoGroup:
         raise NotImplementedError
 
     def own(self, a: Elem) -> None:
-        if a.group != self:
+        if a.group is not self and a.group != self:
             raise UsageError(f"element of {a.group.kind} used with {self.kind}")
 
     def mul_values(self, x, y):
@@ -142,9 +149,22 @@ class PoGroup:
         return a != b and self.leq(a, b)
 
     def join(self, a: Elem, b: Elem) -> Elem:
-        raise CapabilityError(f"{self.kind} is not a lattice group")
+        return self._lattice_op(self.join_values, a, b)
 
     def meet(self, a: Elem, b: Elem) -> Elem:
+        return self._lattice_op(self.meet_values, a, b)
+
+    def _lattice_op(self, op, a: Elem, b: Elem) -> Elem:
+        self.own(a)
+        self.own(b)
+        if not self.is_lattice:
+            raise CapabilityError(f"{self.kind} is not a lattice group")
+        return Elem(self, op(a.value, b.value))
+
+    def join_values(self, x, y):
+        raise CapabilityError(f"{self.kind} is not a lattice group")
+
+    def meet_values(self, x, y):
         raise CapabilityError(f"{self.kind} is not a lattice group")
 
     # -- serialization / norms ----------------------------------------------
@@ -231,15 +251,19 @@ class Integers(PoGroup):
     def leq_values(self, x, y):
         return x <= y
 
+    def join_values(self, x, y):
+        return max(x, y)
+
+    def meet_values(self, x, y):
+        return min(x, y)
+
+    # join and meet are restated on each lattice backend so that traces can
+    # time every backend's lattice operations separately
     def join(self, a, b):
-        self.own(a)
-        self.own(b)
-        return Elem(self, max(a.value, b.value))
+        return self._lattice_op(self.join_values, a, b)
 
     def meet(self, a, b):
-        self.own(a)
-        self.own(b)
-        return Elem(self, min(a.value, b.value))
+        return self._lattice_op(self.meet_values, a, b)
 
     def serialize_value(self, value):
         return [value]
@@ -262,43 +286,26 @@ class Product(PoGroup):
     kind = "Product"
 
     def __init__(self, components: Iterable[PoGroup]):
-        self.components = tuple(components)
+        cs = self.components = tuple(components)
+        self.is_lattice = all(c.is_lattice for c in cs)
+        self.is_abelian = all(c.is_abelian for c in cs)
+        self.is_trivial = all(c.is_trivial for c in cs)
+        nontrivial = [c for c in cs if not c.is_trivial]
+        self.is_totally_ordered = (
+            all(c.is_totally_ordered for c in nontrivial) and len(nontrivial) <= 1)
+        flags = [c.is_directed for c in cs]
+        if all(f is True for f in flags):
+            self.is_directed = True
+        elif any(f is False for f in flags):
+            self.is_directed = False
+        else:
+            self.is_directed = None
+        self.rdp_hint = ("rdp2" if self.is_lattice
+                         and all(c.rdp_hint == "rdp2" for c in cs) else None)
+        super().__init__()
 
     def _key(self):
-        return (self.kind, tuple(c._key() for c in self.components))
-
-    @property
-    def is_lattice(self):
-        return all(c.is_lattice for c in self.components)
-
-    @property
-    def is_abelian(self):
-        return all(c.is_abelian for c in self.components)
-
-    @property
-    def is_trivial(self):
-        return all(c.is_trivial for c in self.components)
-
-    @property
-    def is_totally_ordered(self):
-        nontrivial = [c for c in self.components if not c.is_trivial]
-        return all(c.is_totally_ordered for c in nontrivial) and len(nontrivial) <= 1
-
-    @property
-    def is_directed(self):
-        flags = [c.is_directed for c in self.components]
-        if all(f is True for f in flags):
-            return True
-        if any(f is False for f in flags):
-            return False
-        return None
-
-    @property
-    def rdp_hint(self):
-        hints = [c.rdp_hint for c in self.components]
-        if all(h == "rdp2" for h in hints) and all(c.is_lattice for c in self.components):
-            return "rdp2"
-        return None
+        return (self.kind, tuple(c.key for c in self.components))
 
     def identity_value(self):
         return tuple(c.identity_value() for c in self.components)
@@ -310,31 +317,27 @@ class Product(PoGroup):
         return tuple(c.check_value(v) for c, v in zip(self.components, value))
 
     def mul_values(self, x, y):
-        return tuple(c.mul_values(a, b) for c, a, b in zip(self.components, x, y))
+        return tuple([c.mul_values(a, b) for c, a, b in zip(self.components, x, y)])
 
     def inv_value(self, x):
-        return tuple(c.inv_value(a) for c, a in zip(self.components, x))
+        return tuple([c.inv_value(a) for c, a in zip(self.components, x)])
 
     def leq_values(self, x, y):
         return all(c.leq_values(a, b) for c, a, b in zip(self.components, x, y))
 
+    def join_values(self, x, y):
+        return tuple([c.join_values(a, b) for c, a, b in zip(self.components, x, y)])
+
+    def meet_values(self, x, y):
+        return tuple([c.meet_values(a, b) for c, a, b in zip(self.components, x, y)])
+
+    # join and meet are restated on each lattice backend so that traces can
+    # time every backend's lattice operations separately
     def join(self, a, b):
-        self.own(a)
-        self.own(b)
-        if not self.is_lattice:
-            raise CapabilityError(f"{self.kind} is not a lattice group")
-        return Elem(self, tuple(
-            c.join(Elem(c, x), Elem(c, y)).value
-            for c, x, y in zip(self.components, a.value, b.value)))
+        return self._lattice_op(self.join_values, a, b)
 
     def meet(self, a, b):
-        self.own(a)
-        self.own(b)
-        if not self.is_lattice:
-            raise CapabilityError(f"{self.kind} is not a lattice group")
-        return Elem(self, tuple(
-            c.meet(Elem(c, x), Elem(c, y)).value
-            for c, x, y in zip(self.components, a.value, b.value)))
+        return self._lattice_op(self.meet_values, a, b)
 
     def serialize_value(self, value):
         out = []
@@ -430,30 +433,16 @@ class TwistedLexGroup(PoGroup):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.base = base
         self._pow_cache: dict[tuple[str, int], list[int]] = {}
+        self.is_lattice = base.is_lattice
+        self.is_abelian = base.is_abelian and self.lam == self.rho
+        self.is_totally_ordered = n == 0 or (n == 1 and base.is_totally_ordered)
+        self.rdp_hint = "rdp2" if base.is_lattice else None
+        super().__init__()
 
     def _key(self):
-        return (self.kind, self.n, self.lam, self.rho, self.base._key())
-
-    @property
-    def is_lattice(self):
-        return self.base.is_lattice
-
-    @property
-    def is_abelian(self):
-        return self.base.is_abelian and self.lam == self.rho
-
-    @property
-    def is_totally_ordered(self):
-        if self.n == 0:
-            return True
-        return self.n == 1 and self.base.is_totally_ordered
+        return (self.kind, self.n, self.lam, self.rho, self.base.key)
 
     is_directed = True
-
-    @property
-    def rdp_hint(self):
-        return "rdp2" if self.base.is_lattice else None
-
     order_convex_norm = False
 
     def _power(self, which: str, k: int) -> list[int]:
@@ -504,37 +493,25 @@ class TwistedLexGroup(PoGroup):
             return m1 < m2
         return all(self.base.leq_values(a, b) for a, b in zip(xs, ys))
 
+    def join_values(self, x, y):
+        if x[0] != y[0]:
+            return x if x[0] > y[0] else y
+        join = self.base.join_values
+        return (x[0], tuple(join(a, b) for a, b in zip(x[1], y[1])))
+
+    def meet_values(self, x, y):
+        if x[0] != y[0]:
+            return x if x[0] < y[0] else y
+        meet = self.base.meet_values
+        return (x[0], tuple(meet(a, b) for a, b in zip(x[1], y[1])))
+
+    # join and meet are restated on each lattice backend so that traces can
+    # time every backend's lattice operations separately
     def join(self, a, b):
-        self.own(a)
-        self.own(b)
-        if not self.is_lattice:
-            raise CapabilityError("TwistedLex over a non-lattice base")
-        m1, xs = a.value
-        m2, ys = b.value
-        if m1 > m2:
-            return a
-        if m2 > m1:
-            return b
-        coords = tuple(
-            self.base.join(Elem(self.base, x), Elem(self.base, y)).value
-            for x, y in zip(xs, ys))
-        return Elem(self, (m1, coords))
+        return self._lattice_op(self.join_values, a, b)
 
     def meet(self, a, b):
-        self.own(a)
-        self.own(b)
-        if not self.is_lattice:
-            raise CapabilityError("TwistedLex over a non-lattice base")
-        m1, xs = a.value
-        m2, ys = b.value
-        if m1 < m2:
-            return a
-        if m2 < m1:
-            return b
-        coords = tuple(
-            self.base.meet(Elem(self.base, x), Elem(self.base, y)).value
-            for x, y in zip(xs, ys))
-        return Elem(self, (m1, coords))
+        return self._lattice_op(self.meet_values, a, b)
 
     def serialize_value(self, value):
         m, coords = value
@@ -606,6 +583,8 @@ class ConeByGenerators(PoGroup):
                 f"generated cone meets its negative at {bad[0]}; not a partial order")
         self.bounded_note = (
             f"cone membership decided within |coord| <= {membership_height}")
+        self.order_convex_norm = all(all(c >= 0 for c in g) for g in self.generators)
+        super().__init__()
 
     def _build_cone(self) -> frozenset:
         bound = 2 * self.membership_height
@@ -624,10 +603,6 @@ class ConeByGenerators(PoGroup):
         keep = frozenset(
             v for v in seen if all(abs(c) <= self.membership_height for c in v))
         return keep
-
-    @property
-    def order_convex_norm(self):
-        return all(all(c >= 0 for c in g) for g in self.generators)
 
     def _key(self):
         return (self.kind, self.rank, self.generators, self.membership_height)
@@ -674,7 +649,7 @@ _window_cache: dict[tuple, list] = {}
 
 def enumerate_window(group: PoGroup, w: Window) -> list[Elem]:
     """All elements with norm <= height, sorted by (norm, value)."""
-    key = (group._key(), w.height)
+    key = (group.key, w.height)
     cached = _window_cache.get(key)
     if cached is None:
         elems = [Elem(group, v) for v in group.ball_values(w.height)]
@@ -693,8 +668,8 @@ def window_sample(group: PoGroup, w: Window) -> list[Elem]:
 
 def cone_window(group: PoGroup, w: Window) -> list[Elem]:
     """Positive window elements (identity <= x), sorted."""
-    e = group.e
-    return [x for x in enumerate_window(group, w) if group.leq(e, x)]
+    e, leq = group.e.value, group.leq_values
+    return [x for x in enumerate_window(group, w) if leq(e, x.value)]
 
 
 def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
@@ -702,9 +677,10 @@ def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
     """Window elements x with a <= x <= b, plus an exhaustiveness flag."""
     group.own(a)
     group.own(b)
-    wide = Window(max(w.height, group.norm(a), group.norm(b)))
+    lo, hi, leq = a.value, b.value, group.leq_values
+    wide = Window(max(w.height, group.norm_value(lo), group.norm_value(hi)))
     out = [x for x in enumerate_window(group, wide)
-           if group.leq(a, x) and group.leq(x, b)]
+           if leq(lo, x.value) and leq(x.value, hi)]
     return out, group.interval_exhaustive(a, b, wide)
 
 

@@ -9,7 +9,7 @@ Witness payloads are plain (name, value) pairs so a failure can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -46,9 +46,6 @@ class Verdict:
 
     def witness_dict(self) -> dict[str, Any]:
         return dict(self.witness)
-
-    def with_reason(self, reason: str) -> "Verdict":
-        return replace(self, reason=reason)
 
     def describe(self) -> str:
         bits = [self.status.value, f"checked={self.checked}"]

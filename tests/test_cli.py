@@ -1,9 +1,11 @@
 """Command line interface: exit codes, report schema, determinism, budgets."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,17 @@ def test_check_rdp0_fails_on_strict_cone(capsys):
     assert v["witness"]
 
 
+def test_unknown_without_failures_exits_2(capsys):
+    code, report, _ = run_json(capsys, [
+        "check", "--group", "strictcone2",
+        "--shape", '{"n": 1, "lambda": "id", "rho": "id"}',
+        "--height", "1", "--checks", "ideals"])
+    assert code == 2
+    assert report["exit_code"] == 2
+    statuses = {v["status"] for v in report["checks"]["ideals"]["verdicts"].values()}
+    assert "unknown" in statuses and "fails" not in statuses
+
+
 def test_check_full_battery_on_default_fixture(capsys):
     code, report, _ = run_json(capsys, ["check", "--height", "1"])
     assert code == 0
@@ -105,6 +118,22 @@ def test_report_is_deterministic(capsys):
     _, first, _ = run_json(capsys, argv)
     _, second, _ = run_json(capsys, argv)
     assert strip_clock(first) == strip_clock(second)
+
+
+def test_report_is_identical_across_hash_seeds():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "kitealg.cli", "check", "--group", "z",
+            "--shape", SWAP_SHAPE, "--height", "1",
+            "--checks", "axioms,rdp0,ideals,iso,state", "--format", "json"]
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(re.sub(r'"wall_ms": [0-9]+', '"wall_ms": 0', proc.stdout))
+    assert reports[0] == reports[1]
 
 
 def test_out_flag_writes_the_json_report(capsys, tmp_path):

@@ -1,0 +1,64 @@
+"""Golden corpus: CLI JSON reports, byte-compared against stored copies.
+
+Each fixture is one `kitealg check` run over Z, Z^2 or the strict cone with
+n = 1..3 and the axioms, rdp, ideals, iso and state checks. The stored
+reports have every `wall_ms` set to 0; everything else must match byte for
+byte, so a change that alters any verdict, witness, count or payload shows
+up here.
+
+Regenerate the corpus (only when a report change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from kitealg.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CHECKS = "axioms,rdp,ideals,iso,state"
+SHAPES = {1: '{"n":1,"lambda":"id","rho":"id"}',
+          2: '{"n":2,"lambda":"id","rho":"swap"}',
+          3: '{"n":3,"lambda":"shift:1","rho":"id"}'}
+FIXTURES = [(group, n) for group in ("z", "z2", "strictcone2") for n in SHAPES]
+
+_CLOCK = re.compile(r'"wall_ms": [0-9]+')
+
+
+def fixture_argv(group: str, n: int) -> list:
+    return ["check", "--group", group, "--shape", SHAPES[n], "--height", "1",
+            "--cap", "10", "--checks", CHECKS, "--format", "json"]
+
+
+def masked_report(argv: list) -> tuple[int, str]:
+    """(exit code, stdout JSON report with every wall_ms set to 0)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, _CLOCK.sub('"wall_ms": 0', buf.getvalue())
+
+
+def golden_path(group: str, n: int) -> Path:
+    return GOLDEN / f"{group}_n{n}.json"
+
+
+@pytest.mark.parametrize("group,n", FIXTURES,
+                         ids=[f"{g}-n{n}" for g, n in FIXTURES])
+def test_report_matches_golden(group, n):
+    code, report = masked_report(fixture_argv(group, n))
+    assert f'"exit_code": {code}' in report
+    assert report == golden_path(group, n).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for group, n in FIXTURES:
+        code, report = masked_report(fixture_argv(group, n))
+        golden_path(group, n).write_text(report)
+        print(f"{golden_path(group, n).name}: exit {code}", file=sys.stderr)

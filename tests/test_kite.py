@@ -6,7 +6,8 @@ import pytest
 
 from kitealg import perms
 from kitealg.kite import Kite, KiteShape, LOWER, UPPER
-from kitealg.pogroup import Integers, TwistedLexGroup, UsageError, Window
+from kitealg.pogroup import (Integers, StrictCone2, TwistedLexGroup, UsageError,
+                             Window, parse_group)
 
 Z = Integers()
 
@@ -31,6 +32,36 @@ def test_constructor_validation():
         ID2.upper(0, 1)
     with pytest.raises(UsageError):
         ID2.own(SWAP2.lower(0, 0))
+
+
+def test_strict_cone_constructors_reject_out_of_cone_coordinates():
+    k = mk(1, (0,), (0,), StrictCone2())
+    assert k.lower((1, 2)).tag == LOWER
+    assert k.upper((-2, -1)).tag == UPPER
+    with pytest.raises(UsageError):
+        k.lower((1, 0))
+    with pytest.raises(UsageError):
+        k.upper((0, -1))
+
+
+def test_ops_reject_elements_of_another_shape():
+    x, y = ID2.lower(1, 0), SWAP2.lower(0, 1)
+    over_z2 = mk(2, (0, 1), (0, 1), parse_group("z2"))
+    z = over_z2.lower((1, 1), (0, 0))
+    for op in (ID2.add, ID2.mv_oplus):
+        for a, b in ((x, y), (y, x), (x, z), (z, x)):
+            with pytest.raises(UsageError):
+                op(a, b)
+
+
+def test_kites_over_separately_parsed_equal_groups_combine():
+    k1 = mk(2, (0, 1), (1, 0), parse_group("z2"))
+    k2 = mk(2, (0, 1), (1, 0), parse_group("z2"))
+    assert k1.base is not k2.base
+    u, f = k1.upper((-2, -1), (-1, -3)), k2.lower((1, 0), (0, 1))
+    assert k1.add(u, f) == k2.add(u, f) == k2.upper((-2, 0), (0, -3))
+    assert k2.mv_oplus(u, f) == k1.add(u, f)
+    assert k1.leq(f, u) and k2.leq(f, u)
 
 
 def test_bounds_are_distinct_even_at_n_zero():

@@ -80,6 +80,40 @@ def test_strict_cone_has_no_meet():
         SC.meet(SC.make((1, 1)), SC.make((2, 2)))
 
 
+# -- ownership ----------------------------------------------------------------
+
+
+def test_ops_reject_elements_of_another_group_kind():
+    z2 = integer_product(2)
+    pair, cone_pair = z2.make((1, 1)), SC.make((1, 1))
+    # same value shape, different group: only the ownership check can tell
+    with pytest.raises(UsageError):
+        SC.mul(pair, cone_pair)
+    with pytest.raises(UsageError):
+        SC.leq(cone_pair, pair)
+    with pytest.raises(UsageError):
+        z2.mul(pair, Z.make(1))
+    with pytest.raises(UsageError):
+        z2.leq(Z.make(1), pair)
+    with pytest.raises(UsageError):
+        z2.meet(pair, cone_pair)
+    with pytest.raises(UsageError):
+        Z.meet(Z.make(1), pair)
+    g = tl(1, [0], [0])
+    with pytest.raises(UsageError):
+        g.meet(g.e, Z.make(0))
+
+
+def test_separately_parsed_equal_groups_combine():
+    g1, g2 = parse_group("z2"), parse_group("z2")
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    a, b = g1.make((1, 2)), g2.make((3, -1))
+    assert g1.mul(a, b) == g2.make((4, 1))
+    assert g2.leq(a, g1.make((1, 3)))
+    assert g1.meet(a, b) == g2.make((1, -1))
+    assert g2.join(a, b) == g1.make((3, 2))
+
+
 # -- twisted lex multiplication -----------------------------------------------
 
 
