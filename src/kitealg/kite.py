@@ -87,6 +87,10 @@ class Kite:
     base values and wraps only the result. Coordinates are validated where
     elements are built: lower and upper check the cones, the base group's
     make and deserialize check the values.
+
+    Window samples are memoised per Window on the instance: elements(w)
+    builds and sorts the carrier sample once and hands out a fresh list
+    copy on every call, so interval queries never rebuild it.
     """
 
     def __init__(self, shape: KiteShape):
@@ -101,6 +105,7 @@ class Kite:
         self._e = e.value
         self.zero = KiteElement(shape, LOWER, tuple(e for _ in range(self.n)))
         self.one = KiteElement(shape, UPPER, tuple(e for _ in range(self.n)))
+        self._samples: dict[Window, list[KiteElement]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -345,7 +350,16 @@ class Kite:
         return 2 * k ** self.n
 
     def elements(self, w: Window) -> list[KiteElement]:
-        """Window carrier sample, sorted by (norm, tag, coords), capped if set."""
+        """Window carrier sample, sorted by (norm, tag, coords), capped if set.
+
+        Built once per window; each call returns a fresh list.
+        """
+        sample = self._samples.get(w)
+        if sample is None:
+            sample = self._samples[w] = self._build_sample(w)
+        return list(sample)
+
+    def _build_sample(self, w: Window) -> list[KiteElement]:
         if w.cap is None:
             out = [KiteElement(self.shape, LOWER, c)
                    for c in self._part_values(w, False)]

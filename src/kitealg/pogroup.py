@@ -268,6 +268,13 @@ class Integers(PoGroup):
     def serialize_value(self, value):
         return [value]
 
+    # direct forms of the generic serialize-and-flatten versions; same values
+    def value_key(self, value) -> tuple:
+        return (value,)
+
+    def norm_value(self, value) -> int:
+        return abs(value)
+
     def deserialize(self, obj):
         if isinstance(obj, list):
             (obj,) = obj

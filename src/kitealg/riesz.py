@@ -217,10 +217,13 @@ def find_interpolant(ctx, a1, a2, b1, b2, w: Window):
     """Smallest window element c with a1, a2 <= c <= b1, b2; plus coverage."""
     ctx = _as_ctx(ctx)
     cands, exhaustive = ctx.interval(a1, b1, w)
-    for c in cands:
-        if ctx.leq(a2, c) and ctx.leq(c, b2):
-            return c, exhaustive
-    return None, exhaustive
+    return _first_between(ctx, cands, a2, b2), exhaustive
+
+
+def _first_between(ctx: RieszCtx, cands: list, lo, hi):
+    """First c in cands with lo <= c <= hi, or None."""
+    leq = ctx.leq
+    return next((c for c in cands if leq(lo, c) and leq(c, hi)), None)
 
 
 def _meet_zero(ctx: RieszCtx, x, y, w: Window) -> Verdict:
@@ -553,25 +556,32 @@ def check_rdp_level(ctx, level: RdpLevel, w: Window) -> Verdict:
 
 
 def _check_rip(ctx: RieszCtx, w: Window) -> Verdict:
+    """find_interpolant over every instance, with each [a1, b1] interval
+    computed once per (a1, b1) instead of once per (a1, a2, b1, b2)."""
     pos = ctx.positives(w)
+    leq = ctx.leq
     t = Tally()
-    for a1, a2 in itertools.product(pos, repeat=2):
-        for b1 in pos:
-            if not (ctx.leq(a1, b1) and ctx.leq(a2, b1)):
-                continue
-            for b2 in pos:
-                if not (ctx.leq(a1, b2) and ctx.leq(a2, b2)):
+    for a1 in pos:
+        intervals: list = [None] * len(pos)  # [a1, b1] by b1's index in pos
+        for a2 in pos:
+            for j, b1 in enumerate(pos):
+                if not (leq(a1, b1) and leq(a2, b1)):
                     continue
-                c, exhaustive = find_interpolant(ctx, a1, a2, b1, b2, w)
-                if c is not None:
-                    t.hit()
-                elif exhaustive:
-                    return t.fail(
-                        {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),
-                         "b1": ctx.serialize(b1), "b2": ctx.serialize(b2)},
-                        "no interpolant")
-                else:
-                    t.skip("interpolant search window-bounded")
+                if intervals[j] is None:
+                    intervals[j] = ctx.interval(a1, b1, w)
+                cands, exhaustive = intervals[j]
+                for b2 in pos:
+                    if not (leq(a1, b2) and leq(a2, b2)):
+                        continue
+                    if _first_between(ctx, cands, a2, b2) is not None:
+                        t.hit()
+                    elif exhaustive:
+                        return t.fail(
+                            {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),
+                             "b1": ctx.serialize(b1), "b2": ctx.serialize(b2)},
+                            "no interpolant")
+                    else:
+                        t.skip("interpolant search window-bounded")
     return t.done("interpolant found for every sampled instance")
 
 

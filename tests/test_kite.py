@@ -7,7 +7,7 @@ import pytest
 from kitealg import perms
 from kitealg.kite import Kite, KiteShape, LOWER, UPPER
 from kitealg.pogroup import (Integers, StrictCone2, TwistedLexGroup, UsageError,
-                             Window, parse_group)
+                             Window, cone_window, parse_group)
 
 Z = Integers()
 
@@ -257,3 +257,48 @@ def test_carrier_over_nonabelian_base():
     assert k.zero in sample and k.one in sample
     for x in sample:
         assert k.add(x, k.complement_right(x)) == k.one
+
+
+# -- memoised window samples ------------------------------------------------------
+
+
+@pytest.mark.parametrize("w", [Window(2), Window(2, 7)])
+def test_elements_returns_a_fresh_copy_of_the_memo(w):
+    k = mk(2, (0, 1), (1, 0))
+    first = k.elements(w)
+    second = k.elements(w)
+    assert first == second
+    assert first is not second
+    first.clear()
+    second.reverse()
+    third = k.elements(w)
+    assert third == list(reversed(second))
+    assert third[0] == k.zero
+
+
+def _fresh_carrier(kite, height):
+    """The window carrier built from scratch, sorted like Kite.elements."""
+    pool = [c.value for c in cone_window(kite.base, Window(height))]
+    out = []
+    for make, vals in ((kite.lower, pool),
+                       (kite.upper, [kite.base.inv_value(v) for v in pool])):
+        out.extend(make(*coords)
+                   for coords in itertools.product(vals, repeat=kite.n))
+    return sorted(out, key=kite.sort_key)
+
+
+@pytest.mark.parametrize("group", ["z", "z2", "strictcone2"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_interval_matches_brute_force_filter(group, n):
+    perm = tuple(range(n))
+    k = mk(n, perm, perm[::-1], parse_group(group))
+    w = Window(1)
+    # endpoints up to height 2, so some norms exceed w.height
+    ends = k.elements(Window(2))
+    ends = ends[::max(1, len(ends) // 25)] + [k.zero, k.one]
+    carriers = {h: _fresh_carrier(k, h) for h in (1, 2)}
+    for a, b in itertools.product(ends, repeat=2):
+        got, _ = k.interval(a, b, w)
+        height = max(w.height, k.norm(a), k.norm(b))
+        want = [x for x in carriers[height] if k.leq(a, x) and k.leq(x, b)]
+        assert got == want, (a, b)

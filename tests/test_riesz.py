@@ -10,6 +10,9 @@ from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
     RdpLevel,
+    RieszCtx,
+    _as_ctx,
+    _check_rip,
     check_rdp_level,
     find_interpolant,
     find_refinement,
@@ -17,7 +20,7 @@ from kitealg.riesz import (
     kite_refinement_constructive,
     rdp0_split,
 )
-from kitealg.verdict import Status
+from kitealg.verdict import Status, Tally
 
 Z = Integers()
 SC = StrictCone2()
@@ -225,6 +228,68 @@ def test_search_agrees_with_constructive_builder():
                 assert_table(k, found, a1, a2, b1, b2)
                 seen += 1
     assert seen > 0
+
+
+# -- RIP loop against the plain four-deep search ---------------------------------------
+
+
+def _rip_reference(ctx, w):
+    """The RIP check as a plain loop: one interpolant search per instance."""
+    pos = ctx.positives(w)
+    t = Tally()
+    for a1, a2 in itertools.product(pos, repeat=2):
+        for b1 in pos:
+            if not (ctx.leq(a1, b1) and ctx.leq(a2, b1)):
+                continue
+            for b2 in pos:
+                if not (ctx.leq(a1, b2) and ctx.leq(a2, b2)):
+                    continue
+                c, exhaustive = find_interpolant(ctx, a1, a2, b1, b2, w)
+                if c is not None:
+                    t.hit()
+                elif exhaustive:
+                    return t.fail(
+                        {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),
+                         "b1": ctx.serialize(b1), "b2": ctx.serialize(b2)},
+                        "no interpolant")
+                else:
+                    t.skip("interpolant search window-bounded")
+    return t.done("interpolant found for every sampled instance")
+
+
+def _bowtie_ctx():
+    """0 below a, b below c, d (plus top): a, b have two minimal upper
+    bounds, so RIP fails on an exhaustively enumerated carrier."""
+    below = {"0": set("0abcdt"), "a": set("acdt"), "b": set("bcdt"),
+             "c": set("ct"), "d": set("dt"), "t": set("t")}
+    order = "0abcdt"
+
+    def leq(x, y):
+        return y in below[x]
+
+    def interval(x, y, w):
+        return [z for z in order if leq(x, z) and leq(z, y)], True
+
+    return RieszCtx(kind="poset", name="bowtie", zero="0", add=None,
+                    leq=leq, rdiff=None, ldiff=None, interval=interval,
+                    positives=lambda w: list(order), serialize=str)
+
+
+@pytest.mark.parametrize("obj, w, expect", [
+    (mk(2, (0, 1), (1, 0)), Window(2), (Status.HOLDS, None, 0)),
+    (mk(1, (0,), (0,), SC), Window(2), (Status.UNKNOWN, 1061, 100)),
+    (_bowtie_ctx(), Window(1), (Status.FAILS, None, 0)),
+])
+def test_rip_loop_matches_reference(obj, w, expect):
+    ctx = _as_ctx(obj)
+    got = _check_rip(ctx, w)
+    want = _rip_reference(ctx, w)
+    assert (got.status, got.checked, got.skipped, got.witness, got.reason) == (
+        want.status, want.checked, want.skipped, want.witness, want.reason)
+    status, checked, skipped = expect
+    assert got.status is status
+    assert checked is None or got.checked == checked
+    assert got.skipped == skipped
 
 
 def test_level_parse():
