@@ -11,24 +11,23 @@ connectivity, canonical shapes, and window isomorphisms onto interval
 algebras of twisted lexicographic groups.
 """
 
-from .axioms import (EnumerablePEA, MvAlgebra, PerfectSplit, StateTable,
-                     check_commutative, check_pea_axioms, check_pmv_axioms,
-                     check_symmetric, find_infinitesimals, perfect_split,
-                     unique_state)
+from .axioms import (Algebra, PerfectSplit, StateTable, check_commutative,
+                     check_pea_axioms, check_pmv_axioms, check_symmetric,
+                     find_infinitesimals, perfect_split, unique_state)
 from .ideals import (IdealSet, OrbitReport, canonical_form, ideal_closure,
                      is_normal, least_normal_ideal, least_o_ideal,
                      normal_ideal_generated, orbits, phi_o_ideal)
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
-from .pogroup import (CapabilityError, ConeByGenerators, Elem, Integers,
-                      PoGroup, Product, StrictCone2, TwistedLexGroup,
+from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
+                      PositiveCone, Product, StrictCone2, TwistedLexGroup,
                       UsageError, Window, check_com, check_directed,
                       check_group_laws, cone_window, enumerate_interval,
                       enumerate_window, integer_product, parse_group,
                       window_sample)
 from .representations import (IntervalPEA, MapSpec, check_strong_unit,
-                              interval_pea, mapspec_family,
-                              perfect_representation, scrimger_fixture,
-                              stored_mapspec, twisted_lex_group, verify_iso)
+                              mapspec_family, perfect_representation,
+                              scrimger_fixture, stored_mapspec,
+                              twisted_lex_group, verify_iso)
 from .riesz import (RdpLevel, RefinementTable, check_rdp_level,
                     find_interpolant, find_refinement,
                     kite_rdp0_split_constructive,
@@ -38,18 +37,17 @@ from .verdict import Status, Tally, Verdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapabilityError", "ConeByGenerators", "Elem", "EnumerablePEA",
-    "IdealSet", "Integers", "IntervalPEA", "Kite", "KiteElement",
-    "KiteShape", "LOWER", "MapSpec", "MvAlgebra", "OrbitReport",
-    "PerfectSplit", "PoGroup", "Product", "RdpLevel", "RefinementTable",
-    "StateTable", "Status", "StrictCone2", "Tally", "TwistedLexGroup",
-    "UPPER", "UsageError", "Verdict", "Window", "canonical_form",
-    "check_com", "check_commutative", "check_directed", "check_group_laws",
-    "check_pea_axioms", "check_pmv_axioms", "check_rdp_level",
-    "check_strong_unit", "check_symmetric", "cone_window",
-    "enumerate_interval", "enumerate_window", "find_infinitesimals",
-    "find_interpolant", "find_refinement", "ideal_closure",
-    "integer_product", "interval_pea", "is_normal",
+    "Algebra", "CapabilityError", "Elem", "IdealSet", "Integers",
+    "IntervalPEA", "Kite", "KiteElement", "KiteShape", "LOWER", "MapSpec",
+    "OrbitReport", "PerfectSplit", "PoGroup", "PositiveCone", "Product",
+    "RdpLevel", "RefinementTable", "StateTable", "Status", "StrictCone2",
+    "Tally", "TwistedLexGroup", "UPPER", "UsageError", "Verdict", "Window",
+    "canonical_form", "check_com", "check_commutative", "check_directed",
+    "check_group_laws", "check_pea_axioms", "check_pmv_axioms",
+    "check_rdp_level", "check_strong_unit", "check_symmetric",
+    "cone_window", "enumerate_interval", "enumerate_window",
+    "find_infinitesimals", "find_interpolant", "find_refinement",
+    "ideal_closure", "integer_product", "is_normal",
     "kite_rdp0_split_constructive", "kite_refinement_constructive",
     "least_normal_ideal", "least_o_ideal", "mapspec_family",
     "normal_ideal_generated", "orbits", "parse_group",

@@ -1,13 +1,12 @@
 """Window-bounded axiom and structure checkers for enumerable partial algebras.
 
-Everything here works against small adapter records (EnumerablePEA, MvAlgebra)
-whose operations are closed forms over the whole carrier, sampled through a
-window. A quantified law is checked on every sampled instance; evaluation is
-exact, so undefinedness of a partial sum is a definite fact, not a gap. A
-check only reports skips when it had to search a bounded region for a witness
-whose absence the region cannot certify (for example complement uniqueness
-without closed-form negations). Holds with skips is demoted to Unknown by the
-verdict layer.
+The checkers take the algebra itself, a Kite or an IntervalPEA: any object
+with the members of the Algebra protocol below. Its operations are closed
+forms over the whole carrier, sampled through a window. A quantified law is
+checked on every sampled instance; evaluation is exact, so undefinedness of
+a partial sum is a definite fact, not a gap, and complements and shift
+witnesses come from the closed-form complements and differences. Holds with
+skips is demoted to Unknown by the verdict layer.
 
 Checks provided:
   * the four partial-addition axioms of a pseudo effect algebra,
@@ -22,53 +21,40 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Protocol
 
 from .pogroup import UsageError, Window
 from .verdict import Tally, Verdict, holds, unknown
 
 
-@dataclass
-class EnumerablePEA:
-    """A partial algebra (carrier sample; +, 0, 1) given by callables.
+class Algebra(Protocol):
+    """The operations the checkers use. Kite and IntervalPEA have them all.
+    pogroup.PositiveCone, a po-group's cone for the Riesz checkers, has all
+    except `one`, the two complements and mv_oplus.
 
-    add returns None where the sum is undefined. neg_left(x) solves d + x = 1
-    and neg_right(x) solves x + d = 1. ldiff(b, a) solves c + a = b, rdiff(a, b)
-    solves a + c = b; both return None when there is no solution, and
-    diffs_decide says that None is a definite no rather than a search failure.
+    add returns None where the sum is undefined. complement_left(x) solves
+    d + x = 1 and complement_right(x) solves x + d = 1. ldiff(b, a) solves
+    c + a = b and rdiff(a, b) solves a + c = b; both return None when there
+    is no solution. interval(a, b, w) returns the window elements between a
+    and b with an exhaustiveness flag. meet and mv_oplus, the total truncated
+    sum, need is_lattice.
     """
 
-    name: str
     zero: Any
     one: Any
-    elements: Callable[[Window], list]
-    add: Callable[[Any, Any], Optional[Any]]
-    leq: Callable[[Any, Any], bool]
-    neg_left: Optional[Callable[[Any], Any]] = None
-    neg_right: Optional[Callable[[Any], Any]] = None
-    ldiff: Optional[Callable[[Any, Any], Optional[Any]]] = None
-    rdiff: Optional[Callable[[Any, Any], Optional[Any]]] = None
-    meet: Optional[Callable[[Any, Any], Any]] = None
-    join: Optional[Callable[[Any, Any], Any]] = None
-    interval: Optional[Callable[[Any, Any, Window], tuple]] = None
-    norm: Optional[Callable[[Any], int]] = None
-    serialize: Optional[Callable[[Any], Any]] = None
-    diffs_decide: bool = True
-    source: Any = None
+    is_lattice: bool
 
-
-@dataclass
-class MvAlgebra:
-    """A total algebra (carrier sample; oplus, neg_left, neg_right, 0, 1)."""
-
-    name: str
-    zero: Any
-    one: Any
-    elements: Callable[[Window], list]
-    oplus: Callable[[Any, Any], Any]
-    neg_left: Callable[[Any], Any]
-    neg_right: Callable[[Any], Any]
-    serialize: Optional[Callable[[Any], Any]] = None
+    def elements(self, w: Window) -> list: ...
+    def add(self, x, y) -> Optional[Any]: ...
+    def leq(self, x, y) -> bool: ...
+    def complement_left(self, x) -> Any: ...
+    def complement_right(self, x) -> Any: ...
+    def ldiff(self, b, a) -> Optional[Any]: ...
+    def rdiff(self, a, b) -> Optional[Any]: ...
+    def interval(self, a, b, w: Window) -> tuple[list, bool]: ...
+    def serialize(self, x) -> Any: ...
+    def meet(self, x, y) -> Any: ...
+    def mv_oplus(self, x, y) -> Any: ...
 
 
 @dataclass(frozen=True)
@@ -95,20 +81,14 @@ class StateTable:
         return rows
 
 
-def _ser(P, x):
-    if x is None:
-        return None
-    if P.serialize is not None:
-        return P.serialize(x)
-    if hasattr(x, "serialized"):
-        return x.serialized()
-    return repr(x)
+def _ser(P: Algebra, x):
+    return None if x is None else P.serialize(x)
 
 
 # -- pseudo effect algebra axioms -------------------------------------------
 
 
-def check_pea_axioms(P: EnumerablePEA, w: Window) -> dict:
+def check_pea_axioms(P: Algebra, w: Window) -> dict:
     """Per-axiom verdicts keyed PEA.i .. PEA.iv."""
     sample = P.elements(w)
     return {
@@ -119,7 +99,7 @@ def check_pea_axioms(P: EnumerablePEA, w: Window) -> dict:
     }
 
 
-def _pea_assoc(P: EnumerablePEA, sample: list) -> Verdict:
+def _pea_assoc(P: Algebra, sample: list) -> Verdict:
     """(x+y)+z and x+(y+z): defined together and equal. Exact, no skips."""
     t = Tally()
     add = P.add
@@ -139,77 +119,53 @@ def _pea_assoc(P: EnumerablePEA, sample: list) -> Verdict:
     return t.done("both association orders agree on all sampled triples")
 
 
-def _pea_complements(P: EnumerablePEA, sample: list) -> Verdict:
+def _pea_complements(P: Algebra, sample: list) -> Verdict:
     """Each x has exactly one d with d+x=1 and one e with x+e=1."""
     t = Tally()
     add, one = P.add, P.one
-    closed = P.neg_left is not None and P.neg_right is not None
     for x in sample:
-        if closed:
-            d = P.neg_left(x)
-            if add(d, x) != one:
-                return t.fail({"x": _ser(P, x), "d": _ser(P, d)},
-                              "left complement does not sum to 1")
-            e = P.neg_right(x)
-            if add(x, e) != one:
-                return t.fail({"x": _ser(P, x), "e": _ser(P, e)},
-                              "right complement does not sum to 1")
-            for d2 in sample:
-                if d2 != d and add(d2, x) == one:
-                    return t.fail(
-                        {"x": _ser(P, x), "d": _ser(P, d), "d2": _ser(P, d2)},
-                        "two distinct left complements")
-                if d2 != e and add(x, d2) == one:
-                    return t.fail(
-                        {"x": _ser(P, x), "e": _ser(P, e), "e2": _ser(P, d2)},
-                        "two distinct right complements")
-            t.hit()
-            continue
-        lefts = [d for d in sample if add(d, x) == one]
-        rights = [d for d in sample if add(x, d) == one]
-        if len(lefts) > 1 or len(rights) > 1:
-            return t.fail({"x": _ser(P, x),
-                           "lefts": [_ser(P, d) for d in lefts],
-                           "rights": [_ser(P, d) for d in rights]},
-                          "complement not unique in window")
-        if not lefts or not rights:
-            t.skip("complement search window-bounded")
-        else:
-            t.hit()
+        d = P.complement_left(x)
+        if add(d, x) != one:
+            return t.fail({"x": _ser(P, x), "d": _ser(P, d)},
+                          "left complement does not sum to 1")
+        e = P.complement_right(x)
+        if add(x, e) != one:
+            return t.fail({"x": _ser(P, x), "e": _ser(P, e)},
+                          "right complement does not sum to 1")
+        for d2 in sample:
+            if d2 != d and add(d2, x) == one:
+                return t.fail(
+                    {"x": _ser(P, x), "d": _ser(P, d), "d2": _ser(P, d2)},
+                    "two distinct left complements")
+            if d2 != e and add(x, d2) == one:
+                return t.fail(
+                    {"x": _ser(P, x), "e": _ser(P, e), "e2": _ser(P, d2)},
+                    "two distinct right complements")
+        t.hit()
     return t.done("complements exist and are unique on the sample")
 
 
-def _pea_mixed_shift(P: EnumerablePEA, sample: list) -> Verdict:
+def _pea_mixed_shift(P: Algebra, sample: list) -> Verdict:
     """For each defined x+y=z there are d, e with z = d+x = y+e."""
     t = Tally()
     add = P.add
-    closed = (P.ldiff is not None and P.rdiff is not None)
     for x in sample:
         for y in sample:
             z = add(x, y)
             if z is None:
                 continue
-            if closed:
-                d = P.ldiff(z, x)
-                e = P.rdiff(y, z)
-                if d is not None and e is not None:
-                    t.hit()
-                    continue
-                if P.diffs_decide:
-                    return t.fail(
-                        {"x": _ser(P, x), "y": _ser(P, y), "z": _ser(P, z),
-                         "d": _ser(P, d), "e": _ser(P, e)},
-                        "no shift decomposition for a defined sum")
-            d = next((c for c in sample if add(c, x) == z), None)
-            e = next((c for c in sample if add(y, c) == z), None)
-            if d is not None and e is not None:
-                t.hit()
-            else:
-                t.skip("shift witness search window-bounded")
+            d = P.ldiff(z, x)
+            e = P.rdiff(y, z)
+            if d is None or e is None:
+                return t.fail(
+                    {"x": _ser(P, x), "y": _ser(P, y), "z": _ser(P, z),
+                     "d": _ser(P, d), "e": _ser(P, e)},
+                    "no shift decomposition for a defined sum")
+            t.hit()
     return t.done("every sampled sum admits both shift decompositions")
 
 
-def _pea_top(P: EnumerablePEA, sample: list) -> Verdict:
+def _pea_top(P: Algebra, sample: list) -> Verdict:
     """1+x or x+1 defined forces x = 0."""
     t = Tally()
     add, one, zero = P.add, P.one, P.zero
@@ -223,19 +179,24 @@ def _pea_top(P: EnumerablePEA, sample: list) -> Verdict:
 # -- pseudo MV axioms ---------------------------------------------------------
 
 
-def derived_odot(M: MvAlgebra) -> Callable[[Any, Any], Any]:
+def derived_odot(M: Algebra) -> Callable[[Any, Any], Any]:
     """The product defined from oplus and the two negations."""
 
     def odot(a, b):
-        return M.neg_right(M.oplus(M.neg_left(b), M.neg_left(a)))
+        return M.complement_right(
+            M.mv_oplus(M.complement_left(b), M.complement_left(a)))
 
     return odot
 
 
-def check_pmv_axioms(M: MvAlgebra, w: Window) -> dict:
-    """Per-axiom verdicts keyed PMV.A1 .. PMV.A8."""
+def check_pmv_axioms(M: Algebra, w: Window) -> dict:
+    """Per-axiom verdicts keyed PMV.A1 .. PMV.A8.
+
+    Needs a lattice algebra: the first mv_oplus call raises CapabilityError
+    otherwise.
+    """
     sample = M.elements(w)
-    op, nl, nr = M.oplus, M.neg_left, M.neg_right
+    op, nl, nr = M.mv_oplus, M.complement_left, M.complement_right
     odot = derived_odot(M)
 
     def pairs_law(fn, label) -> Verdict:
@@ -333,13 +294,11 @@ def check_pmv_axioms(M: MvAlgebra, w: Window) -> dict:
 # -- structure checks ----------------------------------------------------------
 
 
-def check_symmetric(P: EnumerablePEA, w: Window) -> Verdict:
-    """Holds iff neg_left and neg_right agree on every sampled element."""
-    if P.neg_left is None or P.neg_right is None:
-        return unknown(skipped=1, reason="negations unavailable")
+def check_symmetric(P: Algebra, w: Window) -> Verdict:
+    """Holds iff the two complements agree on every sampled element."""
     t = Tally()
     for x in P.elements(w):
-        l, r = P.neg_left(x), P.neg_right(x)
+        l, r = P.complement_left(x), P.complement_right(x)
         if l != r:
             return t.fail({"x": _ser(P, x), "left": _ser(P, l),
                            "right": _ser(P, r)}, "complements differ")
@@ -347,7 +306,7 @@ def check_symmetric(P: EnumerablePEA, w: Window) -> Verdict:
     return t.done("both complements coincide on the sample")
 
 
-def check_commutative(P: EnumerablePEA, w: Window) -> Verdict:
+def check_commutative(P: Algebra, w: Window) -> Verdict:
     """Holds iff x+y defined <=> y+x defined, with equal values."""
     t = Tally()
     sample = P.elements(w)
@@ -364,7 +323,7 @@ def check_commutative(P: EnumerablePEA, w: Window) -> Verdict:
 # -- infinitesimals, perfectness, state ---------------------------------------
 
 
-def _bounded_infinitesimal(P: EnumerablePEA, x, nmax: int) -> bool:
+def _bounded_infinitesimal(P: Algebra, x, nmax: int) -> bool:
     """True when x, 2x, ..., nmax*x are all defined."""
     acc = x
     for _ in range(nmax - 1):
@@ -374,7 +333,7 @@ def _bounded_infinitesimal(P: EnumerablePEA, x, nmax: int) -> bool:
     return True
 
 
-def find_infinitesimals(P: EnumerablePEA, w: Window,
+def find_infinitesimals(P: Algebra, w: Window,
                         nmax: int = 8) -> tuple[list, Verdict]:
     """Elements whose n-fold sums are defined for all n <= nmax.
 
@@ -396,7 +355,7 @@ def find_infinitesimals(P: EnumerablePEA, w: Window,
     return out, v
 
 
-def perfect_split(P: EnumerablePEA, w: Window,
+def perfect_split(P: Algebra, w: Window,
                   nmax: int = 8) -> Optional[PerfectSplit]:
     """Two-class split (infinitesimals, co-infinitesimals), or None.
 
@@ -405,8 +364,6 @@ def perfect_split(P: EnumerablePEA, w: Window,
     closed under addition. Class membership itself is the bounded
     infinitesimality test, so the split is evidence at level nmax.
     """
-    if P.neg_left is None or P.neg_right is None:
-        return None
     sample = P.elements(w)
     cls: dict = {}
 
@@ -422,7 +379,8 @@ def perfect_split(P: EnumerablePEA, w: Window,
     if level(P.zero) != 0 or level(P.one) != 1:
         return None
     for x in sample:
-        if level(P.neg_left(x)) == level(x) or level(P.neg_right(x)) == level(x):
+        if (level(P.complement_left(x)) == level(x)
+                or level(P.complement_right(x)) == level(x)):
             return None
     for x in sample:
         for y in sample:
@@ -437,7 +395,7 @@ def perfect_split(P: EnumerablePEA, w: Window,
     return PerfectSplit(e0, e1)
 
 
-def unique_state(P: EnumerablePEA, split: PerfectSplit, w: Window,
+def unique_state(P: Algebra, split: PerfectSplit, w: Window,
                  nmax: int = 8) -> tuple[StateTable, Verdict]:
     """The two-valued state of a perfect split, checked for additivity.
 

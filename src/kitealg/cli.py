@@ -189,19 +189,18 @@ _RDP_TOKEN = {"rip": (RdpLevel.RIP,), "rdp0": (RdpLevel.RDP0,),
 def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]:
     """(verdicts by label, extra JSON payloads) for one check token."""
     w = Window(cfg.height, cfg.cap)
-    P = kite.pea()
-    ser = P.serialize
+    ser = kite.serialize
     verdicts: dict = {}
     extras: dict = {}
     if token == "axioms":
-        verdicts.update(check_pea_axioms(P, w))
-        if kite.base.is_lattice:
-            verdicts.update(check_pmv_axioms(kite.mv(), w))
+        verdicts.update(check_pea_axioms(kite, w))
+        if kite.is_lattice:
+            verdicts.update(check_pmv_axioms(kite, w))
         # descriptive classification, not pass/fail: an asymmetric or
         # noncommutative kite is a valid kite
         extras["classification"] = {
-            "symmetry": vjson(check_symmetric(P, w)),
-            "commutativity": vjson(check_commutative(P, w))}
+            "symmetry": vjson(check_symmetric(kite, w)),
+            "commutativity": vjson(check_commutative(kite, w))}
     elif token in _RDP_TOKEN:
         for level in _RDP_TOKEN[token]:
             verdicts[level.value] = check_rdp_level(kite, level, w)
@@ -229,7 +228,7 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
             extras["canonical_shape"] = new_shape.describe()
             extras["relabel"] = relabel.as_json()
             verdicts["canonical_roundtrip"] = verify_iso(
-                P, Kite(new_shape).pea(), relabel, w)
+                kite, Kite(new_shape), relabel, w)
         if kite.shape.lam == kite.shape.rho and \
                 kite.base.rdp_hint in ("rdp1", "rdp2"):
             target, spec, v = perfect_representation(kite, w)
@@ -238,7 +237,7 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
                 extras["representation_map"] = spec.as_json()
             extras["representation_target"] = target.name()
     elif token == "state":
-        split = perfect_split(P, w, nmax=cfg.nmax)
+        split = perfect_split(kite, w, nmax=cfg.nmax)
         if split is None:
             verdicts["perfect_split"] = fails(
                 reason="no two-class split on this window")
@@ -246,7 +245,7 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
             verdicts["perfect_split"] = holds(
                 checked=len(split.e0) + len(split.e1))
             extras["split_sizes"] = {"e0": len(split.e0), "e1": len(split.e1)}
-            table, sv = unique_state(P, split, w, nmax=cfg.nmax)
+            table, sv = unique_state(kite, split, w, nmax=cfg.nmax)
             verdicts["unique_state"] = sv
             extras["state_table"] = table.as_json(ser)
             kernel = IdealSet(elements=split.e0, generators=(),

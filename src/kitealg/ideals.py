@@ -23,7 +23,7 @@ from typing import Any, Optional
 
 from . import perms
 from . import pogroup as pg
-from .axioms import EnumerablePEA
+from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
 from .pogroup import (Elem, Integers, PoGroup, Product, StrictCone2,
                       TwistedLexGroup, UsageError, Window)
@@ -72,24 +72,13 @@ class OrbitReport:
                 "connected": self.connected}
 
 
-def _pea_of(obj) -> EnumerablePEA:
-    if isinstance(obj, Kite):
-        return obj.pea()
-    if isinstance(obj, EnumerablePEA):
-        return obj
-    if hasattr(obj, "pea"):
-        return obj.pea()
-    raise UsageError(f"expected a kite or enumerable algebra, got {type(obj).__name__}")
-
-
-def ideal_closure(P, gens, w: Window) -> IdealSet:
+def ideal_closure(P: Algebra, gens, w: Window) -> IdealSet:
     """Least window set containing gens, downward and sum closed.
 
     The exhaustive flag drops to False whenever a defined sum of two members
     lands outside the window sample; the true ideal continues past the
     window there.
     """
-    P = _pea_of(P)
     sample = P.elements(w)
     universe = set(sample)
     gens = list(gens)
@@ -124,7 +113,7 @@ def ideal_closure(P, gens, w: Window) -> IdealSet:
                       "exhaustive": not boundary})
 
 
-def is_normal(P, ideal: IdealSet, w: Window) -> Verdict:
+def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     """Window check of x + I = I + x via the unique-solution trichotomy.
 
     For a defined x + y with y in the ideal, the only candidate z with
@@ -132,18 +121,17 @@ def is_normal(P, ideal: IdealSet, w: Window) -> Verdict:
     outside the ideal the equality genuinely fails, and if it lands outside
     the window the instance is skipped. Mirrored for y + x.
     """
-    P = _pea_of(P)
     sample = P.elements(w)
     universe = set(sample)
     members = ideal.elements
     index = set(members)
     t = Tally()
-    ser = P.serialize if P.serialize is not None else repr
+    ser = P.serialize
     for x in sample:
         for y in members:
             s = P.add(x, y)
             if s is not None:
-                z = P.ldiff(s, x) if P.ldiff is not None else None
+                z = P.ldiff(s, x)
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
                                   "sum has no left companion at all")
@@ -158,7 +146,7 @@ def is_normal(P, ideal: IdealSet, w: Window) -> Verdict:
                     t.skip("left companion outside the window")
             s = P.add(y, x)
             if s is not None:
-                z = P.rdiff(x, s) if P.rdiff is not None else None
+                z = P.rdiff(x, s)
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
                                   "sum has no right companion at all")
@@ -174,7 +162,8 @@ def is_normal(P, ideal: IdealSet, w: Window) -> Verdict:
     return t.done("both translates agree on every sampled element")
 
 
-def normal_ideal_generated(P, a, w: Window, depth: int = 4) -> IdealSet:
+def normal_ideal_generated(P: Algebra, a, w: Window,
+                           depth: int = 4) -> IdealSet:
     """Window part of the least normal ideal containing a.
 
     Alternates two steps up to `depth` rounds or a fixpoint: adjoin all
@@ -183,7 +172,6 @@ def normal_ideal_generated(P, a, w: Window, depth: int = 4) -> IdealSet:
     plain ideal closure. The fixpoint flag records whether a round added
     nothing.
     """
-    P = _pea_of(P)
     if depth < 1:
         raise UsageError("depth must be >= 1")
     sample = P.elements(w)
@@ -199,20 +187,19 @@ def normal_ideal_generated(P, a, w: Window, depth: int = 4) -> IdealSet:
         for m in current.elements:
             for t_el in sample:
                 s = P.add(m, t_el)
-                if s is not None and P.rdiff is not None:
+                if s is not None:
                     z = P.rdiff(t_el, s)
                     if z is not None and z in universe:
                         new.add(z)
                 s = P.add(t_el, m)
-                if s is not None and P.ldiff is not None:
+                if s is not None:
                     z = P.ldiff(s, t_el)
                     if z is not None and z in universe:
                         new.add(z)
-            if P.neg_left is not None and P.neg_right is not None:
-                for img in (P.neg_left(P.neg_left(m)),
-                            P.neg_right(P.neg_right(m))):
-                    if img in universe:
-                        new.add(img)
+            for img in (P.complement_left(P.complement_left(m)),
+                        P.complement_right(P.complement_right(m))):
+                if img in universe:
+                    new.add(img)
         if new == members:
             fixpoint = True
             break
@@ -242,8 +229,7 @@ def least_o_ideal(group: PoGroup, w: Window):
     """(Verdict, descriptor) for existence of a least non-trivial o-ideal.
 
     Builtin groups are answered analytically, with the reasoning recorded in
-    the descriptor; cone-by-generators groups stay Unknown because their
-    membership test is itself bounded.
+    the descriptor; any other group stays Unknown.
     """
     if group.is_trivial:
         return (fails(reason="no non-trivial o-ideal exists"),

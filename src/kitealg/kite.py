@@ -91,11 +91,15 @@ class Kite:
     Window samples are memoised per Window on the instance: elements(w)
     builds and sorts the carrier sample once and hands out a fresh list
     copy on every call, so interval queries never rebuild it.
+
+    A Kite is what the checkers in axioms, riesz, ideals and
+    representations take: it has every member of axioms.Algebra.
     """
 
     def __init__(self, shape: KiteShape):
         self.shape = shape
         self.base = shape.base
+        self.is_lattice = self.base.is_lattice
         self.n = shape.n
         self.lam = list(shape.lam)
         self.rho = list(shape.rho)
@@ -402,44 +406,3 @@ class Kite:
         else:
             exhaustive = self.base.order_convex_norm
         return out, exhaustive
-
-    # -- adapters ---------------------------------------------------------------
-
-    def pea(self):
-        """EnumerablePEA adapter for the axiom and structure checkers."""
-        from .axioms import EnumerablePEA
-
-        return EnumerablePEA(
-            name=self.shape.label(),
-            zero=self.zero,
-            one=self.one,
-            elements=self.elements,
-            add=self.add,
-            leq=self.leq,
-            neg_left=self.complement_left,
-            neg_right=self.complement_right,
-            ldiff=self.ldiff,
-            rdiff=self.rdiff,
-            meet=self.meet if self.base.is_lattice else None,
-            join=self.join if self.base.is_lattice else None,
-            interval=self.interval,
-            norm=self.norm,
-            serialize=self.serialize,
-            source=self,
-        )
-
-    def mv(self):
-        """MvAlgebra adapter; needs a lattice base."""
-        from .axioms import MvAlgebra
-
-        self._need_lattice()
-        return MvAlgebra(
-            name=self.shape.label(),
-            zero=self.zero,
-            one=self.one,
-            elements=self.elements,
-            oplus=self.mv_oplus,
-            neg_left=self.complement_left,
-            neg_right=self.complement_right,
-            serialize=self.serialize,
-        )

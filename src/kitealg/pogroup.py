@@ -352,6 +352,15 @@ class Product(PoGroup):
             out.extend(_flatten(c.serialize_value(v)))
         return out
 
+    # direct forms of the generic serialize-and-flatten versions; same values
+    def value_key(self, value) -> tuple:
+        return tuple(itertools.chain.from_iterable(
+            c.value_key(v) for c, v in zip(self.components, value)))
+
+    def norm_value(self, value) -> int:
+        return max((c.norm_value(v) for c, v in zip(self.components, value)),
+                   default=0)
+
     def deserialize(self, obj):
         if len(obj) != len(self.components):
             raise UsageError("component count mismatch")
@@ -411,6 +420,13 @@ class StrictCone2(PoGroup):
 
     def serialize_value(self, value):
         return [value[0], value[1]]
+
+    # direct forms of the generic serialize-and-flatten versions; same values
+    def value_key(self, value) -> tuple:
+        return value
+
+    def norm_value(self, value) -> int:
+        return max(abs(value[0]), abs(value[1]))
 
     def deserialize(self, obj):
         return self.make((obj[0], obj[1]))
@@ -553,100 +569,6 @@ class TwistedLexGroup(PoGroup):
                 "base": self.base.describe()}
 
 
-class ConeByGenerators(PoGroup):
-    """Z^rank ordered by the monoid generated by the given vectors.
-
-    Cone membership is decided within a bounded search region fixed at
-    construction (membership_height); vectors whose difference leaves the
-    region are reported incomparable, and every Verdict built on this order
-    carries that caveat via the bounded_note attribute.
-    """
-
-    kind = "ConeByGenerators"
-    is_lattice = False
-    is_abelian = True
-    is_totally_ordered = False
-    is_directed = None
-    rdp_hint = None
-
-    def __init__(self, rank: int, generators, membership_height: int = 8):
-        if rank < 1:
-            raise UsageError("rank must be >= 1")
-        self.rank = rank
-        gens = []
-        for g in generators:
-            g = tuple(g)
-            if len(g) != rank or not all(isinstance(c, int) for c in g):
-                raise UsageError("generators must be integer vectors of the rank")
-            if any(g):
-                gens.append(g)
-        self.generators = tuple(gens)
-        self.membership_height = membership_height
-        self._cone = self._build_cone()
-        bad = [v for v in self._cone
-               if v != (0,) * rank and tuple(-c for c in v) in self._cone]
-        if bad:
-            raise UsageError(
-                f"generated cone meets its negative at {bad[0]}; not a partial order")
-        self.bounded_note = (
-            f"cone membership decided within |coord| <= {membership_height}")
-        self.order_convex_norm = all(all(c >= 0 for c in g) for g in self.generators)
-        super().__init__()
-
-    def _build_cone(self) -> frozenset:
-        bound = 2 * self.membership_height
-        zero = (0,) * self.rank
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g in self.generators:
-                    w = tuple(a + b for a, b in zip(v, g))
-                    if w not in seen and all(abs(c) <= bound for c in w):
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        keep = frozenset(
-            v for v in seen if all(abs(c) <= self.membership_height for c in v))
-        return keep
-
-    def _key(self):
-        return (self.kind, self.rank, self.generators, self.membership_height)
-
-    def identity_value(self):
-        return (0,) * self.rank
-
-    def check_value(self, value):
-        value = tuple(value)
-        if len(value) != self.rank or not all(isinstance(c, int) for c in value):
-            raise UsageError("values are integer vectors of the rank")
-        return value
-
-    def mul_values(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def inv_value(self, x):
-        return tuple(-a for a in x)
-
-    def leq_values(self, x, y):
-        return tuple(b - a for a, b in zip(x, y)) in self._cone
-
-    def serialize_value(self, value):
-        return list(value)
-
-    def deserialize(self, obj):
-        return self.make(tuple(obj))
-
-    def ball_values(self, height):
-        rng = range(-height, height + 1)
-        return iter(itertools.product(rng, repeat=self.rank))
-
-    def _params(self):
-        return {"rank": self.rank, "generators": [list(g) for g in self.generators],
-                "membership_height": self.membership_height}
-
-
 # ---------------------------------------------------------------------------
 # window enumeration and bounded order checks
 
@@ -723,6 +645,47 @@ def check_com(group: PoGroup, a: Elem, b: Elem, w: Window) -> Verdict:
                 return t.fail({"x": x.serialized(), "y": y.serialized()},
                               reason="witness pair does not commute")
     return t.done()
+
+
+class PositiveCone:
+    """The positive cone of a po-group as a partial algebra for the Riesz
+    checkers: the sum is the group product, differences are defined when they
+    stay in the cone, and the window sample is cone_window."""
+
+    def __init__(self, group: PoGroup):
+        self.group = group
+        self.zero = group.e
+        self.is_lattice = group.is_lattice
+
+    def elements(self, w: Window) -> list[Elem]:
+        return cone_window(self.group, w)
+
+    def add(self, a: Elem, b: Elem) -> Elem:
+        return self.group.mul(a, b)
+
+    def leq(self, a: Elem, b: Elem) -> bool:
+        return self.group.leq(a, b)
+
+    def ldiff(self, b: Elem, a: Elem) -> Elem | None:
+        """The positive c with c * a = b, or None."""
+        g = self.group
+        c = g.mul(b, g.inv(a))
+        return c if g.leq(self.zero, c) else None
+
+    def rdiff(self, a: Elem, b: Elem) -> Elem | None:
+        """The positive c with a * c = b, or None."""
+        g = self.group
+        c = g.mul(g.inv(a), b)
+        return c if g.leq(self.zero, c) else None
+
+    def meet(self, a: Elem, b: Elem) -> Elem:
+        return self.group.meet(a, b)
+
+    def interval(self, a: Elem, b: Elem, w: Window) -> tuple[list[Elem], bool]:
+        return enumerate_interval(self.group, a, b, w)
+
+    def serialize(self, x: Elem):
+        return x.serialized()
 
 
 def check_group_laws(group: PoGroup, w: Window, cap: int = 12) -> Verdict:
@@ -822,7 +785,4 @@ def parse_group(desc) -> PoGroup:
     if kind == "TwistedLex":
         return TwistedLexGroup(params["n"], params["lam"], params["rho"],
                                parse_group(params["base"]))
-    if kind == "ConeByGenerators":
-        return ConeByGenerators(params["rank"], params["generators"],
-                                params.get("membership_height", 8))
     raise UsageError(f"unknown group kind {kind!r}")

@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from . import perms
 from . import pogroup as pg
-from .axioms import EnumerablePEA, MvAlgebra
+from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
 from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       TwistedLexGroup, UsageError, Window)
@@ -30,7 +30,10 @@ from .verdict import Tally, Verdict, fails, holds, unknown
 
 @dataclass(frozen=True)
 class IntervalPEA:
-    """The interval [0, u] of a po-group, with a + b defined iff a*b <= u."""
+    """The interval [0, u] of a po-group, with a + b defined iff a*b <= u.
+
+    It has every member of axioms.Algebra, so the checkers take it directly.
+    """
 
     group: PoGroup
     unit: Elem
@@ -72,10 +75,10 @@ class IntervalPEA:
             return s
         return None
 
-    def neg_left(self, x: Elem) -> Elem:
+    def complement_left(self, x: Elem) -> Elem:
         return self.group.mul(self.unit, self.group.inv(x))
 
-    def neg_right(self, x: Elem) -> Elem:
+    def complement_right(self, x: Elem) -> Elem:
         return self.group.mul(self.group.inv(x), self.unit)
 
     def ldiff(self, b: Elem, a: Elem) -> Optional[Elem]:
@@ -89,6 +92,10 @@ class IntervalPEA:
         if self.group.leq(self.group.e, c):
             return c
         return None
+
+    @property
+    def is_lattice(self) -> bool:
+        return self.group.is_lattice
 
     def _need_lattice(self) -> None:
         if not self.group.is_lattice:
@@ -114,50 +121,8 @@ class IntervalPEA:
     def interval(self, a: Elem, b: Elem, w: Window) -> tuple:
         return pg.enumerate_interval(self.group, a, b, w)
 
-    def norm(self, x: Elem) -> int:
-        return self.group.norm(x)
-
     def serialize(self, x: Elem):
         return x.serialized()
-
-    def pea(self) -> EnumerablePEA:
-        lattice = self.group.is_lattice
-        return EnumerablePEA(
-            name=self.name(),
-            zero=self.zero,
-            one=self.one,
-            elements=self.elements,
-            add=self.add,
-            leq=self.leq,
-            neg_left=self.neg_left,
-            neg_right=self.neg_right,
-            ldiff=self.ldiff,
-            rdiff=self.rdiff,
-            meet=self.meet if lattice else None,
-            join=self.join if lattice else None,
-            interval=self.interval,
-            norm=self.norm,
-            serialize=self.serialize,
-            source=self,
-        )
-
-    def mv(self) -> MvAlgebra:
-        self._need_lattice()
-        return MvAlgebra(
-            name=self.name(),
-            zero=self.zero,
-            one=self.one,
-            elements=self.elements,
-            oplus=self.mv_oplus,
-            neg_left=self.neg_left,
-            neg_right=self.neg_right,
-            serialize=self.serialize,
-        )
-
-
-def interval_pea(group: PoGroup, u: Elem) -> EnumerablePEA:
-    """Enumerable algebra over the window part of [0, u]."""
-    return IntervalPEA(group, u).pea()
 
 
 def twisted_lex_group(n: int, lam, rho, base: PoGroup) -> TwistedLexGroup:
@@ -300,22 +265,17 @@ def stored_mapspec(key: str, target: str = "interval") -> Optional[MapSpec]:
 # -- window isomorphism verification -------------------------------------------
 
 
-def verify_iso(P: EnumerablePEA, Q: EnumerablePEA, m, w: Window) -> Verdict:
+def verify_iso(P: Algebra, Q: Algebra, m, w: Window) -> Verdict:
     """Window check that m is an isomorphism from P onto Q.
 
-    m is a MapSpec (bound against Q's backing object) or a plain callable.
-    Zero/one preservation, injectivity, order in both directions, and
-    definedness plus value of + in both directions are exact, because images
-    of off-window sums are still computable; only unreached target window
-    elements count as skips.
+    m is a MapSpec (applied into Q, a Kite or an IntervalPEA) or a plain
+    callable. Zero/one preservation, injectivity, order in both directions,
+    and definedness plus value of + in both directions are exact, because
+    images of off-window sums are still computable; only unreached target
+    window elements count as skips.
     """
-    if isinstance(m, MapSpec):
-        targ = Q.source
-        if targ is None:
-            raise UsageError("target algebra carries no backing object to map into")
-        fn: Callable = lambda x: m.apply(x, targ)
-    else:
-        fn = m
+    fn: Callable = (lambda x: m.apply(x, Q)) if isinstance(m, MapSpec) else m
+    ps, qs = P.serialize, Q.serialize
     t = Tally()
     pw = P.elements(w)
     qw = Q.elements(w)
@@ -329,27 +289,27 @@ def verify_iso(P: EnumerablePEA, Q: EnumerablePEA, m, w: Window) -> Verdict:
     rev: dict = {}
     for x, img in images.items():
         if img in rev:
-            return t.fail({"a": _s(P, rev[img]), "b": _s(P, x),
-                           "image": _s(Q, img)}, "two elements share an image")
+            return t.fail({"a": ps(rev[img]), "b": ps(x),
+                           "image": qs(img)}, "two elements share an image")
         rev[img] = x
         t.hit()
     if P.zero in images and images[P.zero] != Q.zero:
-        return t.fail({"zero_image": _s(Q, images[P.zero])},
+        return t.fail({"zero_image": qs(images[P.zero])},
                       "zero is not preserved")
     if P.one in images and images[P.one] != Q.one:
-        return t.fail({"one_image": _s(Q, images[P.one])},
+        return t.fail({"one_image": qs(images[P.one])},
                       "one is not preserved")
     pairs = [(x, y) for x in images for y in images]
     for x, y in pairs:
         ix, iy = images[x], images[y]
         if P.leq(x, y) != Q.leq(ix, iy):
-            return t.fail({"x": _s(P, x), "y": _s(P, y)},
+            return t.fail({"x": ps(x), "y": ps(y)},
                           "order is not preserved both ways")
         s = P.add(x, y)
         s2 = Q.add(ix, iy)
         if (s is None) != (s2 is None):
             side = "source" if s is None else "target"
-            return t.fail({"x": _s(P, x), "y": _s(P, y)},
+            return t.fail({"x": ps(x), "y": ps(y)},
                           f"sum defined only on the {side} side")
         if s is not None:
             imgs = fn(s)
@@ -357,8 +317,8 @@ def verify_iso(P: EnumerablePEA, Q: EnumerablePEA, m, w: Window) -> Verdict:
                 t.skip("image of a sum not representable")
                 continue
             if imgs != s2:
-                return t.fail({"x": _s(P, x), "y": _s(P, y),
-                               "expected": _s(Q, s2), "got": _s(Q, imgs)},
+                return t.fail({"x": ps(x), "y": ps(y),
+                               "expected": qs(s2), "got": qs(imgs)},
                               "sum value is not preserved")
         t.hit()
     hit_set = set(images.values())
@@ -368,14 +328,6 @@ def verify_iso(P: EnumerablePEA, Q: EnumerablePEA, m, w: Window) -> Verdict:
         else:
             t.skip("target window element not reached")
     return t.done("window bijection preserving order and partial sums")
-
-
-def _s(P: EnumerablePEA, x):
-    if P.serialize is not None:
-        return P.serialize(x)
-    if hasattr(x, "serialized"):
-        return x.serialized()
-    return repr(x)
 
 
 # -- representation fixtures ----------------------------------------------------
@@ -400,12 +352,10 @@ def perfect_representation(kite: Kite, w: Window):
     key = f"perfect:{shape.n}:{perms.perm_name(shape.lam)}"
     stored = stored_mapspec(key)
     candidates = (stored,) if stored is not None else mapspec_family(shape)
-    P = kite.pea()
-    Q = target.pea()
     best: Optional[Verdict] = None
     best_spec: Optional[MapSpec] = None
     for spec in candidates:
-        v = verify_iso(P, Q, spec, w)
+        v = verify_iso(kite, target, spec, w)
         if v.ok:
             return target, spec, v
         if best is None or (best.failed and not v.failed):

@@ -6,12 +6,14 @@ same with a commutation side condition on the off-diagonal cells (RDP1), and
 with off-diagonal meet zero (RDP2). For directed structures RDP0 and RIP
 coincide; both are implied by RDP.
 
-All searches run over a context that abstracts a po-group's positive cone or
-an enumerable pseudo effect algebra: partial addition, differences, interval
-enumeration with an exhaustiveness flag, and optional meet. Searches iterate
-candidates in descending enumeration order and take the first valid hit, so
-results are deterministic. Absence is conclusive only when the searched
-interval was exhaustive; otherwise the caller records a skip.
+All searches take the algebra itself: a Kite, an IntervalPEA or the positive
+cone of a po-group (pogroup.PositiveCone; the public entry points also take
+a bare PoGroup and use its cone). They use its partial addition, differences,
+interval enumeration with an exhaustiveness flag, and meet when is_lattice
+is set. Searches iterate candidates in descending enumeration order and take
+the first valid hit, so results are deterministic. Absence is conclusive only
+when the searched interval was exhaustive; otherwise the caller records a
+skip.
 
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
@@ -27,9 +29,9 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from . import pogroup as pg
-from .axioms import EnumerablePEA
+from .axioms import Algebra
 from .kite import Kite, KiteElement, LOWER, UPPER
-from .pogroup import Elem, PoGroup, UsageError, Window
+from .pogroup import Elem, PoGroup, PositiveCone, UsageError, Window
 from .verdict import Status, Tally, Verdict, fails, holds, unknown
 
 
@@ -82,53 +84,12 @@ class RefinementTable:
         return out
 
 
-@dataclass
-class RieszCtx:
-    """Uniform view of a po-group cone or a PEA for refinement searches."""
-
-    kind: str
-    name: str
-    zero: Any
-    add: Callable[[Any, Any], Optional[Any]]
-    leq: Callable[[Any, Any], bool]
-    rdiff: Callable[[Any, Any], Optional[Any]]
-    ldiff: Callable[[Any, Any], Optional[Any]]
-    interval: Callable[[Any, Any, Window], tuple]
-    positives: Callable[[Window], list]
-    serialize: Callable[[Any], Any]
-    meet: Optional[Callable[[Any, Any], Any]] = None
-    com: Optional[Callable[[Any, Any, Window], Verdict]] = None
-    kite: Optional[Kite] = None
+def _cone(obj):
+    """A bare po-group stands for its positive cone."""
+    return PositiveCone(obj) if isinstance(obj, PoGroup) else obj
 
 
-def _group_ctx(group: PoGroup) -> RieszCtx:
-    e = group.e
-
-    def rdiff(a, b):
-        c = group.mul(group.inv(a), b)
-        return c if group.leq(e, c) else None
-
-    def ldiff(b, a):
-        c = group.mul(b, group.inv(a))
-        return c if group.leq(e, c) else None
-
-    return RieszCtx(
-        kind="group",
-        name=group.describe().get("kind", group.kind),
-        zero=e,
-        add=group.mul,
-        leq=group.leq,
-        rdiff=rdiff,
-        ldiff=ldiff,
-        interval=lambda a, b, w: pg.enumerate_interval(group, a, b, w),
-        positives=lambda w: pg.cone_window(group, w),
-        serialize=lambda x: x.serialized(),
-        meet=(lambda a, b: group.meet(a, b)) if group.is_lattice else None,
-        com=lambda a, b, w: pg.check_com(group, a, b, w),
-    )
-
-
-def _pea_com(P: EnumerablePEA, a, b, w: Window) -> Verdict:
+def _pea_com(P: Algebra, a, b, w: Window) -> Verdict:
     """Everything below a commutes with everything below b (window-bounded)."""
     if a == P.zero or b == P.zero:
         return holds(checked=1, reason="zero commutes with everything")
@@ -147,44 +108,17 @@ def _pea_com(P: EnumerablePEA, a, b, w: Window) -> Verdict:
     return t.done("all sampled pairs below the cells commute")
 
 
-def _pea_ctx(P: EnumerablePEA, kite: Optional[Kite] = None) -> RieszCtx:
-    if P.rdiff is None or P.ldiff is None or P.interval is None:
-        raise UsageError(
-            "refinement context needs difference and interval operations")
-    ser = P.serialize if P.serialize is not None else repr
-    return RieszCtx(
-        kind="pea",
-        name=P.name,
-        zero=P.zero,
-        add=P.add,
-        leq=P.leq,
-        rdiff=P.rdiff,
-        ldiff=P.ldiff,
-        interval=P.interval,
-        positives=P.elements,
-        serialize=ser,
-        meet=P.meet,
-        com=lambda a, b, w: _pea_com(P, a, b, w),
-        kite=kite,
-    )
-
-
-def _as_ctx(obj) -> RieszCtx:
-    if isinstance(obj, RieszCtx):
-        return obj
-    if isinstance(obj, PoGroup):
-        return _group_ctx(obj)
-    if isinstance(obj, Kite):
-        return _pea_ctx(obj.pea(), kite=obj)
-    if isinstance(obj, EnumerablePEA):
-        return _pea_ctx(obj)
-    raise UsageError(f"cannot build a refinement context from {type(obj).__name__}")
+def _com(ctx: Algebra, a, b, w: Window) -> Verdict:
+    """The RDP1 side condition: check_com on a cone, _pea_com on a PEA."""
+    if isinstance(ctx, PositiveCone):
+        return pg.check_com(ctx.group, a, b, w)
+    return _pea_com(ctx, a, b, w)
 
 
 # -- splits and interpolation ---------------------------------------------------
 
 
-def _split_search(ctx: RieszCtx, a, b, c, w: Window):
+def _split_search(ctx: Algebra, a, b, c, w: Window):
     """Descending search for (b1, c1): b1 <= b, c1 <= c, a = b1 + c1."""
     cands, exhaustive = ctx.interval(ctx.zero, b, w)
     for b1 in reversed(cands):
@@ -198,14 +132,14 @@ def _split_search(ctx: RieszCtx, a, b, c, w: Window):
     return None, exhaustive
 
 
-def rdp0_split(ctx, a, b, c, w: Window):
+def rdp0_split(ctx: Algebra | PoGroup, a, b, c, w: Window):
     """First (descending) split of a below b + c, or None.
 
     Requires 0 <= a <= b + c with b + c defined. Absence is conclusive only
     if the [0, b] interval was exhaustively enumerable; check_rdp_level
     accounts for that.
     """
-    ctx = _as_ctx(ctx)
+    ctx = _cone(ctx)
     s = ctx.add(b, c)
     if s is None or not ctx.leq(ctx.zero, a) or not ctx.leq(a, s):
         raise UsageError("rdp0_split needs 0 <= a <= b + c with b + c defined")
@@ -213,22 +147,22 @@ def rdp0_split(ctx, a, b, c, w: Window):
     return pair
 
 
-def find_interpolant(ctx, a1, a2, b1, b2, w: Window):
+def find_interpolant(ctx: Algebra | PoGroup, a1, a2, b1, b2, w: Window):
     """Smallest window element c with a1, a2 <= c <= b1, b2; plus coverage."""
-    ctx = _as_ctx(ctx)
+    ctx = _cone(ctx)
     cands, exhaustive = ctx.interval(a1, b1, w)
     return _first_between(ctx, cands, a2, b2), exhaustive
 
 
-def _first_between(ctx: RieszCtx, cands: list, lo, hi):
+def _first_between(ctx: Algebra, cands: list, lo, hi):
     """First c in cands with lo <= c <= hi, or None."""
     leq = ctx.leq
     return next((c for c in cands if leq(lo, c) and leq(c, hi)), None)
 
 
-def _meet_zero(ctx: RieszCtx, x, y, w: Window) -> Verdict:
+def _meet_zero(ctx: Algebra, x, y, w: Window) -> Verdict:
     """Is the only common lower bound of x and y the zero element?"""
-    if ctx.meet is not None:
+    if ctx.is_lattice:
         m = ctx.meet(x, y)
         if m == ctx.zero:
             return holds(checked=1, reason="meet is zero")
@@ -245,7 +179,7 @@ def _meet_zero(ctx: RieszCtx, x, y, w: Window) -> Verdict:
                    reason="lower-bound search window-bounded")
 
 
-def find_refinement(ctx, a1, a2, b1, b2, level: RdpLevel,
+def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
                     w: Window) -> Optional[RefinementTable]:
     """First valid table in descending c11 order, or None.
 
@@ -254,7 +188,7 @@ def find_refinement(ctx, a1, a2, b1, b2, level: RdpLevel,
     whose condition is window-bounded is kept only as a fallback if no
     candidate verifies exactly. RDP2 treats the meet condition the same way.
     """
-    ctx = _as_ctx(ctx)
+    ctx = _cone(ctx)
     if level is RdpLevel.RIP:
         if not (ctx.leq(a1, b1) and ctx.leq(a1, b2)
                 and ctx.leq(a2, b1) and ctx.leq(a2, b2)):
@@ -283,10 +217,7 @@ def find_refinement(ctx, a1, a2, b1, b2, level: RdpLevel,
             continue
         side = None
         if level is RdpLevel.RDP1:
-            if ctx.com is None:
-                side = unknown(skipped=1, reason="no commutation checker")
-            else:
-                side = ctx.com(c12, c21, w)
+            side = _com(ctx, c12, c21, w)
         elif level is RdpLevel.RDP2:
             side = _meet_zero(ctx, c12, c21, w)
         if side is not None:
@@ -454,11 +385,10 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
             or kite.add(table.c12, table.c22) != y2):
         return None
     if level in (RdpLevel.RDP1, RdpLevel.RDP2) and table.side is None:
-        ctx = _as_ctx(kite)
         if level is RdpLevel.RDP1:
-            table.side = ctx.com(table.c12, table.c21, w)
+            table.side = _com(kite, table.c12, table.c21, w)
         else:
-            table.side = _meet_zero(ctx, table.c12, table.c21, w)
+            table.side = _meet_zero(kite, table.c12, table.c21, w)
         if table.side.failed:
             return None
     return table
@@ -540,14 +470,15 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
 # -- quantified checks -----------------------------------------------------------
 
 
-def check_rdp_level(ctx, level: RdpLevel, w: Window) -> Verdict:
+def check_rdp_level(ctx: Algebra | PoGroup, level: RdpLevel,
+                    w: Window) -> Verdict:
     """Quantify the level's witness search over all window instances.
 
     An instance with no witness is a failure only when the search region was
     exhaustive; otherwise it is a skip. For kites the constructive builders
     run first, so a found witness never depends on search coverage.
     """
-    ctx = _as_ctx(ctx)
+    ctx = _cone(ctx)
     if level is RdpLevel.RIP:
         return _check_rip(ctx, w)
     if level is RdpLevel.RDP0:
@@ -555,10 +486,10 @@ def check_rdp_level(ctx, level: RdpLevel, w: Window) -> Verdict:
     return _check_tables(ctx, level, w)
 
 
-def _check_rip(ctx: RieszCtx, w: Window) -> Verdict:
+def _check_rip(ctx: Algebra, w: Window) -> Verdict:
     """find_interpolant over every instance, with each [a1, b1] interval
     computed once per (a1, b1) instead of once per (a1, a2, b1, b2)."""
-    pos = ctx.positives(w)
+    pos = ctx.elements(w)
     leq = ctx.leq
     t = Tally()
     for a1 in pos:
@@ -585,8 +516,8 @@ def _check_rip(ctx: RieszCtx, w: Window) -> Verdict:
     return t.done("interpolant found for every sampled instance")
 
 
-def _check_rdp0(ctx: RieszCtx, w: Window) -> Verdict:
-    pos = ctx.positives(w)
+def _check_rdp0(ctx: Algebra, w: Window) -> Verdict:
+    pos = ctx.elements(w)
     t = Tally()
     for b, c in itertools.product(pos, repeat=2):
         s = ctx.add(b, c)
@@ -595,8 +526,8 @@ def _check_rdp0(ctx: RieszCtx, w: Window) -> Verdict:
         for a in pos:
             if not ctx.leq(a, s):
                 continue
-            if ctx.kite is not None:
-                if kite_rdp0_split_constructive(ctx.kite, a, b, c) is not None:
+            if isinstance(ctx, Kite):
+                if kite_rdp0_split_constructive(ctx, a, b, c) is not None:
                     t.hit()
                     continue
             pair, exhaustive = _split_search(ctx, a, b, c, w)
@@ -612,8 +543,8 @@ def _check_rdp0(ctx: RieszCtx, w: Window) -> Verdict:
     return t.done("split found for every sampled instance")
 
 
-def _check_tables(ctx: RieszCtx, level: RdpLevel, w: Window) -> Verdict:
-    pos = ctx.positives(w)
+def _check_tables(ctx: Algebra, level: RdpLevel, w: Window) -> Verdict:
+    pos = ctx.elements(w)
     sums: dict = {}
     for p1, p2 in itertools.product(pos, repeat=2):
         s = ctx.add(p1, p2)
@@ -623,9 +554,9 @@ def _check_tables(ctx: RieszCtx, level: RdpLevel, w: Window) -> Verdict:
     for pairs in sums.values():
         for a1, a2 in pairs:
             for b1, b2 in pairs:
-                if ctx.kite is not None:
+                if isinstance(ctx, Kite):
                     tab = kite_refinement_constructive(
-                        ctx.kite, a1, a2, b1, b2, level)
+                        ctx, a1, a2, b1, b2, level)
                     if tab is not None and (
                             tab.side is None or tab.side.ok):
                         t.hit()

@@ -101,7 +101,7 @@ def test_criterion_01_axiom_soundness():
             for lam, rho in all_pairs(n):
                 kite = mk(base, n, lam, rho)
                 w = grid_window(kite)
-                out = check_pea_axioms(kite.pea(), w)
+                out = check_pea_axioms(kite, w)
                 for key, v in out.items():
                     ctx = (base.kind, n, lam, rho, key)
                     assert v.status is not Status.FAILS, (ctx, v.describe())
@@ -119,7 +119,7 @@ def test_criterion_02_mv_layer():
             for lam, rho in all_pairs(n):
                 kite = mk(base, n, lam, rho)
                 w = grid_window(kite)
-                out = check_pmv_axioms(kite.mv(), w)
+                out = check_pmv_axioms(kite, w)
                 for key, v in out.items():
                     assert v.status is Status.HOLDS, (base.kind, n, lam, rho,
                                                       key, v.describe())
@@ -139,7 +139,7 @@ def test_criterion_03_symmetry_iff():
     for n in range(4):
         for lam, rho in all_pairs(n):
             kite = mk(Z, n, lam, rho)
-            v = check_symmetric(kite.pea(), grid_window(kite))
+            v = check_symmetric(kite, grid_window(kite))
             assert v.ok == (lam == rho), (n, lam, rho, v.describe())
 
 
@@ -151,7 +151,7 @@ def test_criterion_04_commutativity_iff():
         for n in range(3):
             for lam, rho in all_pairs(n):
                 kite = mk(base, n, lam, rho)
-                v = check_commutative(kite.pea(), grid_window(kite))
+                v = check_commutative(kite, grid_window(kite))
                 # the n = 0 cell is the two-element chain over any base,
                 # which is commutative outright
                 expected = lam == rho and (n == 0 or base.is_abelian)
@@ -233,13 +233,12 @@ def test_criterion_06_perfect_and_state():
     ]
     for kite, w in fixtures:
         name = (kite.base.kind, kite.n)
-        pea = kite.pea()
-        split = perfect_split(pea, w)
+        split = perfect_split(kite, w)
         assert split is not None, name
         sample = kite.elements(w)
         assert set(split.e0) == {x for x in sample if x.tag == LOWER}, name
         assert set(split.e1) == {x for x in sample if x.tag == UPPER}, name
-        table, v = unique_state(pea, split, w)
+        table, v = unique_state(kite, split, w)
         assert v.ok, (name, v.describe())
         assert table.values[kite.zero] == 0 and table.values[kite.one] == 1
         kernel = ideal_closure(kite, list(split.e0), w)
@@ -250,17 +249,16 @@ def test_criterion_06_perfect_and_state():
     # difference companions over that base can leave any finite norm ball
     ktl = mk(TLEX, 1)
     w = Window(1)
-    pea = ktl.pea()
-    split = perfect_split(pea, w)
+    split = perfect_split(ktl, w)
     assert split is not None
     assert set(split.e0) == {x for x in ktl.elements(w) if x.tag == LOWER}
-    _, v = unique_state(pea, split, w)
+    _, v = unique_state(ktl, split, w)
     assert v.ok, v.describe()
     kernel = ideal_closure(ktl, list(split.e0), w)
     assert not is_normal(ktl, kernel, w).failed
 
     # a bounded integer interval admits no such split
-    assert perfect_split(IntervalPEA(Z, Z.make(2)).pea(), Window(2)) is None
+    assert perfect_split(IntervalPEA(Z, Z.make(2)), Window(2)) is None
 
 
 # -- criterion 7: stored interval representations ----------------------------------
@@ -280,21 +278,20 @@ def test_criterion_07_interval_representations():
         assert v.ok and v.skipped == 0, (key, v.describe())
 
     # (a) the trivial kite is the two-element interval
-    replay("boolean:0", mk(Z, 0).pea(), IntervalPEA(Z, Z.make(1)).pea())
+    replay("boolean:0", mk(Z, 0), IntervalPEA(Z, Z.make(1)))
 
     # (b) the one-coordinate integer kite is the unit interval of the
     # lexicographic plane
     w1 = twisted_lex_group(1, (0,), (0,), Z)
-    replay("chang:1", mk(Z, 1).pea(),
-           IntervalPEA(w1, w1.strong_unit()).pea())
+    replay("chang:1", mk(Z, 1), IntervalPEA(w1, w1.strong_unit()))
 
     # (c) shifted-cycle kites at n = 2 and 3
     for n in (2, 3):
         shape, group, spec = scrimger_fixture(n)
         stored = json.dumps(registry[f"scrimger:{n}"], sort_keys=True)
         assert json.dumps(spec.as_json(), sort_keys=True) == stored
-        v = verify_iso(Kite(shape).pea(),
-                       IntervalPEA(group, group.strong_unit()).pea(),
+        v = verify_iso(Kite(shape),
+                       IntervalPEA(group, group.strong_unit()),
                        spec, Window(2))
         assert v.ok and v.skipped == 0, (n, v.describe())
 
@@ -340,7 +337,7 @@ def test_criterion_08_normal_ideals():
     shape = KiteShape(n=3, lam=(1, 2, 0), rho=(0, 1, 2), base=Z)
     new_shape, relabel = canonical_form(shape)
     assert new_shape.lam == (0, 1, 2)
-    v3 = verify_iso(Kite(shape).pea(), Kite(new_shape).pea(), relabel,
+    v3 = verify_iso(Kite(shape), Kite(new_shape), relabel,
                     Window(1))
     assert v3.ok and v3.skipped == 0, v3.describe()
 

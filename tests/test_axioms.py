@@ -15,8 +15,9 @@ from kitealg.axioms import (
     unique_state,
 )
 from kitealg.kite import Kite, KiteShape
-from kitealg.pogroup import Integers, TwistedLexGroup, Window, integer_product
-from kitealg.representations import IntervalPEA, interval_pea
+from kitealg.pogroup import (CapabilityError, Integers, StrictCone2,
+                             TwistedLexGroup, Window, integer_product)
+from kitealg.representations import IntervalPEA
 from kitealg.verdict import Status
 from kitealg import perms
 
@@ -44,40 +45,42 @@ def all_hold(verdicts):
     mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)),
 ])
 def test_pea_axioms_hold_on_kites(kite):
-    out = check_pea_axioms(kite.pea(), Window(1, 24))
+    out = check_pea_axioms(kite, Window(1, 24))
     assert set(out) == {"PEA.i", "PEA.ii", "PEA.iii", "PEA.iv"}
     for key, v in out.items():
         assert v.ok, (key, v.describe())
 
 
 def test_pea_axioms_exact_on_small_integer_kite():
-    out = check_pea_axioms(mk(2, (0, 1), (1, 0)).pea(), Window(2))
+    out = check_pea_axioms(mk(2, (0, 1), (1, 0)), Window(2))
     for v in out.values():
         assert v.ok
         assert v.skipped == 0
 
 
 def test_pea_axioms_hold_on_intervals():
-    for P in (interval_pea(Z, Z.make(2)),
-              interval_pea(integer_product(2), integer_product(2).make((1, 1)))):
+    for P in (IntervalPEA(Z, Z.make(2)),
+              IntervalPEA(integer_product(2), integer_product(2).make((1, 1)))):
         out = check_pea_axioms(P, Window(3))
         assert all_hold(out)
 
 
 def test_pea_axioms_catch_broken_complement():
-    k = mk(3, (1, 2, 0), (0, 1, 2))
-    P = k.pea()
-    # complement computed through the wrong bijection
-    bad = dataclasses.replace(
-        P, neg_left=lambda x: k.complement_right(x),
-        neg_right=lambda x: k.complement_left(x))
+    class SwappedComplements(Kite):
+        # complement computed through the wrong bijection
+        def complement_left(self, x):
+            return Kite.complement_right(self, x)
+
+        def complement_right(self, x):
+            return Kite.complement_left(self, x)
+
+    bad = SwappedComplements(KiteShape(3, (1, 2, 0), (0, 1, 2), Z))
     out = check_pea_axioms(bad, Window(1, 32))
     assert out["PEA.ii"].status is Status.FAILS
 
 
 def test_pea_axioms_catch_broken_addition():
     k = mk(3, (0, 1, 2), (1, 2, 0))
-    P = k.pea()
 
     def bad_add(x, y):
         if x.tag == "U" and y.tag == "L":
@@ -90,8 +93,11 @@ def test_pea_axioms_catch_broken_addition():
             return None
         return k.add(x, y)
 
-    bad = dataclasses.replace(P, add=bad_add)
-    out = check_pea_axioms(bad, Window(1, 48))
+    class BrokenAdd(Kite):
+        def add(self, x, y):
+            return bad_add(x, y)
+
+    out = check_pea_axioms(BrokenAdd(k.shape), Window(1, 48))
     assert any(v.status is Status.FAILS for v in out.values())
 
 
@@ -104,29 +110,38 @@ def test_pea_axioms_catch_broken_addition():
     mk(2, (0, 1), (0, 1), integer_product(2)),
 ])
 def test_pmv_axioms_hold_on_kites(kite):
-    out = check_pmv_axioms(kite.mv(), Window(1, 20))
+    out = check_pmv_axioms(kite, Window(1, 20))
     assert set(out) == {f"PMV.A{i}" for i in range(1, 9)}
     for key, v in out.items():
         assert v.ok, (key, v.describe())
 
 
 def test_pmv_axioms_hold_on_integer_chain():
-    out = check_pmv_axioms(IntervalPEA(Z, Z.make(3)).mv(), Window(3))
+    out = check_pmv_axioms(IntervalPEA(Z, Z.make(3)), Window(3))
     assert all_hold(out)
 
 
 def test_pmv_axioms_catch_broken_oplus():
-    M = IntervalPEA(Z, Z.make(2)).mv()
+    M = IntervalPEA(Z, Z.make(2))
 
     def bad_oplus(x, y):
         if x.value or y.value:
             # off-by-one truncation
             return Z.make(min(x.value + y.value + 1, 2))
-        return M.oplus(x, y)
+        return M.mv_oplus(x, y)
 
-    bad = dataclasses.replace(M, oplus=bad_oplus)
-    out = check_pmv_axioms(bad, Window(2))
+    class BrokenOplus(IntervalPEA):
+        def mv_oplus(self, x, y):
+            return bad_oplus(x, y)
+
+    out = check_pmv_axioms(BrokenOplus(Z, Z.make(2)), Window(2))
     assert any(v.status is Status.FAILS for v in out.values())
+
+
+def test_pmv_axioms_need_a_lattice_kite():
+    # the capability is checked by the first mv_oplus call
+    with pytest.raises(CapabilityError):
+        check_pmv_axioms(mk(1, (0,), (0,), StrictCone2()), Window(1))
 
 
 # -- symmetry and commutativity classifications -------------------------------------
@@ -137,7 +152,7 @@ def test_symmetry_iff_equal_bijections_over_integers():
         for lam in perms.all_perms(n):
             for rho in perms.all_perms(n):
                 k = mk(n, lam, rho)
-                v = check_symmetric(k.pea(), Window(1, 16))
+                v = check_symmetric(k, Window(1, 16))
                 assert v.ok == (lam == rho), (n, lam, rho, v.describe())
 
 
@@ -149,7 +164,7 @@ def test_commutativity_iff_abelian_and_equal_bijections():
             tlg = TwistedLexGroup(2, (0, 1), (1, 0), Z)
             cases.append((mk(1, (0,), (0,), tlg), False))
     for kite, expect in cases:
-        v = check_commutative(kite.pea(), Window(1, 16))
+        v = check_commutative(kite, Window(1, 16))
         assert v.ok == expect, (kite.shape, v.describe())
 
 
@@ -157,7 +172,7 @@ def test_commutativity_iff_abelian_and_equal_bijections():
 
 
 def test_integer_chain_has_no_infinitesimals():
-    P = interval_pea(Z, Z.make(2))
+    P = IntervalPEA(Z, Z.make(2))
     out, v = find_infinitesimals(P, Window(2))
     assert out == [P.zero]
     assert v.status is Status.HOLDS
@@ -165,7 +180,7 @@ def test_integer_chain_has_no_infinitesimals():
 
 def test_lex_interval_infinitesimals_are_bounded_evidence():
     g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = interval_pea(g, g.make((1, (0,))))
+    P = IntervalPEA(g, g.make((1, (0,))))
     out, v = find_infinitesimals(P, Window(2))
     assert g.make((0, (1,))) in out
     assert g.make((1, (0,))) not in out
@@ -174,7 +189,7 @@ def test_lex_interval_infinitesimals_are_bounded_evidence():
 
 def test_kite_splits_into_lowers_and_uppers():
     k = mk(2, (0, 1), (1, 0))
-    P = k.pea()
+    P = k
     split = perfect_split(P, Window(1))
     assert split is not None
     assert all(x.tag == "L" for x in split.e0)
@@ -183,12 +198,12 @@ def test_kite_splits_into_lowers_and_uppers():
 
 
 def test_integer_chain_has_no_perfect_split():
-    assert perfect_split(interval_pea(Z, Z.make(2)), Window(2)) is None
+    assert perfect_split(IntervalPEA(Z, Z.make(2)), Window(2)) is None
 
 
 def test_lex_interval_is_perfect():
     g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = interval_pea(g, g.make((1, (0,))))
+    P = IntervalPEA(g, g.make((1, (0,))))
     split = perfect_split(P, Window(2))
     assert split is not None
     assert all(x.value[0] == 0 for x in split.e0)
@@ -197,7 +212,7 @@ def test_lex_interval_is_perfect():
 
 def test_unique_state_is_two_valued_and_additive():
     k = mk(2, (0, 1), (1, 0))
-    P = k.pea()
+    P = k
     split = perfect_split(P, Window(1))
     table, v = unique_state(P, split, Window(1))
     assert v.ok, v.describe()
@@ -208,7 +223,7 @@ def test_unique_state_is_two_valued_and_additive():
 
 def test_unique_state_rejects_malformed_split():
     k = mk(1, (0,), (0,))
-    P = k.pea()
+    P = k
     split = perfect_split(P, Window(1))
     swapped = dataclasses.replace(split, e0=split.e1, e1=split.e0)
     with pytest.raises(Exception):

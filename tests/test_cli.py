@@ -96,9 +96,15 @@ def test_unknown_check_token_is_a_usage_error(capsys):
 
 
 def test_bad_inline_json_is_a_usage_error(capsys):
-    code, _, err = run(capsys, ["check", "--shape", "{oops"])
-    assert code == 64
-    assert "config error" in err
+    for argv in (["check", "--shape", "{oops"],
+                 # an unknown group kind
+                 ["check", "--group", '{"kind":"ConeByGenerators","params":'
+                  '{"rank":2,"generators":[[1,0],[1,1]],"membership_height":2}}',
+                  "--shape", '{"n":1,"lambda":"id","rho":"id"}',
+                  "--height", "2", "--checks", "axioms,rdp0"]):
+        code, _, err = run(capsys, argv)
+        assert code == 64
+        assert "config error" in err
 
 
 def test_state_check_answers_on_kite(capsys):

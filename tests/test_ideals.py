@@ -182,8 +182,8 @@ def test_canonical_form_golden():
 def test_canonical_form_roundtrips_through_iso():
     shape = KiteShape(3, (1, 2, 0), (0, 1, 2), Z)
     new_shape, relabel = canonical_form(shape)
-    P = Kite(shape).pea()
-    Q = Kite(new_shape).pea()
+    P = Kite(shape)
+    Q = Kite(new_shape)
     v = verify_iso(P, Q, relabel, Window(1))
     assert v.ok, v.describe()
     assert v.skipped == 0
@@ -216,9 +216,8 @@ def test_canonical_forms_agree_iff_isomorphic_relabel():
 def test_phi_of_lex_kernel():
     g = TwistedLexGroup(1, (0,), (0,), Z)
     P = IntervalPEA(g, g.make((1, (0,))))
-    pea = P.pea()
     small = g.make((0, (1,)))
-    ideal = ideal_closure(pea, [small], Window(2))
+    ideal = ideal_closure(P, [small], Window(2))
     sample, v = phi_o_ideal(P, ideal, Window(2))
     assert all(x.value[0] == 0 for x in sample)
     assert not v.failed

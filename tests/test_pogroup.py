@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kitealg.pogroup import (
+    _flatten,
     CapabilityError,
     Integers,
     Product,
@@ -205,6 +206,15 @@ def test_twisted_lex_interval_across_levels_not_exhaustive():
     hi = g.make((1, (0,)))
     _, exhaustive = enumerate_interval(g, lo, hi, Window(2))
     assert not exhaustive
+
+
+@pytest.mark.parametrize("name", ["z", "strictcone2", "z2", "z3", "trivial"])
+def test_direct_sort_keys_and_norms_match_the_flattened_form(name):
+    g = parse_group(name)
+    for v in g.ball_values(3):
+        flat = tuple(_flatten(g.serialize_value(v)))
+        assert g.value_key(v) == flat
+        assert g.norm_value(v) == max((abs(c) for c in flat), default=0)
 
 
 # -- descriptors ----------------------------------------------------------------

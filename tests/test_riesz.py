@@ -10,8 +10,6 @@ from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
     RdpLevel,
-    RieszCtx,
-    _as_ctx,
     _check_rip,
     check_rdp_level,
     find_interpolant,
@@ -200,7 +198,7 @@ def test_levels_respect_strength_order():
     fixtures = [
         mk(1, (0,), (0,)),
         mk(1, (0,), (0,), SC),
-        IntervalPEA(Z, Z.make(2)).pea(),
+        IntervalPEA(Z, Z.make(2)),
     ]
     for f in fixtures:
         ok = [check_rdp_level(f, lv, Window(1)).ok for lv in RDP_ORDER]
@@ -235,7 +233,7 @@ def test_search_agrees_with_constructive_builder():
 
 def _rip_reference(ctx, w):
     """The RIP check as a plain loop: one interpolant search per instance."""
-    pos = ctx.positives(w)
+    pos = ctx.elements(w)
     t = Tally()
     for a1, a2 in itertools.product(pos, repeat=2):
         for b1 in pos:
@@ -257,33 +255,36 @@ def _rip_reference(ctx, w):
     return t.done("interpolant found for every sampled instance")
 
 
-def _bowtie_ctx():
+class Bowtie:
     """0 below a, b below c, d (plus top): a, b have two minimal upper
     bounds, so RIP fails on an exhaustively enumerated carrier."""
+
+    zero = "0"
+    order = "0abcdt"
     below = {"0": set("0abcdt"), "a": set("acdt"), "b": set("bcdt"),
              "c": set("ct"), "d": set("dt"), "t": set("t")}
-    order = "0abcdt"
 
-    def leq(x, y):
-        return y in below[x]
+    def elements(self, w):
+        return list(self.order)
 
-    def interval(x, y, w):
-        return [z for z in order if leq(x, z) and leq(z, y)], True
+    def leq(self, x, y):
+        return y in self.below[x]
 
-    return RieszCtx(kind="poset", name="bowtie", zero="0", add=None,
-                    leq=leq, rdiff=None, ldiff=None, interval=interval,
-                    positives=lambda w: list(order), serialize=str)
+    def interval(self, x, y, w):
+        return [z for z in self.order if self.leq(x, z) and self.leq(z, y)], True
+
+    def serialize(self, x):
+        return str(x)
 
 
 @pytest.mark.parametrize("obj, w, expect", [
     (mk(2, (0, 1), (1, 0)), Window(2), (Status.HOLDS, None, 0)),
     (mk(1, (0,), (0,), SC), Window(2), (Status.UNKNOWN, 1061, 100)),
-    (_bowtie_ctx(), Window(1), (Status.FAILS, None, 0)),
+    (Bowtie(), Window(1), (Status.FAILS, None, 0)),
 ])
 def test_rip_loop_matches_reference(obj, w, expect):
-    ctx = _as_ctx(obj)
-    got = _check_rip(ctx, w)
-    want = _rip_reference(ctx, w)
+    got = _check_rip(obj, w)
+    want = _rip_reference(obj, w)
     assert (got.status, got.checked, got.skipped, got.witness, got.reason) == (
         want.status, want.checked, want.skipped, want.witness, want.reason)
     status, checked, skipped = expect
