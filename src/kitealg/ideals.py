@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 from . import perms
 from . import pogroup as pg
 from .axioms import Algebra
-from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
-from .pogroup import (Elem, Integers, PoGroup, Product, StrictCone2,
-                      TwistedLexGroup, UsageError, Window)
+from .kite import Kite, KiteShape, LOWER
+from .pogroup import (Integers, PoGroup, Product, StrictCone2, TwistedLexGroup,
+                      UsageError, Window)
 from .riesz import RdpLevel, check_rdp_level
-from .verdict import Status, Tally, Verdict, fails, holds, unknown
+from .verdict import Tally, Verdict, fails, holds, unknown
 
 
 @dataclass
@@ -119,7 +118,9 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     For a defined x + y with y in the ideal, the only candidate z with
     z + x = x + y is the left difference; if it exists inside the window but
     outside the ideal the equality genuinely fails, and if it lands outside
-    the window the instance is skipped. Mirrored for y + x.
+    the window the instance is skipped. The right half is the mirror image:
+    x + z = y + x solved by the right difference. One loop runs both halves,
+    left before right for each (x, y).
     """
     sample = P.elements(w)
     universe = set(sample)
@@ -127,38 +128,28 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     index = set(members)
     t = Tally()
     ser = P.serialize
+    # (side, x + y or y + x, the z solving z + x = s or x + z = s)
+    sides = (("left", lambda x, y: P.add(x, y), lambda s, x: P.ldiff(s, x)),
+             ("right", lambda x, y: P.add(y, x), lambda s, x: P.rdiff(x, s)))
     for x in sample:
         for y in members:
-            s = P.add(x, y)
-            if s is not None:
-                z = P.ldiff(s, x)
+            for side, add, companion in sides:
+                s = add(x, y)
+                if s is None:
+                    continue
+                z = companion(s, x)
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
-                                  "sum has no left companion at all")
+                                  f"sum has no {side} companion at all")
                 if z in index:
                     t.hit()
                 elif z in universe:
                     return t.fail(
                         {"x": ser(x), "y": ser(y), "sum": ser(s),
                          "missing": ser(z)},
-                        "left companion lies in the window but not the ideal")
+                        f"{side} companion lies in the window but not the ideal")
                 else:
-                    t.skip("left companion outside the window")
-            s = P.add(y, x)
-            if s is not None:
-                z = P.rdiff(x, s)
-                if z is None:
-                    return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
-                                  "sum has no right companion at all")
-                if z in index:
-                    t.hit()
-                elif z in universe:
-                    return t.fail(
-                        {"x": ser(x), "y": ser(y), "sum": ser(s),
-                         "missing": ser(z)},
-                        "right companion lies in the window but not the ideal")
-                else:
-                    t.skip("right companion outside the window")
+                    t.skip(f"{side} companion outside the window")
     return t.done("both translates agree on every sampled element")
 
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import perms
 from .pogroup import (CapabilityError, Elem, PoGroup, UsageError, Window,
-                      cone_window, enumerate_window)
+                      cone_window)
 
 
 @dataclass(frozen=True)
@@ -343,12 +343,6 @@ class Kite:
         base = self.base
         return [Elem(base, base.inv_value(c.value)) for c in pool]
 
-    def _part_values(self, w: Window, negative: bool) -> Iterator[tuple]:
-        pool = cone_window(self.base, Window(w.height))
-        if negative:
-            pool = self._negated(pool)
-        return itertools.product(pool, repeat=self.n)
-
     def carrier_size(self, w: Window) -> int:
         k = len(cone_window(self.base, Window(w.height)))
         return 2 * k ** self.n
@@ -364,15 +358,10 @@ class Kite:
         return list(sample)
 
     def _build_sample(self, w: Window) -> list[KiteElement]:
-        if w.cap is None:
-            out = [KiteElement(self.shape, LOWER, c)
-                   for c in self._part_values(w, False)]
-            out.extend(
-                KiteElement(self.shape, UPPER, c) for c in self._part_values(w, True))
-            out.sort(key=self.sort_key)
-            return out
-        # Capped: emit norm shells in order and stop early, so a small cap never
-        # forces the full product space to materialize.
+        # Emit norm shells in order, each sorted, and stop at the cap, so a
+        # small cap never forces the full product space to materialize.
+        # Elements in one shell share norm and tag, so the concatenation is
+        # in sort_key order.
         norm = self.base.norm_value
         pool = cone_window(self.base, Window(w.height))
         out = []
@@ -387,7 +376,7 @@ class Kite:
                 ]
                 shell.sort(key=self.sort_key)
                 out.extend(shell)
-                if len(out) >= w.cap:
+                if w.cap is not None and len(out) >= w.cap:
                     return out[: w.cap]
         return out
 

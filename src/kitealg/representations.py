@@ -22,10 +22,10 @@ from typing import Any, Callable, Optional
 from . import perms
 from . import pogroup as pg
 from .axioms import Algebra
-from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
+from .kite import Kite, KiteElement, KiteShape, LOWER
 from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       TwistedLexGroup, UsageError, Window)
-from .verdict import Tally, Verdict, fails, holds, unknown
+from .verdict import Tally, Verdict
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,6 @@ class IntervalPEA:
         if w.cap is not None:
             return lst[: w.cap]
         return lst
-
-    def carrier_exhaustive(self, w: Window) -> bool:
-        _, exhaustive = pg.enumerate_interval(self.group, self.group.e,
-                                              self.unit, Window(w.height))
-        return exhaustive and w.cap is None
 
     def leq(self, a: Elem, b: Elem) -> bool:
         return self.group.leq(a, b)

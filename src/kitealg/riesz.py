@@ -19,6 +19,18 @@ For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
 before being returned.
+
+Each mirror-image case is written once. The opposite algebra of a kite,
+where x + y is read as y + x, is again a kite: lam and rho trade places and
+the base product is reversed. So the L-U-L-U table is the U-L-U-L table of
+the opposite kite for (x2, x1, y2, y1), read back anti-transposed as
+(c22, c21, c12, c11), and the U-L-U split is the U-U-L split of the opposite
+kite for (x, z, y), read back swapped. No opposite group is built: a base
+table or split of the opposite group is the real base's table of
+r1 + r2 = s1 + s2 anti-transposed, or its split below b + c swapped, so the
+witnesses are the same ones over a non-abelian base too. The crossed
+L-U-U-L table is the U-L-L-U table with the two decompositions swapped,
+i.e. its transpose.
 """
 
 from __future__ import annotations
@@ -108,13 +120,6 @@ def _pea_com(P: Algebra, a, b, w: Window) -> Verdict:
     return t.done("all sampled pairs below the cells commute")
 
 
-def _com(ctx: Algebra, a, b, w: Window) -> Verdict:
-    """The RDP1 side condition: check_com on a cone, _pea_com on a PEA."""
-    if isinstance(ctx, PositiveCone):
-        return pg.check_com(ctx.group, a, b, w)
-    return _pea_com(ctx, a, b, w)
-
-
 # -- splits and interpolation ---------------------------------------------------
 
 
@@ -179,6 +184,19 @@ def _meet_zero(ctx: Algebra, x, y, w: Window) -> Verdict:
                    reason="lower-bound search window-bounded")
 
 
+def _side_condition(ctx: Algebra, level: RdpLevel, c12, c21,
+                    w: Window) -> Optional[Verdict]:
+    """The level's condition on the off-diagonal cells, or None below RDP1:
+    com for RDP1 (check_com on a cone, _pea_com on a PEA), meet zero for RDP2."""
+    if level is RdpLevel.RDP1:
+        if isinstance(ctx, PositiveCone):
+            return pg.check_com(ctx.group, c12, c21, w)
+        return _pea_com(ctx, c12, c21, w)
+    if level is RdpLevel.RDP2:
+        return _meet_zero(ctx, c12, c21, w)
+    return None
+
+
 def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
                     w: Window) -> Optional[RefinementTable]:
     """First valid table in descending c11 order, or None.
@@ -215,11 +233,7 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
         c22 = ctx.rdiff(c21, a2)
         if c22 is None or ctx.add(c12, c22) != b2:
             continue
-        side = None
-        if level is RdpLevel.RDP1:
-            side = _com(ctx, c12, c21, w)
-        elif level is RdpLevel.RDP2:
-            side = _meet_zero(ctx, c12, c21, w)
+        side = _side_condition(ctx, level, c12, c21, w)
         if side is not None:
             if side.failed:
                 continue
@@ -254,9 +268,28 @@ def _upper_bound(base: PoGroup, a: Elem, b: Elem) -> Optional[Elem]:
     return None
 
 
-def _base_table(base: PoGroup, r1, r2, s1, s2, level: RdpLevel,
+def _opposite(kite: Kite, flip: bool):
+    """(mul, rho, rho_inv) of the kite, or of its opposite algebra when flip."""
+    base = kite.base
+    if flip:
+        return (lambda a, b: base.mul(b, a)), kite.lam, kite.lam_inv
+    return base.mul, kite.rho, kite.rho_inv
+
+
+def _anti(t: Optional[RefinementTable]) -> Optional[RefinementTable]:
+    """The table of r2 + r1 = s2 + s1 in the opposite algebra, given the table
+    (c11, c12, c21, c22) of r1 + r2 = s1 + s2: (c22, c21, c12, c11)."""
+    if t is None:
+        return None
+    return RefinementTable(t.c22, t.c21, t.c12, t.c11, side=t.side, note=t.note)
+
+
+def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, level: RdpLevel,
                 w: Window) -> Optional[RefinementTable]:
+    """Base table of r1 + r2 = s1 + s2, in the opposite group when flip."""
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
+    if flip:
+        return _anti(find_refinement(base, r2, r1, s2, s1, lv, w))
     return find_refinement(base, r1, r2, s1, s2, lv, w)
 
 
@@ -274,11 +307,16 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     """Refinement table for x1 + x2 = y1 + y2 built from base group data.
 
     Case split on the tag pattern: all-lower instances lift base tables
-    coordinatewise; upper-first against upper-first uses directedness
-    witnesses above both upper rows; lower-first against lower-first mirrors
-    it; the two crossed patterns have closed-form tables with a zero cell.
-    The result is validated against all four sum equations before returning;
-    None means a base-level ingredient was not found.
+    coordinatewise; upper-first against upper-first (U-L-U-L) uses
+    directedness witnesses above both upper rows; the crossed pattern
+    U-L-L-U has a closed-form table with a zero cell at c21. The other two
+    patterns are mirror images. L-U-L-U is U-L-U-L in the opposite kite
+    (x + y read as y + x: lam and rho trade places and the base product is
+    reversed) for the instance (x2, x1, y2, y1), and its table is read back
+    anti-transposed. L-U-U-L is U-L-L-U with the two decompositions swapped,
+    and its table is the transpose. The result is validated against all four
+    sum equations before returning; None means a base-level ingredient was
+    not found.
     """
     for el in (x1, x2, y1, y2):
         kite.own(el)
@@ -286,16 +324,22 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     if s1 is None or s2 is None or s1 != s2:
         raise UsageError("refinement needs x1 + x2 = y1 + y2, both defined")
     base = kite.base
+    inv = base.inv
     n = kite.n
     w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
-    pattern = (x1.tag, x2.tag, y1.tag, y2.tag)
+    flip = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, LOWER, UPPER)
+    swap = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, UPPER, LOWER)
+    a1, a2, b1, b2 = ((x2, x1, y2, y1) if flip else (y1, y2, x1, x2) if swap
+                      else (x1, x2, y1, y2))
+    pattern = (a1.tag, a2.tag, b1.tag, b2.tag)
+    mul, rho, rho_inv = _opposite(kite, flip)
     table = None
 
     if pattern == (LOWER, LOWER, LOWER, LOWER):
         per = []
         for j in range(n):
-            bt = _base_table(base, x1.coords[j], x2.coords[j],
-                             y1.coords[j], y2.coords[j], level, w)
+            bt = _base_table(base, False, a1.coords[j], a2.coords[j],
+                             b1.coords[j], b2.coords[j], level, w)
             if bt is None:
                 return None
             per.append(bt)
@@ -306,18 +350,14 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
                                 note="coordinatewise base tables")
 
     elif pattern == (UPPER, LOWER, UPPER, LOWER):
-        inv, mul = base.inv, base.mul
-        rho, rho_inv = kite.rho, kite.rho_inv
         ds, per = [], []
         for i in range(n):
-            a_i, b_i = inv(x1.coords[i]), inv(y1.coords[i])
-            d_i = _upper_bound(base, a_i, b_i)
+            d_i = _upper_bound(base, inv(a1.coords[i]), inv(b1.coords[i]))
             if d_i is None:
                 return None
-            bt = _base_table(base, mul(d_i, x1.coords[i]),
-                             x2.coords[rho_inv[i]],
-                             mul(d_i, y1.coords[i]),
-                             y2.coords[rho_inv[i]], level, w)
+            bt = _base_table(base, flip, mul(d_i, a1.coords[i]),
+                             a2.coords[rho_inv[i]], mul(d_i, b1.coords[i]),
+                             b2.coords[rho_inv[i]], level, w)
             if bt is None:
                 return None
             ds.append(d_i)
@@ -330,52 +370,17 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
         table = RefinementTable(c11, low("c12"), low("c21"), low("c22"),
                                 side=_merge_sides(per),
                                 note="directedness witnesses over the upper rows")
-
-    elif pattern == (LOWER, UPPER, LOWER, UPPER):
-        inv, mul = base.inv, base.mul
-        lam, lam_inv = kite.lam, kite.lam_inv
-        ds, per = [], []
-        for i in range(n):
-            a_i, b_i = inv(x2.coords[i]), inv(y2.coords[i])
-            d_i = _upper_bound(base, a_i, b_i)
-            if d_i is None:
-                return None
-            bt = _base_table(base, x1.coords[lam_inv[i]],
-                             mul(x2.coords[i], d_i),
-                             y1.coords[lam_inv[i]],
-                             mul(y2.coords[i], d_i), level, w)
-            if bt is None:
-                return None
-            ds.append(d_i)
-            per.append(bt)
-        low = lambda name: KiteElement(
-            kite.shape, LOWER,
-            tuple(getattr(per[lam[j]], name) for j in range(n)))
-        c22 = KiteElement(kite.shape, UPPER,
-                          tuple(mul(per[i].c22, inv(ds[i])) for i in range(n)))
-        table = RefinementTable(low("c11"), low("c12"), low("c21"), c22,
-                                side=_merge_sides(per),
-                                note="directedness witnesses over the upper rows")
+        if flip:
+            table = _anti(table)
 
     elif pattern == (UPPER, LOWER, LOWER, UPPER):
-        inv, mul = base.inv, base.mul
-        lam_inv = kite.lam_inv
-        c12 = KiteElement(
+        c = KiteElement(
             kite.shape, UPPER,
-            tuple(mul(inv(y1.coords[lam_inv[i]]), x1.coords[i])
+            tuple(mul(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
                   for i in range(n)))
-        table = RefinementTable(y1, c12, kite.zero, x2,
-                                note="crossed pattern, zero cell at c21")
-
-    elif pattern == (LOWER, UPPER, UPPER, LOWER):
-        inv, mul = base.inv, base.mul
-        lam_inv = kite.lam_inv
-        c21 = KiteElement(
-            kite.shape, UPPER,
-            tuple(mul(inv(x1.coords[lam_inv[i]]), y1.coords[i])
-                  for i in range(n)))
-        table = RefinementTable(x1, kite.zero, c21, y2,
-                                note="crossed pattern, zero cell at c12")
+        cells = (b1, kite.zero, c, a2) if swap else (b1, c, kite.zero, a2)
+        table = RefinementTable(*cells, note="crossed pattern, zero cell at "
+                                + ("c12" if swap else "c21"))
 
     if table is None:
         return None
@@ -384,12 +389,9 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
             or kite.add(table.c11, table.c21) != y1
             or kite.add(table.c12, table.c22) != y2):
         return None
-    if level in (RdpLevel.RDP1, RdpLevel.RDP2) and table.side is None:
-        if level is RdpLevel.RDP1:
-            table.side = _com(kite, table.c12, table.c21, w)
-        else:
-            table.side = _meet_zero(kite, table.c12, table.c21, w)
-        if table.side.failed:
+    if table.side is None:
+        table.side = _side_condition(kite, level, table.c12, table.c21, w)
+        if table.side is not None and table.side.failed:
             return None
     return table
 
@@ -399,8 +401,11 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
 
     Case split on tags: all-lower works one coordinate at a time; a lower
     element below a mixed sum splits trivially against the upper summand;
-    an upper element below a mixed sum reduces to base splits of the
-    positive parts. None means a base split was not found.
+    an upper element below y + z with y upper (U-U-L) reduces to base splits
+    of the positive parts. Its mirror image U-L-U is U-U-L in the opposite
+    kite (lam and rho trade places, the base product is reversed) for the
+    instance (x, z, y), and its split is read back swapped. None means a base
+    split was not found.
     """
     for el in (x, y, z):
         kite.own(el)
@@ -409,7 +414,7 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
         raise UsageError("split needs x <= y + z with y + z defined")
     base = kite.base
     n = kite.n
-    inv, mul = base.inv, base.mul
+    inv = base.inv
     w = _wide(kite, [el.coords for el in (x, y, z)])
     tags = (x.tag, y.tag, z.tag)
 
@@ -427,36 +432,24 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
         out = (x, kite.zero)
     elif tags == (LOWER, LOWER, UPPER):
         out = (kite.zero, x)
-    elif tags == (UPPER, UPPER, LOWER):
-        rho, rho_inv = kite.rho, kite.rho_inv
-        f1 = [None] * n
+    elif tags in ((UPPER, UPPER, LOWER), (UPPER, LOWER, UPPER)):
+        flip = y.tag == LOWER
+        u, l = (z, y) if flip else (y, z)
+        mul, rho, rho_inv = _opposite(kite, flip)
+        f1 = []
         for i in range(n):
-            b_i = inv(y.coords[i])
-            a_i = inv(x.coords[i])
-            pair = rdp0_split(base, b_i, z.coords[rho_inv[i]], a_i, w)
+            b, c = l.coords[rho_inv[i]], inv(x.coords[i])
+            # the opposite group's split below b + c is the real one below
+            # c + b, swapped
+            pair = rdp0_split(base, inv(u.coords[i]),
+                              *((c, b) if flip else (b, c)), w)
             if pair is None:
                 return None
-            f1[i] = pair[0]
-        y1 = KiteElement(kite.shape, UPPER,
+            f1.append(pair[1] if flip else pair[0])
+        u1 = KiteElement(kite.shape, UPPER,
                          tuple(mul(x.coords[i], inv(f1[i])) for i in range(n)))
-        z1 = KiteElement(kite.shape, LOWER,
-                         tuple(f1[rho[j]] for j in range(n)))
-        out = (y1, z1)
-    elif tags == (UPPER, LOWER, UPPER):
-        lam = kite.lam
-        f1 = [None] * n
-        for i in range(n):
-            b_i = inv(z.coords[i])
-            a_i = inv(x.coords[i])
-            pair = rdp0_split(base, b_i, a_i, y.coords[kite.lam_inv[i]], w)
-            if pair is None:
-                return None
-            f1[i] = pair[1]
-        y1 = KiteElement(kite.shape, LOWER,
-                         tuple(f1[lam[j]] for j in range(n)))
-        z1 = KiteElement(kite.shape, UPPER,
-                         tuple(mul(inv(f1[i]), x.coords[i]) for i in range(n)))
-        out = (y1, z1)
+        l1 = KiteElement(kite.shape, LOWER, tuple(f1[rho[j]] for j in range(n)))
+        out = (l1, u1) if flip else (u1, l1)
     else:
         return None
 

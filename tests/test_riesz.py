@@ -4,13 +4,20 @@ import itertools
 
 import pytest
 
-from kitealg.kite import Kite, KiteShape
-from kitealg.pogroup import Integers, StrictCone2, UsageError, Window
+from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
+from kitealg.pogroup import (Integers, StrictCone2, TwistedLexGroup, UsageError,
+                             Window, integer_product)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
     RdpLevel,
+    RefinementTable,
     _check_rip,
+    _meet_zero,
+    _merge_sides,
+    _pea_com,
+    _upper_bound,
+    _wide,
     check_rdp_level,
     find_interpolant,
     find_refinement,
@@ -291,6 +298,203 @@ def test_rip_loop_matches_reference(obj, w, expect):
     assert got.status is status
     assert checked is None or got.checked == checked
     assert got.skipped == skipped
+
+
+# -- constructive witnesses against the written-out mirror cases -------------------
+
+
+def _ref_base_table(base, r1, r2, s1, s2, level, w):
+    lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
+    return find_refinement(base, r1, r2, s1, s2, lv, w)
+
+
+def _refinement_reference(kite, x1, x2, y1, y2, level):
+    """kite_refinement_constructive with each mirror-image case written out."""
+    base = kite.base
+    n = kite.n
+    w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
+    pattern = (x1.tag, x2.tag, y1.tag, y2.tag)
+    inv, mul = base.inv, base.mul
+    table = None
+    if pattern == (LOWER, LOWER, LOWER, LOWER):
+        per = []
+        for j in range(n):
+            bt = _ref_base_table(base, x1.coords[j], x2.coords[j],
+                                 y1.coords[j], y2.coords[j], level, w)
+            if bt is None:
+                return None
+            per.append(bt)
+        cells = [KiteElement(kite.shape, LOWER,
+                             tuple(getattr(per[j], name) for j in range(n)))
+                 for name in ("c11", "c12", "c21", "c22")]
+        table = RefinementTable(*cells, side=_merge_sides(per),
+                                note="coordinatewise base tables")
+    elif pattern == (UPPER, LOWER, UPPER, LOWER):
+        rho, rho_inv = kite.rho, kite.rho_inv
+        ds, per = [], []
+        for i in range(n):
+            d_i = _upper_bound(base, inv(x1.coords[i]), inv(y1.coords[i]))
+            if d_i is None:
+                return None
+            bt = _ref_base_table(base, mul(d_i, x1.coords[i]),
+                                 x2.coords[rho_inv[i]], mul(d_i, y1.coords[i]),
+                                 y2.coords[rho_inv[i]], level, w)
+            if bt is None:
+                return None
+            ds.append(d_i)
+            per.append(bt)
+        c11 = KiteElement(kite.shape, UPPER,
+                          tuple(mul(inv(ds[i]), per[i].c11) for i in range(n)))
+        low = lambda name: KiteElement(
+            kite.shape, LOWER,
+            tuple(getattr(per[rho[j]], name) for j in range(n)))
+        table = RefinementTable(c11, low("c12"), low("c21"), low("c22"),
+                                side=_merge_sides(per),
+                                note="directedness witnesses over the upper rows")
+    elif pattern == (LOWER, UPPER, LOWER, UPPER):
+        lam, lam_inv = kite.lam, kite.lam_inv
+        ds, per = [], []
+        for i in range(n):
+            d_i = _upper_bound(base, inv(x2.coords[i]), inv(y2.coords[i]))
+            if d_i is None:
+                return None
+            bt = _ref_base_table(base, x1.coords[lam_inv[i]],
+                                 mul(x2.coords[i], d_i), y1.coords[lam_inv[i]],
+                                 mul(y2.coords[i], d_i), level, w)
+            if bt is None:
+                return None
+            ds.append(d_i)
+            per.append(bt)
+        low = lambda name: KiteElement(
+            kite.shape, LOWER,
+            tuple(getattr(per[lam[j]], name) for j in range(n)))
+        c22 = KiteElement(kite.shape, UPPER,
+                          tuple(mul(per[i].c22, inv(ds[i])) for i in range(n)))
+        table = RefinementTable(low("c11"), low("c12"), low("c21"), c22,
+                                side=_merge_sides(per),
+                                note="directedness witnesses over the upper rows")
+    elif pattern == (UPPER, LOWER, LOWER, UPPER):
+        c12 = KiteElement(
+            kite.shape, UPPER,
+            tuple(mul(inv(y1.coords[kite.lam_inv[i]]), x1.coords[i])
+                  for i in range(n)))
+        table = RefinementTable(y1, c12, kite.zero, x2,
+                                note="crossed pattern, zero cell at c21")
+    elif pattern == (LOWER, UPPER, UPPER, LOWER):
+        c21 = KiteElement(
+            kite.shape, UPPER,
+            tuple(mul(inv(x1.coords[kite.lam_inv[i]]), y1.coords[i])
+                  for i in range(n)))
+        table = RefinementTable(x1, kite.zero, c21, y2,
+                                note="crossed pattern, zero cell at c12")
+    if table is None:
+        return None
+    if (kite.add(table.c11, table.c12) != x1
+            or kite.add(table.c21, table.c22) != x2
+            or kite.add(table.c11, table.c21) != y1
+            or kite.add(table.c12, table.c22) != y2):
+        return None
+    if level in (RdpLevel.RDP1, RdpLevel.RDP2) and table.side is None:
+        side_check = _pea_com if level is RdpLevel.RDP1 else _meet_zero
+        table.side = side_check(kite, table.c12, table.c21, w)
+        if table.side.failed:
+            return None
+    return table
+
+
+def _split_reference(kite, x, y, z):
+    """kite_rdp0_split_constructive with each mirror-image case written out."""
+    base = kite.base
+    n = kite.n
+    inv, mul = base.inv, base.mul
+    w = _wide(kite, [el.coords for el in (x, y, z)])
+    tags = (x.tag, y.tag, z.tag)
+    if tags == (LOWER, LOWER, LOWER):
+        g1, h1 = [], []
+        for j in range(n):
+            pair = rdp0_split(base, x.coords[j], y.coords[j], z.coords[j], w)
+            if pair is None:
+                return None
+            g1.append(pair[0])
+            h1.append(pair[1])
+        out = (KiteElement(kite.shape, LOWER, tuple(g1)),
+               KiteElement(kite.shape, LOWER, tuple(h1)))
+    elif tags == (LOWER, UPPER, LOWER):
+        out = (x, kite.zero)
+    elif tags == (LOWER, LOWER, UPPER):
+        out = (kite.zero, x)
+    elif tags == (UPPER, UPPER, LOWER):
+        f1 = []
+        for i in range(n):
+            pair = rdp0_split(base, inv(y.coords[i]),
+                              z.coords[kite.rho_inv[i]], inv(x.coords[i]), w)
+            if pair is None:
+                return None
+            f1.append(pair[0])
+        out = (KiteElement(kite.shape, UPPER, tuple(
+                   mul(x.coords[i], inv(f1[i])) for i in range(n))),
+               KiteElement(kite.shape, LOWER,
+                           tuple(f1[kite.rho[j]] for j in range(n))))
+    elif tags == (UPPER, LOWER, UPPER):
+        f1 = []
+        for i in range(n):
+            pair = rdp0_split(base, inv(z.coords[i]), inv(x.coords[i]),
+                              y.coords[kite.lam_inv[i]], w)
+            if pair is None:
+                return None
+            f1.append(pair[1])
+        out = (KiteElement(kite.shape, LOWER,
+                           tuple(f1[kite.lam[j]] for j in range(n))),
+               KiteElement(kite.shape, UPPER, tuple(
+                   mul(inv(f1[i]), x.coords[i]) for i in range(n))))
+    else:
+        return None
+    y1, z1 = out
+    if not kite.leq(y1, y) or not kite.leq(z1, z) or kite.add(y1, z1) != x:
+        return None
+    return out
+
+
+def _table_view(kite, tab):
+    if tab is None:
+        return None
+    return ([kite.serialize(c) for c in tab.cells()], tab.note,
+            None if tab.side is None else tab.side.describe())
+
+
+@pytest.mark.parametrize("kite, h, levels", [
+    (mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)), 1,
+     (RdpLevel.RDP, RdpLevel.RDP1, RdpLevel.RDP2)),
+    (mk(1, (0,), (0,), SC), 2, (RdpLevel.RDP, RdpLevel.RDP1, RdpLevel.RDP2)),
+    (mk(2, (0, 1), (1, 0), integer_product(2)), 1, (RdpLevel.RDP,)),
+], ids=["twistedlex-n1", "strictcone2-n1", "z2-n2"])
+def test_constructive_witnesses_match_mirror_reference(kite, h, levels):
+    pos = kite.elements(Window(h))
+    sums = {}
+    for p1, p2 in itertools.product(pos, repeat=2):
+        s = kite.add(p1, p2)
+        if s is not None:
+            sums.setdefault(s, []).append((p1, p2))
+    tables = 0
+    for pairs in sums.values():
+        for (a1, a2), (b1, b2) in itertools.product(pairs, repeat=2):
+            for lv in levels:
+                got = kite_refinement_constructive(kite, a1, a2, b1, b2, lv)
+                want = _refinement_reference(kite, a1, a2, b1, b2, lv)
+                assert _table_view(kite, got) == _table_view(kite, want), (
+                    a1, a2, b1, b2, lv)
+                tables += want is not None
+    splits = 0
+    for y, z in itertools.product(pos, repeat=2):
+        s = kite.add(y, z)
+        if s is None:
+            continue
+        for x in pos:
+            if kite.leq(x, s):
+                got = kite_rdp0_split_constructive(kite, x, y, z)
+                assert got == _split_reference(kite, x, y, z), (x, y, z)
+                splits += got is not None
+    assert tables > 0 and splits > 0
 
 
 def test_level_parse():
