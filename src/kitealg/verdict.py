@@ -99,24 +99,28 @@ def merge(*verdicts: Verdict) -> Verdict:
 
 @dataclass
 class Tally:
-    """Mutable accumulator for loops that count instances and skips."""
+    """Mutable accumulator for loops that count instances and skips.
+
+    Skips are counted per note, in first-seen order.
+    """
     checked: int = 0
     skipped: int = 0
-    notes: list[str] = field(default_factory=list)
+    notes: dict[str, int] = field(default_factory=dict)
 
     def hit(self) -> None:
         self.checked += 1
 
     def skip(self, note: str = "") -> None:
         self.skipped += 1
-        if note and len(self.notes) < 8 and note not in self.notes:
-            self.notes.append(note)
+        self.notes[note] = self.notes.get(note, 0) + 1
 
     def fail(self, witness: dict[str, Any], reason: str = "") -> Verdict:
         return fails(witness, checked=self.checked, skipped=self.skipped, reason=reason)
 
     def done(self, reason: str = "") -> Verdict:
-        note = reason or "; ".join(self.notes)
+        """Holds with reason, or Unknown whose reason lists each skip note
+        with its count, e.g. "split search window-bounded (12)"."""
         if self.skipped:
-            return unknown(self.checked, self.skipped, note)
-        return holds(self.checked, reason=note)
+            return unknown(self.checked, self.skipped, "; ".join(
+                f"{note} ({count})" for note, count in self.notes.items()))
+        return holds(self.checked, reason=reason)

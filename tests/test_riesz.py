@@ -25,7 +25,7 @@ from kitealg.riesz import (
     kite_refinement_constructive,
     rdp0_split,
 )
-from kitealg.verdict import Status, Tally
+from kitealg.verdict import Status, Tally, holds
 
 Z = Integers()
 SC = StrictCone2()
@@ -495,6 +495,25 @@ def test_constructive_witnesses_match_mirror_reference(kite, h, levels):
                 assert got == _split_reference(kite, x, y, z), (x, y, z)
                 splits += got is not None
     assert tables > 0 and splits > 0
+
+
+def test_tally_unknown_reason_counts_each_skip_note():
+    t = Tally()
+    t.hit()
+    for note in ("split search window-bounded", "table search window-bounded",
+                 "split search window-bounded"):
+        t.skip(note)
+    v = t.done("split found for every sampled instance")
+    assert (v.status, v.checked, v.skipped) == (Status.UNKNOWN, 1, 3)
+    assert v.reason == ("split search window-bounded (2); "
+                        "table search window-bounded (1)")
+    many = Tally()
+    for i in range(9):
+        many.skip(f"note {i}")
+    assert many.done("unused").reason.endswith("note 8 (1)")
+    ok = Tally()
+    ok.hit()
+    assert ok.done("all found") == holds(1, reason="all found")
 
 
 def test_level_parse():
