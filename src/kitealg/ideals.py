@@ -128,16 +128,16 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     index = set(members)
     t = Tally()
     ser = P.serialize
-    # (side, x + y or y + x, the z solving z + x = s or x + z = s)
-    sides = (("left", lambda x, y: P.add(x, y), lambda s, x: P.ldiff(s, x)),
-             ("right", lambda x, y: P.add(y, x), lambda s, x: P.rdiff(x, s)))
+    add, ldiff, rdiff = P.add, P.ldiff, P.rdiff
+    # left: s = x + y and z + x = s; right: s = y + x and x + z = s
     for x in sample:
         for y in members:
-            for side, add, companion in sides:
-                s = add(x, y)
+            for side in ("left", "right"):
+                left = side == "left"
+                s = add(x, y) if left else add(y, x)
                 if s is None:
                     continue
-                z = companion(s, x)
+                z = ldiff(s, x) if left else rdiff(x, s)
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
                                   f"sum has no {side} companion at all")

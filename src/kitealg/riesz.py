@@ -20,17 +20,13 @@ group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
 before being returned.
 
-Each mirror-image case is written once. The opposite algebra of a kite,
-where x + y is read as y + x, is again a kite: lam and rho trade places and
-the base product is reversed. So the L-U-L-U table is the U-L-U-L table of
-the opposite kite for (x2, x1, y2, y1), read back anti-transposed as
-(c22, c21, c12, c11), and the U-L-U split is the U-U-L split of the opposite
-kite for (x, z, y), read back swapped. No opposite group is built: a base
-table or split of the opposite group is the real base's table of
-r1 + r2 = s1 + s2 anti-transposed, or its split below b + c swapped, so the
-witnesses are the same ones over a non-abelian base too. The crossed
-L-U-U-L table is the U-L-L-U table with the two decompositions swapped,
-i.e. its transpose.
+Each mirror-image case is written once. The opposite algebra of a kite
+(x + y read as y + x) is again a kite: lam and rho trade places and the base
+product is reversed. L-U-L-U tables and U-L-U splits are the U-L-U-L and
+U-U-L cases of the opposite kite, read back anti-transposed or swapped. The
+opposite base's tables and splits are the real base's, read back the same
+way, so no opposite group is built and the witnesses are the same over a
+non-abelian base. The crossed L-U-U-L table is the transpose of U-L-L-U's.
 """
 
 from __future__ import annotations
@@ -307,14 +303,11 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     """Refinement table for x1 + x2 = y1 + y2 built from base group data.
 
     Case split on the tag pattern: all-lower instances lift base tables
-    coordinatewise; upper-first against upper-first (U-L-U-L) uses
-    directedness witnesses above both upper rows; the crossed pattern
-    U-L-L-U has a closed-form table with a zero cell at c21. The other two
-    patterns are mirror images. L-U-L-U is U-L-U-L in the opposite kite
-    (x + y read as y + x: lam and rho trade places and the base product is
-    reversed) for the instance (x2, x1, y2, y1), and its table is read back
-    anti-transposed. L-U-U-L is U-L-L-U with the two decompositions swapped,
-    and its table is the transpose. The result is validated against all four
+    coordinatewise; U-L-U-L uses directedness witnesses above both upper
+    rows; the crossed U-L-L-U has a closed-form table with a zero cell at
+    c21. L-U-L-U is U-L-U-L in the opposite kite for (x2, x1, y2, y1), read
+    back anti-transposed; L-U-U-L is U-L-L-U with the two decompositions
+    swapped, read back transposed. The result is validated against all four
     sum equations before returning; None means a base-level ingredient was
     not found.
     """
@@ -401,10 +394,8 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
 
     Case split on tags: all-lower works one coordinate at a time; a lower
     element below a mixed sum splits trivially against the upper summand;
-    an upper element below y + z with y upper (U-U-L) reduces to base splits
-    of the positive parts. Its mirror image U-L-U is U-U-L in the opposite
-    kite (lam and rho trade places, the base product is reversed) for the
-    instance (x, z, y), and its split is read back swapped. None means a base
+    U-U-L reduces to base splits of the positive parts, and U-L-U is U-U-L
+    in the opposite kite for (x, z, y), read back swapped. None means a base
     split was not found.
     """
     for el in (x, y, z):

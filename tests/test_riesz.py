@@ -309,7 +309,8 @@ def _ref_base_table(base, r1, r2, s1, s2, level, w):
 
 
 def _refinement_reference(kite, x1, x2, y1, y2, level):
-    """kite_refinement_constructive with each mirror-image case written out."""
+    """kite_refinement_constructive as it was before the mirror-image cases
+    were merged, each case written out; the merged version must match it."""
     base = kite.base
     n = kite.n
     w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
@@ -403,7 +404,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
 
 
 def _split_reference(kite, x, y, z):
-    """kite_rdp0_split_constructive with each mirror-image case written out."""
+    """kite_rdp0_split_constructive with the U-L-U case written out."""
     base = kite.base
     n = kite.n
     inv, mul = base.inv, base.mul
