@@ -369,7 +369,7 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     elif pattern == (UPPER, LOWER, LOWER, UPPER):
         c = KiteElement(
             kite.shape, UPPER,
-            tuple(mul(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
+            tuple(base.mul(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
                   for i in range(n)))
         cells = (b1, kite.zero, c, a2) if swap else (b1, c, kite.zero, a2)
         table = RefinementTable(*cells, note="crossed pattern, zero cell at "
