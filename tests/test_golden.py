@@ -1,7 +1,8 @@
 """Golden corpus: CLI JSON reports, byte-compared against stored copies.
 
 Each fixture is one `kitealg check` run over Z, Z^2 or the strict cone with
-n = 1..3 and the axioms, rdp, ideals, iso and state checks. The stored
+n = 1..3 and the axioms, rdp, ideals, iso and state checks, plus one
+`kitealg show` table (Z, n = 2 swap), which pins the element labels. The stored
 reports have every `wall_ms` set to 0; everything else must match byte for
 byte, so a change that alters any verdict, witness, count or payload shows
 up here.
@@ -27,6 +28,9 @@ SHAPES = {1: '{"n":1,"lambda":"id","rho":"id"}',
           2: '{"n":2,"lambda":"id","rho":"swap"}',
           3: '{"n":3,"lambda":"shift:1","rho":"id"}'}
 FIXTURES = [(group, n) for group in ("z", "z2", "strictcone2") for n in SHAPES]
+SHOW_ARGV = ["show", "--group", "z", "--shape", SHAPES[2], "--height", "1",
+             "--format", "json"]
+SHOW_GOLDEN = GOLDEN / "z_n2_show.json"
 
 _CLOCK = re.compile(r'"wall_ms": [0-9]+')
 
@@ -56,9 +60,18 @@ def test_report_matches_golden(group, n):
     assert report == golden_path(group, n).read_text()
 
 
+def test_show_report_matches_golden():
+    code, report = masked_report(SHOW_ARGV)
+    assert code == 0
+    assert report == SHOW_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for group, n in FIXTURES:
         code, report = masked_report(fixture_argv(group, n))
         golden_path(group, n).write_text(report)
         print(f"{golden_path(group, n).name}: exit {code}", file=sys.stderr)
+    code, report = masked_report(SHOW_ARGV)
+    SHOW_GOLDEN.write_text(report)
+    print(f"{SHOW_GOLDEN.name}: exit {code}", file=sys.stderr)
