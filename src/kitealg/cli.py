@@ -3,8 +3,10 @@ window tables, and emit deterministic reports.
 
 Exit codes (for a sweep, over all cells): 0 when every requested check
 Holds, 1 when anything Fails, 2 when nothing Fails but some result is
-Unknown, 64 for configuration errors and budget refusals. Reports are reproducible: given the same config the JSON is
-byte-identical except for the wall_ms timing fields.
+Unknown, 64 for configuration errors and budget refusals.
+
+Reports are reproducible: given the same config the JSON is byte-identical
+except for the wall_ms timing fields.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 from . import perms
@@ -54,17 +56,14 @@ class RunConfig:
     show_budget: int = 64
 
     def echo(self) -> dict:
-        return {"group": self.group, "shape": self.shape,
-                "height": self.height, "cap": self.cap, "nmax": self.nmax,
-                "depth": self.depth, "checks": list(self.checks),
-                "format": self.format, "seed": self.seed, "grid": self.grid,
-                "sweep_budget": self.sweep_budget,
-                "show_budget": self.show_budget}
+        """Every field but out, for the report header."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "out"}
+        out["checks"] = list(self.checks)
+        return out
 
 
-_CONFIG_FIELDS = {"group", "shape", "height", "cap", "nmax", "depth",
-                  "checks", "out", "format", "seed", "grid",
-                  "sweep_budget", "show_budget"}
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _expect(cond: bool, what: str) -> None:

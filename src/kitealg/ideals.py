@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import perms
 from . import pogroup as pg
@@ -41,20 +42,14 @@ class IdealSet:
     def __contains__(self, x) -> bool:
         return x in self._index
 
-    @property
+    @cached_property
     def _index(self) -> frozenset:
-        idx = self.closed_flags.get("_index")
-        if idx is None:
-            idx = frozenset(self.elements)
-            self.closed_flags["_index"] = idx
-        return idx
+        return frozenset(self.elements)
 
     def as_json(self, ser) -> dict:
-        flags = {k: v for k, v in self.closed_flags.items()
-                 if not k.startswith("_")}
         return {"elements": [ser(x) for x in self.elements],
                 "generators": [ser(x) for x in self.generators],
-                "flags": flags}
+                "flags": dict(self.closed_flags)}
 
 
 @dataclass(frozen=True)
@@ -171,7 +166,6 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
         raise UsageError("generator outside the window sample")
     current = ideal_closure(P, [a], w)
     fixpoint = False
-    exhaustive = current.closed_flags["exhaustive"]
     for _ in range(depth):
         members = set(current.elements)
         new = set(members)
@@ -195,10 +189,8 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
             fixpoint = True
             break
         current = ideal_closure(P, sorted(new, key=sample.index), w)
-        exhaustive = exhaustive and current.closed_flags["exhaustive"]
     flags = dict(current.closed_flags)
     flags["fixpoint"] = fixpoint
-    flags["exhaustive"] = current.closed_flags["exhaustive"]
     return IdealSet(elements=current.elements, generators=(a,),
                     closed_flags=flags)
 

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import perms
-from .pogroup import (CapabilityError, Elem, PoGroup, UsageError, Window,
-                      cone_window)
+from .pogroup import CapabilityError, PoGroup, UsageError, Window, cone_window
 
 
 @dataclass(frozen=True)
@@ -62,31 +61,33 @@ UPPER = "U"
 
 @dataclass(frozen=True)
 class KiteElement:
+    """A tag (LOWER or UPPER) and n raw values of the shape's base group.
+
+    The coordinates carry no group of their own: the shape names the base,
+    and equality and hashing compare (shape, tag, coords) directly.
+    """
+
     shape: KiteShape
     tag: str
-    coords: tuple[Elem, ...]
+    coords: tuple
 
     def serialized(self) -> dict:
-        return {"tag": self.tag,
-                "coords": [c.group.serialize_value(c.value) for c in self.coords]}
+        ser = self.shape.base.serialize_value
+        return {"tag": self.tag, "coords": [ser(c) for c in self.coords]}
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ",".join(str(c.group.serialize_value(c.value)) for c in self.coords)
-        return f"{self.tag}({inner})"
-
-
-def _values(x: KiteElement) -> list:
-    return [c.value for c in x.coords]
+    def __repr__(self) -> str:
+        ser = self.shape.base.serialize_value
+        return f"{self.tag}({','.join(str(ser(c)) for c in self.coords)})"
 
 
 class Kite:
     """Operations of the kite algebra for one shape.
 
-    Each operation checks its operands once against the kite's shape
-    (identity first, then structural equality), then computes on the raw
-    base values and wraps only the result. Coordinates are validated where
-    elements are built: lower and upper check the cones, the base group's
-    make and deserialize check the values.
+    Elements hold raw base values, so ownership is one shape check per
+    operand (identity first, then structural equality) and every operation
+    computes on the coordinates as they are. Coordinates are validated where
+    elements are built: lower and upper check each value with the base
+    group's check_value and then the cone.
 
     Window samples are memoised per Window on the instance: elements(w)
     builds and sorts the carrier sample once and hands out a fresh list
@@ -105,31 +106,30 @@ class Kite:
         self.rho = list(shape.rho)
         self.lam_inv = perms.inverse(self.lam)
         self.rho_inv = perms.inverse(self.rho)
-        e = self.base.e
-        self._e = e.value
-        self.zero = KiteElement(shape, LOWER, tuple(e for _ in range(self.n)))
-        self.one = KiteElement(shape, UPPER, tuple(e for _ in range(self.n)))
+        e = self._e = self.base.e.value
+        self.zero = KiteElement(shape, LOWER, (e,) * self.n)
+        self.one = KiteElement(shape, UPPER, (e,) * self.n)
         self._samples: dict[Window, list[KiteElement]] = {}
 
     # -- constructors -------------------------------------------------------
 
     def lower(self, *values) -> KiteElement:
         """Lower element from base values; coordinates must be positive."""
-        coords = tuple(self.base.make(v) for v in values)
+        coords = tuple(self.base.check_value(v) for v in values)
         if len(coords) != self.n:
             raise UsageError(f"expected {self.n} coordinates")
         for c in coords:
-            if not self.base.leq_values(self._e, c.value):
+            if not self.base.leq_values(self._e, c):
                 raise UsageError(f"lower coordinate {c!r} is not positive")
         return KiteElement(self.shape, LOWER, coords)
 
     def upper(self, *values) -> KiteElement:
         """Upper element from base values; coordinates must be negative."""
-        coords = tuple(self.base.make(v) for v in values)
+        coords = tuple(self.base.check_value(v) for v in values)
         if len(coords) != self.n:
             raise UsageError(f"expected {self.n} coordinates")
         for c in coords:
-            if not self.base.leq_values(c.value, self._e):
+            if not self.base.leq_values(c, self._e):
                 raise UsageError(f"upper coordinate {c!r} is not negative")
         return KiteElement(self.shape, UPPER, coords)
 
@@ -138,8 +138,7 @@ class Kite:
             raise UsageError("element belongs to a different kite shape")
 
     def _wrap(self, tag: str, values) -> KiteElement:
-        base = self.base
-        return KiteElement(self.shape, tag, tuple([Elem(base, v) for v in values]))
+        return KiteElement(self.shape, tag, tuple(values))
 
     # -- order ---------------------------------------------------------------
 
@@ -151,7 +150,7 @@ class Kite:
     def _leq(self, x: KiteElement, y: KiteElement) -> bool:
         if x.tag == y.tag:
             leq = self.base.leq_values
-            return all(leq(a.value, b.value) for a, b in zip(x.coords, y.coords))
+            return all(leq(a, b) for a, b in zip(x.coords, y.coords))
         return x.tag == LOWER
 
     # -- partial addition ------------------------------------------------------
@@ -159,22 +158,22 @@ class Kite:
     def add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
         self.own(x)
         self.own(y)
-        s = self._sum(x.tag, _values(x), y.tag, _values(y))
+        s = self._sum(x.tag, x.coords, y.tag, y.coords)
         return None if s is None else self._wrap(*s)
 
-    def _twisted(self, xtag: str, xs: list, ys: list) -> list:
+    def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through
         rho, a lower x threads itself through lam."""
         mul = self.base.mul_values
         if xtag == UPPER:
-            return [mul(a, ys[j]) for a, j in zip(xs, self.rho_inv)]
-        return [mul(xs[j], b) for j, b in zip(self.lam_inv, ys)]
+            return tuple([mul(a, ys[j]) for a, j in zip(xs, self.rho_inv)])
+        return tuple([mul(xs[j], b) for j, b in zip(self.lam_inv, ys)])
 
-    def _sum(self, xtag: str, xs: list, ytag: str, ys: list):
-        """(tag, values) of x + y on raw values, or None when undefined."""
+    def _sum(self, xtag: str, xs, ytag: str, ys):
+        """(tag, coords) of x + y, or None when undefined."""
         if xtag == LOWER and ytag == LOWER:
             mul = self.base.mul_values
-            return LOWER, [mul(a, b) for a, b in zip(xs, ys)]
+            return LOWER, tuple([mul(a, b) for a, b in zip(xs, ys)])
         if xtag == UPPER and ytag == UPPER:
             return None
         vals = self._twisted(xtag, xs, ys)
@@ -201,8 +200,8 @@ class Kite:
         inv = self.base.inv_value
         xs = x.coords
         if x.tag == LOWER:
-            return self._wrap(UPPER, [inv(xs[j].value) for j in lower_perm])
-        return self._wrap(LOWER, [inv(xs[j].value) for j in upper_perm])
+            return self._wrap(UPPER, [inv(xs[j]) for j in lower_perm])
+        return self._wrap(LOWER, [inv(xs[j]) for j in upper_perm])
 
     def negations(self, x: KiteElement) -> tuple[KiteElement, KiteElement]:
         """(right complement, left complement): d with x+d=1, then d with d+x=1."""
@@ -217,7 +216,7 @@ class Kite:
         if not self._leq(a, b):
             return None
         mul, inv = self.base.mul_values, self.base.inv_value
-        av, bv = _values(a), _values(b)
+        av, bv = a.coords, b.coords
         if a.tag == LOWER and b.tag == LOWER:
             tag, vals = LOWER, [mul(q, inv(p)) for p, q in zip(av, bv)]
         elif a.tag == LOWER:
@@ -235,7 +234,7 @@ class Kite:
         if not self._leq(a, b):
             return None
         mul, inv = self.base.mul_values, self.base.inv_value
-        av, bv = _values(a), _values(b)
+        av, bv = a.coords, b.coords
         if a.tag == LOWER and b.tag == LOWER:
             tag, vals = LOWER, [mul(inv(p), q) for p, q in zip(av, bv)]
         elif a.tag == LOWER:
@@ -259,8 +258,7 @@ class Kite:
         if x.tag != y.tag:
             return x if x.tag == UPPER else y
         join = self.base.join_values
-        return self._wrap(x.tag, [join(a.value, b.value)
-                                  for a, b in zip(x.coords, y.coords)])
+        return self._wrap(x.tag, [join(a, b) for a, b in zip(x.coords, y.coords)])
 
     def meet(self, x: KiteElement, y: KiteElement) -> KiteElement:
         self.own(x)
@@ -269,8 +267,7 @@ class Kite:
         if x.tag != y.tag:
             return x if x.tag == LOWER else y
         meet = self.base.meet_values
-        return self._wrap(x.tag, [meet(a.value, b.value)
-                                  for a, b in zip(x.coords, y.coords)])
+        return self._wrap(x.tag, [meet(a, b) for a, b in zip(x.coords, y.coords)])
 
     def mv_oplus(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated sum; equals x + (x~ and y) and extends add."""
@@ -279,7 +276,7 @@ class Kite:
         self._need_lattice()
         if x.tag == UPPER and y.tag == UPPER:
             return self.one
-        xs, ys = _values(x), _values(y)
+        xs, ys = x.coords, y.coords
         if x.tag == LOWER and y.tag == LOWER:
             mul = self.base.mul_values
             return self._wrap(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
@@ -294,7 +291,7 @@ class Kite:
         if x.tag == LOWER and y.tag == LOWER:
             return self.zero
         mul = self.base.mul_values
-        xs, ys = _values(x), _values(y)
+        xs, ys = x.coords, y.coords
         if x.tag == UPPER and y.tag == UPPER:
             return self._wrap(UPPER, [mul(a, b) for a, b in zip(xs, ys)])
         join, e = self.base.join_values, self._e
@@ -318,7 +315,7 @@ class Kite:
 
     def support(self, x: KiteElement) -> tuple[int, ...]:
         e = self._e
-        return tuple(i for i, c in enumerate(x.coords) if c.value != e)
+        return tuple(i for i, c in enumerate(x.coords) if c != e)
 
     def norm(self, x: KiteElement) -> int:
         self.own(x)
@@ -326,7 +323,7 @@ class Kite:
 
     def _norm(self, x: KiteElement) -> int:
         norm = self.base.norm_value
-        return max((norm(c.value) for c in x.coords), default=0)
+        return max((norm(c) for c in x.coords), default=0)
 
     def serialize(self, x: KiteElement) -> dict:
         return x.serialized()
@@ -334,14 +331,10 @@ class Kite:
     def sort_key(self, x: KiteElement) -> tuple:
         tag_rank = 0 if x.tag == LOWER else 1
         flat = tuple(itertools.chain.from_iterable(
-            self.base.value_key(c.value) for c in x.coords))
+            self.base.value_key(c) for c in x.coords))
         return (self._norm(x), tag_rank) + flat
 
     # -- enumeration -------------------------------------------------------------
-
-    def _negated(self, pool: list) -> list:
-        base = self.base
-        return [Elem(base, base.inv_value(c.value)) for c in pool]
 
     def carrier_size(self, w: Window) -> int:
         k = len(cone_window(self.base, Window(w.height)))
@@ -362,17 +355,17 @@ class Kite:
         # small cap never forces the full product space to materialize.
         # Elements in one shell share norm and tag, so the concatenation is
         # in sort_key order.
-        norm = self.base.norm_value
-        pool = cone_window(self.base, Window(w.height))
+        norm, inv = self.base.norm_value, self.base.inv_value
+        pool = [c.value for c in cone_window(self.base, Window(w.height))]
         out = []
         for s in range(w.height + 1):
-            allowed = [c for c in pool if norm(c.value) <= s]
+            allowed = [c for c in pool if norm(c) <= s]
             for tag in (LOWER, UPPER):
-                vals = allowed if tag == LOWER else self._negated(allowed)
+                vals = allowed if tag == LOWER else [inv(c) for c in allowed]
                 shell = [
                     KiteElement(self.shape, tag, coords)
                     for coords in itertools.product(vals, repeat=self.n)
-                    if max((norm(c.value) for c in coords), default=0) == s
+                    if max((norm(c) for c in coords), default=0) == s
                 ]
                 shell.sort(key=self.sort_key)
                 out.extend(shell)

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
+from . import perms
 from .verdict import Status, Tally, Verdict, unknown
 
 
@@ -145,9 +146,6 @@ class PoGroup:
         self.own(b)
         return self.leq_values(a.value, b.value)
 
-    def lt(self, a: Elem, b: Elem) -> bool:
-        return a != b and self.leq(a, b)
-
     def join(self, a: Elem, b: Elem) -> Elem:
         return self._lattice_op(self.join_values, a, b)
 
@@ -180,10 +178,6 @@ class PoGroup:
         return max((abs(c) for c in _flatten(self.serialize_value(value))),
                    default=0)
 
-    def norm(self, a: Elem) -> int:
-        self.own(a)
-        return self.norm_value(a.value)
-
     def sort_key(self, a: Elem) -> tuple:
         return (self.norm_value(a.value),) + self.value_key(a.value)
 
@@ -202,10 +196,10 @@ class PoGroup:
         """All values with norm <= height, any order, no duplicates."""
         raise NotImplementedError
 
-    def interval_exhaustive(self, a: Elem, b: Elem, w: Window) -> bool:
-        """True when [a, b] is provably contained in ball(w.height)."""
+    def interval_exhaustive(self, lo, hi, w: Window) -> bool:
+        """True when [lo, hi] (raw values) is provably inside ball(w.height)."""
         if self.order_convex_norm:
-            return max(self.norm(a), self.norm(b)) <= w.height
+            return max(self.norm_value(lo), self.norm_value(hi)) <= w.height
         return False
 
 
@@ -447,13 +441,12 @@ class TwistedLexGroup(PoGroup):
     kind = "TwistedLex"
 
     def __init__(self, n: int, lam, rho, base: PoGroup):
-        from . import perms
-
         self.n = n
         self.lam = tuple(perms.check_perm(lam, n))
         self.rho = tuple(perms.check_perm(rho, n))
         if perms.compose(self.lam, self.rho) != perms.compose(self.rho, self.lam):
             raise UsageError("TwistedLex requires commuting index bijections")
+        self.rho_lam = tuple(perms.compose(self.rho, self.lam))
         self.base = base
         self._pow_cache: dict[tuple[str, int], list[int]] = {}
         self.is_lattice = base.is_lattice
@@ -469,13 +462,11 @@ class TwistedLexGroup(PoGroup):
     order_convex_norm = False
 
     def _power(self, which: str, k: int) -> list[int]:
-        from . import perms
-
+        """k-th power of the permutation named which: lam, rho or rho_lam."""
         key = (which, k)
         cached = self._pow_cache.get(key)
         if cached is None:
-            p = self.lam if which == "lam" else self.rho
-            cached = self._pow_cache[key] = perms.power(p, k)
+            cached = self._pow_cache[key] = perms.power(getattr(self, which), k)
         return cached
 
     def identity_value(self):
@@ -501,11 +492,8 @@ class TwistedLexGroup(PoGroup):
         return (m1 + m2, coords)
 
     def inv_value(self, x):
-        from . import perms
-
         m, xs = x
-        rl = perms.compose(self.rho, self.lam)
-        p = perms.power(rl, m)
+        p = self._power("rho_lam", m)
         coords = tuple(self.base.inv_value(xs[p[i]]) for i in range(self.n))
         return (-m, coords)
 
@@ -552,13 +540,11 @@ class TwistedLexGroup(PoGroup):
                     yield (m, coords)
         return gen()
 
-    def interval_exhaustive(self, a, b, w):
+    def interval_exhaustive(self, lo, hi, w):
         # lex intervals across different leading integers are infinite
-        m1 = a.value[0]
-        m2 = b.value[0]
-        if m1 != m2:
+        if lo[0] != hi[0]:
             return False
-        return max(self.norm(a), self.norm(b)) <= w.height
+        return max(self.norm_value(lo), self.norm_value(hi)) <= w.height
 
     def strong_unit(self) -> Elem:
         e = self.base.identity_value()
@@ -610,7 +596,7 @@ def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
     wide = Window(max(w.height, group.norm_value(lo), group.norm_value(hi)))
     out = [x for x in enumerate_window(group, wide)
            if leq(lo, x.value) and leq(x.value, hi)]
-    return out, group.interval_exhaustive(a, b, wide)
+    return out, group.interval_exhaustive(lo, hi, wide)
 
 
 def check_directed(group: PoGroup, g1: Elem, g2: Elem, w: Window) -> Verdict:

@@ -39,8 +39,9 @@ class IntervalPEA:
     unit: Elem
 
     def __post_init__(self) -> None:
-        self.group.own(self.unit)
-        if not self.group.lt(self.group.e, self.unit):
+        g = self.group
+        g.own(self.unit)
+        if self.unit == g.e or not g.leq(g.e, self.unit):
             raise UsageError("unit must be strictly positive")
 
     @property
@@ -205,16 +206,16 @@ class MapSpec:
     def apply(self, x: KiteElement, target) -> Optional[Any]:
         """Image of a kite element in the target; None when not representable."""
         tau = self.tau_lower if x.tag == LOWER else self.tau_upper
-        base = x.coords[0].group if x.coords else None
-        vals = [x.coords[tau[i]] for i in range(len(tau))]
-        if self.invert and base is not None:
-            vals = [base.inv(v) for v in vals]
+        vals = tuple(x.coords[t] for t in tau)
+        if self.invert:
+            inv = x.shape.base.inv_value
+            vals = tuple(inv(v) for v in vals)
         if self.target == "kite":
-            return KiteElement(target.shape, x.tag, tuple(vals))
+            return KiteElement(target.shape, x.tag, vals)
         group = target.group
         lead = 0 if x.tag == LOWER else 1
         if isinstance(group, TwistedLexGroup):
-            return group.make((lead, tuple(v.value for v in vals)))
+            return group.make((lead, vals))
         if isinstance(group, Integers) and not vals:
             return group.make(lead)
         return None

@@ -18,7 +18,10 @@ skip.
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
-before being returned.
+before being returned. Kite coordinates are raw base values, so these
+builders compute with the base's value operations; only a base table or
+split search wraps its arguments as Elems of the base, in _base_table and
+_base_split, and unwraps what it finds.
 
 Each mirror-image case is written once. The opposite algebra of a kite
 (x + y read as y + x) is again a kite: lam and rho trade places and the base
@@ -247,29 +250,33 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
 
 def _wide(kite: Kite, parts) -> Window:
     h = 2
+    norm = kite.base.norm_value
     for coords in parts:
         for c in coords:
-            h = max(h, kite.base.norm(c))
+            h = max(h, norm(c))
     return Window(h)
 
 
-def _upper_bound(base: PoGroup, a: Elem, b: Elem) -> Optional[Elem]:
-    """Smallest-norm common upper bound; exact via join on lattices."""
+def _upper_bound(base: PoGroup, a, b):
+    """Smallest-norm common upper bound of two raw values, or None; exact
+    via join on lattices."""
     if base.is_lattice:
-        return base.join(a, b)
-    h = max(base.norm(a), base.norm(b)) + 2
+        return base.join_values(a, b)
+    leq = base.leq_values
+    h = max(base.norm_value(a), base.norm_value(b)) + 2
     for x in pg.enumerate_window(base, Window(h)):
-        if base.leq(a, x) and base.leq(b, x):
-            return x
+        if leq(a, x.value) and leq(b, x.value):
+            return x.value
     return None
 
 
 def _opposite(kite: Kite, flip: bool):
-    """(mul, rho, rho_inv) of the kite, or of its opposite algebra when flip."""
-    base = kite.base
+    """(mul, rho, rho_inv) of the kite, or of its opposite algebra when flip;
+    mul acts on raw base values."""
+    mul = kite.base.mul_values
     if flip:
-        return (lambda a, b: base.mul(b, a)), kite.lam, kite.lam_inv
-    return base.mul, kite.rho, kite.rho_inv
+        return (lambda a, b: mul(b, a)), kite.lam, kite.lam_inv
+    return mul, kite.rho, kite.rho_inv
 
 
 def _anti(t: Optional[RefinementTable]) -> Optional[RefinementTable]:
@@ -282,11 +289,21 @@ def _anti(t: Optional[RefinementTable]) -> Optional[RefinementTable]:
 
 def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, level: RdpLevel,
                 w: Window) -> Optional[RefinementTable]:
-    """Base table of r1 + r2 = s1 + s2, in the opposite group when flip."""
+    """Base table of r1 + r2 = s1 + s2 in raw values, in the opposite group
+    when flip; the search runs on the base's positive cone."""
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
-    if flip:
-        return _anti(find_refinement(base, r2, r1, s2, s1, lv, w))
-    return find_refinement(base, r1, r2, s1, s2, lv, w)
+    args = (r2, r1, s2, s1) if flip else (r1, r2, s1, s2)
+    t = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
+    if t is None:
+        return None
+    t = RefinementTable(*[c.value for c in t.cells()], side=t.side, note=t.note)
+    return _anti(t) if flip else t
+
+
+def _base_split(base: PoGroup, a, b, c, w: Window):
+    """rdp0_split of a below b + c in the base, in raw values, or None."""
+    pair = rdp0_split(base, Elem(base, a), Elem(base, b), Elem(base, c), w)
+    return None if pair is None else (pair[0].value, pair[1].value)
 
 
 def _merge_sides(tables) -> Optional[Verdict]:
@@ -317,7 +334,7 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     if s1 is None or s2 is None or s1 != s2:
         raise UsageError("refinement needs x1 + x2 = y1 + y2, both defined")
     base = kite.base
-    inv = base.inv
+    inv = base.inv_value
     n = kite.n
     w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
     flip = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, LOWER, UPPER)
@@ -369,7 +386,7 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     elif pattern == (UPPER, LOWER, LOWER, UPPER):
         c = KiteElement(
             kite.shape, UPPER,
-            tuple(base.mul(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
+            tuple(base.mul_values(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
                   for i in range(n)))
         cells = (b1, kite.zero, c, a2) if swap else (b1, c, kite.zero, a2)
         table = RefinementTable(*cells, note="crossed pattern, zero cell at "
@@ -405,14 +422,14 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
         raise UsageError("split needs x <= y + z with y + z defined")
     base = kite.base
     n = kite.n
-    inv = base.inv
+    inv = base.inv_value
     w = _wide(kite, [el.coords for el in (x, y, z)])
     tags = (x.tag, y.tag, z.tag)
 
     if tags == (LOWER, LOWER, LOWER):
         g1, h1 = [], []
         for j in range(n):
-            pair = rdp0_split(base, x.coords[j], y.coords[j], z.coords[j], w)
+            pair = _base_split(base, x.coords[j], y.coords[j], z.coords[j], w)
             if pair is None:
                 return None
             g1.append(pair[0])
@@ -432,8 +449,8 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
             b, c = l.coords[rho_inv[i]], inv(x.coords[i])
             # the opposite group's split below b + c is the real one below
             # c + b, swapped
-            pair = rdp0_split(base, inv(u.coords[i]),
-                              *((c, b) if flip else (b, c)), w)
+            pair = _base_split(base, inv(u.coords[i]),
+                               *((c, b) if flip else (b, c)), w)
             if pair is None:
                 return None
             f1.append(pair[1] if flip else pair[0])

@@ -6,8 +6,8 @@ import pytest
 
 from kitealg import perms
 from kitealg.kite import Kite, KiteShape, LOWER, UPPER
-from kitealg.pogroup import (Integers, StrictCone2, TwistedLexGroup, UsageError,
-                             Window, cone_window, parse_group)
+from kitealg.pogroup import (Elem, Integers, StrictCone2, TwistedLexGroup,
+                             UsageError, Window, cone_window, parse_group)
 
 Z = Integers()
 
@@ -302,3 +302,40 @@ def test_interval_matches_brute_force_filter(group, n):
         height = max(w.height, k.norm(a), k.norm(b))
         want = [x for x in carriers[height] if k.leq(a, x) and k.leq(x, b)]
         assert got == want, (a, b)
+
+
+# -- raw coordinates ----------------------------------------------------------------
+
+
+RAW_BASES = {
+    "z": lambda: Integers(),
+    "z2": lambda: parse_group("z2"),
+    "strictcone2": lambda: StrictCone2(),
+    "twistedlex": lambda: TwistedLexGroup(2, (0, 1), (1, 0), Integers()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_BASES))
+def test_coordinates_are_raw_base_values(name):
+    kite = mk(2, (0, 1), (1, 0), RAW_BASES[name]())
+    base = kite.base
+    w = Window(1, 16)
+    sample = kite.elements(w)
+    results = [kite.zero, kite.one]
+    for x in sample:
+        results += [x, kite.complement_left(x), kite.complement_right(x)]
+        for y in sample:
+            results += [kite.add(x, y), kite.ldiff(x, y), kite.rdiff(x, y)]
+    found = [r for r in results if r is not None]
+    assert len(found) > 3 * len(sample)
+    for r in found:
+        for c in r.coords:
+            assert not isinstance(c, Elem)
+            assert base.check_value(c) == c
+    # a kite on an equal but distinct shape has equal, equally hashed elements
+    twin = mk(2, (0, 1), (1, 0), RAW_BASES[name]())
+    assert twin.shape is not kite.shape and twin.base is not base
+    pairs = list(zip(sample, twin.elements(w)))
+    pairs += [(kite.zero, twin.zero), (kite.one, twin.one)]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)

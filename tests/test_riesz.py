@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
-from kitealg.pogroup import (Integers, StrictCone2, TwistedLexGroup, UsageError,
-                             Window, integer_product)
+from kitealg.pogroup import (Elem, Integers, StrictCone2, TwistedLexGroup,
+                             UsageError, Window, integer_product)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
@@ -305,7 +305,16 @@ def test_rip_loop_matches_reference(obj, w, expect):
 
 def _ref_base_table(base, r1, r2, s1, s2, level, w):
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
-    return find_refinement(base, r1, r2, s1, s2, lv, w)
+    t = find_refinement(base, *[Elem(base, v) for v in (r1, r2, s1, s2)], lv, w)
+    if t is None:
+        return None
+    return RefinementTable(*[c.value for c in t.cells()], side=t.side,
+                           note=t.note)
+
+
+def _ref_base_split(base, a, b, c, w):
+    pair = rdp0_split(base, Elem(base, a), Elem(base, b), Elem(base, c), w)
+    return None if pair is None else (pair[0].value, pair[1].value)
 
 
 def _refinement_reference(kite, x1, x2, y1, y2, level):
@@ -315,7 +324,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
     n = kite.n
     w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
     pattern = (x1.tag, x2.tag, y1.tag, y2.tag)
-    inv, mul = base.inv, base.mul
+    inv, mul = base.inv_value, base.mul_values
     table = None
     if pattern == (LOWER, LOWER, LOWER, LOWER):
         per = []
@@ -407,13 +416,14 @@ def _split_reference(kite, x, y, z):
     """kite_rdp0_split_constructive with the U-L-U case written out."""
     base = kite.base
     n = kite.n
-    inv, mul = base.inv, base.mul
+    inv, mul = base.inv_value, base.mul_values
     w = _wide(kite, [el.coords for el in (x, y, z)])
     tags = (x.tag, y.tag, z.tag)
     if tags == (LOWER, LOWER, LOWER):
         g1, h1 = [], []
         for j in range(n):
-            pair = rdp0_split(base, x.coords[j], y.coords[j], z.coords[j], w)
+            pair = _ref_base_split(base, x.coords[j], y.coords[j],
+                                   z.coords[j], w)
             if pair is None:
                 return None
             g1.append(pair[0])
@@ -427,8 +437,8 @@ def _split_reference(kite, x, y, z):
     elif tags == (UPPER, UPPER, LOWER):
         f1 = []
         for i in range(n):
-            pair = rdp0_split(base, inv(y.coords[i]),
-                              z.coords[kite.rho_inv[i]], inv(x.coords[i]), w)
+            pair = _ref_base_split(base, inv(y.coords[i]),
+                                   z.coords[kite.rho_inv[i]], inv(x.coords[i]), w)
             if pair is None:
                 return None
             f1.append(pair[0])
@@ -439,8 +449,8 @@ def _split_reference(kite, x, y, z):
     elif tags == (UPPER, LOWER, UPPER):
         f1 = []
         for i in range(n):
-            pair = rdp0_split(base, inv(z.coords[i]), inv(x.coords[i]),
-                              y.coords[kite.lam_inv[i]], w)
+            pair = _ref_base_split(base, inv(z.coords[i]), inv(x.coords[i]),
+                                   y.coords[kite.lam_inv[i]], w)
             if pair is None:
                 return None
             f1.append(pair[1])
