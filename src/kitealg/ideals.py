@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import perms
 from . import pogroup as pg
@@ -309,6 +309,14 @@ def _lower_component_ideal(kite: Kite, component, w: Window) -> IdealSet:
                       "component": tuple(component)})
 
 
+@lru_cache
+def _base_has_rdp1(base: PoGroup) -> bool:
+    """Does the bounded RDP1 check hold on the base? Cached per group: the
+    verdict depends on the base alone, and groups hash and compare by their
+    structural key, so equal groups built apart share one check."""
+    return check_rdp_level(base, RdpLevel.RDP1, Window(2)).ok
+
+
 def least_normal_ideal(kite: Kite, w: Window):
     """(Verdict, payload): does the kite have a least non-trivial normal ideal?
 
@@ -323,13 +331,8 @@ def least_normal_ideal(kite: Kite, w: Window):
     if kite.n == 0:
         return (fails(reason="two-element algebra has no non-trivial ideal"),
                 None)
-    gate = base.rdp_hint in ("rdp1", "rdp2")
-    if not gate:
-        gv = check_rdp_level(base, RdpLevel.RDP1, Window(2))
-        gate = gv.ok
-        if gv.failed or not gate:
-            return (unknown(skipped=1,
-                            reason="base RDP1 not established"), None)
+    if base.rdp_hint not in ("rdp1", "rdp2") and not _base_has_rdp1(base):
+        return (unknown(skipped=1, reason="base RDP1 not established"), None)
     if base.is_directed is not True:
         return (unknown(skipped=1, reason="base directedness unknown"), None)
     report = orbits(kite.shape)

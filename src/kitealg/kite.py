@@ -45,6 +45,12 @@ class KiteShape:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", tuple(perms.check_perm(self.lam, self.n)))
         object.__setattr__(self, "rho", tuple(perms.check_perm(self.rho, self.n)))
+        # every KiteElement hash hashes its shape, so hash the fields once
+        object.__setattr__(self, "_hash",
+                           hash((self.n, self.lam, self.rho, self.base)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def describe(self) -> dict:
         return {"n": self.n, "lambda": list(self.lam), "rho": list(self.rho),
@@ -57,6 +63,9 @@ class KiteShape:
 
 LOWER = "L"
 UPPER = "U"
+
+# marks a miss in Kite's add memo, which stores None for an undefined sum
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,14 @@ class Kite:
     builds and sorts the carrier sample once and hands out a fresh list
     copy on every call, so interval queries never rebuild it.
 
+    add, mv_oplus, complement_left and complement_right are memoised per
+    instance too, each in its own dict that lives as long as the Kite. Every
+    call first checks ownership of each operand, so a foreign element raises
+    even when an equal key is stored; only then is the key built from the
+    raw operands, (x.tag, x.coords) or (x.tag, x.coords, y.tag, y.coords),
+    so no KiteElement or KiteShape is hashed on the way. The add memo stores
+    None for an undefined sum.
+
     A Kite is what the checkers in axioms, riesz, ideals and
     representations take: it has every member of axioms.Algebra.
     """
@@ -110,6 +127,10 @@ class Kite:
         self.zero = KiteElement(shape, LOWER, (e,) * self.n)
         self.one = KiteElement(shape, UPPER, (e,) * self.n)
         self._samples: dict[Window, list[KiteElement]] = {}
+        self._add_memo: dict[tuple, Optional[KiteElement]] = {}
+        self._oplus_memo: dict[tuple, KiteElement] = {}
+        self._left_memo: dict[tuple, KiteElement] = {}
+        self._right_memo: dict[tuple, KiteElement] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -158,8 +179,12 @@ class Kite:
     def add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
         self.own(x)
         self.own(y)
-        s = self._sum(x.tag, x.coords, y.tag, y.coords)
-        return None if s is None else self._wrap(*s)
+        key = (x.tag, x.coords, y.tag, y.coords)
+        z = self._add_memo.get(key, _MISSING)
+        if z is _MISSING:
+            s = self._sum(*key)
+            z = self._add_memo[key] = None if s is None else self._wrap(*s)
+        return z
 
     def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through
@@ -187,21 +212,28 @@ class Kite:
 
     def complement_left(self, x: KiteElement) -> KiteElement:
         """The unique d with d + x = 1."""
-        return self._complement(x, self.rho_inv, self.lam)
+        return self._complement(x, self._left_memo, self.rho_inv, self.lam)
 
     def complement_right(self, x: KiteElement) -> KiteElement:
         """The unique d with x + d = 1."""
-        return self._complement(x, self.lam_inv, self.rho)
+        return self._complement(x, self._right_memo, self.lam_inv, self.rho)
 
-    def _complement(self, x: KiteElement, lower_perm, upper_perm) -> KiteElement:
+    def _complement(self, x: KiteElement, memo: dict, lower_perm,
+                    upper_perm) -> KiteElement:
         """Inverted coordinates of x re-indexed through lower_perm (x lower,
         the result is upper) or upper_perm (x upper, the result is lower)."""
         self.own(x)
-        inv = self.base.inv_value
-        xs = x.coords
-        if x.tag == LOWER:
-            return self._wrap(UPPER, [inv(xs[j]) for j in lower_perm])
-        return self._wrap(LOWER, [inv(xs[j]) for j in upper_perm])
+        key = (x.tag, x.coords)
+        d = memo.get(key)
+        if d is None:
+            inv = self.base.inv_value
+            xs = x.coords
+            if x.tag == LOWER:
+                d = self._wrap(UPPER, [inv(xs[j]) for j in lower_perm])
+            else:
+                d = self._wrap(LOWER, [inv(xs[j]) for j in upper_perm])
+            memo[key] = d
+        return d
 
     def negations(self, x: KiteElement) -> tuple[KiteElement, KiteElement]:
         """(right complement, left complement): d with x+d=1, then d with d+x=1."""
@@ -274,14 +306,20 @@ class Kite:
         self.own(x)
         self.own(y)
         self._need_lattice()
-        if x.tag == UPPER and y.tag == UPPER:
+        key = (x.tag, x.coords, y.tag, y.coords)
+        z = self._oplus_memo.get(key)
+        if z is None:
+            z = self._oplus_memo[key] = self._oplus(*key)
+        return z
+
+    def _oplus(self, xtag: str, xs, ytag: str, ys) -> KiteElement:
+        if xtag == UPPER and ytag == UPPER:
             return self.one
-        xs, ys = x.coords, y.coords
-        if x.tag == LOWER and y.tag == LOWER:
+        if xtag == LOWER and ytag == LOWER:
             mul = self.base.mul_values
             return self._wrap(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
         meet, e = self.base.meet_values, self._e
-        return self._wrap(UPPER, [meet(v, e) for v in self._twisted(x.tag, xs, ys)])
+        return self._wrap(UPPER, [meet(v, e) for v in self._twisted(xtag, xs, ys)])
 
     def mv_odot(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated product; odot(x, y) = 0 exactly when x + y is defined."""

@@ -528,6 +528,17 @@ class TwistedLexGroup(PoGroup):
         m, coords = value
         return [m, [self.base.serialize_value(c) for c in coords]]
 
+    # direct forms of the generic serialize-and-flatten versions; same values
+    def value_key(self, value) -> tuple:
+        m, coords = value
+        return (m,) + tuple(itertools.chain.from_iterable(
+            self.base.value_key(c) for c in coords))
+
+    def norm_value(self, value) -> int:
+        m, coords = value
+        norm = self.base.norm_value
+        return max(abs(m), max((norm(c) for c in coords), default=0))
+
     def deserialize(self, obj):
         m, coords = obj
         return self.make((m, tuple(self.base.deserialize(c).value for c in coords)))

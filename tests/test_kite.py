@@ -1,13 +1,16 @@
 """Kite algebra operations: order, partial addition, complements, MV layer."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kitealg import perms
-from kitealg.kite import Kite, KiteShape, LOWER, UPPER
-from kitealg.pogroup import (Elem, Integers, StrictCone2, TwistedLexGroup,
-                             UsageError, Window, cone_window, parse_group)
+from kitealg.kite import Kite, KiteElement, KiteShape, LOWER, UPPER
+from kitealg.pogroup import (CapabilityError, Elem, Integers, StrictCone2,
+                             TwistedLexGroup, UsageError, Window, cone_window,
+                             parse_group)
 
 Z = Integers()
 
@@ -339,3 +342,144 @@ def test_coordinates_are_raw_base_values(name):
     pairs += [(kite.zero, twin.zero), (kite.one, twin.one)]
     for x, y in pairs:
         assert x == y and hash(x) == hash(y)
+
+
+# -- memoised operations ------------------------------------------------------------
+
+
+class RefKite:
+    """Kite operations on plain (tag, coords) tuples, written from the
+    addition rules in the kite module docstring. The complements solve
+    d + x = 1 and x + d = 1 for d, and oplus is x + (x~ and y) with x~ the
+    right complement."""
+
+    def __init__(self, n, lam, rho, base):
+        self.n, self.base = n, base
+        self.lam_inv = {j: i for i, j in enumerate(lam)}  # i -> lam^-1(i)
+        self.rho_inv = {j: i for i, j in enumerate(rho)}
+        self.e = base.e.value
+        self.one = (UPPER, (self.e,) * n)
+
+    def add(self, x, y):
+        (xt, xs), (yt, ys) = x, y
+        mul, idx = self.base.mul_values, range(self.n)
+        if xt == LOWER and yt == LOWER:
+            # lower(f) + lower(g) = lower(< f_j * g_j >)
+            return LOWER, tuple(mul(xs[j], ys[j]) for j in idx)
+        if xt == UPPER and yt == UPPER:
+            return None
+        if xt == UPPER:
+            # upper(u) + lower(f) = upper(< u_i * f[rho^-1(i)] >)
+            prods = tuple(mul(xs[i], ys[self.rho_inv[i]]) for i in idx)
+        else:
+            # lower(f) + upper(u) = upper(< f[lam^-1(i)] * u_i >)
+            prods = tuple(mul(xs[self.lam_inv[i]], ys[i]) for i in idx)
+        if all(self.base.leq_values(p, self.e) for p in prods):
+            return UPPER, prods
+        return None
+
+    def complement_left(self, x):
+        tag, xs = x
+        inv, d = self.base.inv_value, [None] * self.n
+        for i in range(self.n):
+            if tag == LOWER:    # u_i * f[rho^-1(i)] = e
+                d[i] = inv(xs[self.rho_inv[i]])
+            else:               # f[lam^-1(i)] * u_i = e
+                d[self.lam_inv[i]] = inv(xs[i])
+        return (UPPER if tag == LOWER else LOWER), tuple(d)
+
+    def complement_right(self, x):
+        tag, xs = x
+        inv, d = self.base.inv_value, [None] * self.n
+        for i in range(self.n):
+            if tag == LOWER:    # f[lam^-1(i)] * u_i = e
+                d[i] = inv(xs[self.lam_inv[i]])
+            else:               # u_i * f[rho^-1(i)] = e
+                d[self.rho_inv[i]] = inv(xs[i])
+        return (UPPER if tag == LOWER else LOWER), tuple(d)
+
+    def meet(self, x, y):
+        if x[0] != y[0]:
+            return x if x[0] == LOWER else y
+        meet = self.base.meet_values
+        return x[0], tuple(meet(a, b) for a, b in zip(x[1], y[1]))
+
+    def oplus(self, x, y):
+        return self.add(x, self.meet(self.complement_right(x), y))
+
+
+@functools.cache
+def _positive_pool(name):
+    return [c.value for c in cone_window(RAW_BASES[name](), Window(2))]
+
+
+@st.composite
+def kite_cases(draw):
+    """A base name, a random shape and up to four (tag, positive coords)."""
+    name = draw(st.sampled_from(sorted(RAW_BASES)))
+    n = draw(st.integers(0, 3))
+    lam = tuple(draw(st.permutations(range(n))))
+    rho = tuple(draw(st.permutations(range(n))))
+    coords = st.lists(st.sampled_from(_positive_pool(name)),
+                      min_size=n, max_size=n).map(tuple)
+    operands = draw(st.lists(st.tuples(st.sampled_from((LOWER, UPPER)), coords),
+                             min_size=1, max_size=4))
+    return name, n, lam, rho, operands
+
+
+def _plain(z):
+    return None if z is None else (z.tag, z.coords)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=kite_cases())
+def test_memoised_operations_match_plain_tuple_reference(case):
+    name, n, lam, rho, drawn = case
+    base = RAW_BASES[name]()
+    kite, ref = mk(n, lam, rho, base), RefKite(n, lam, rho, base)
+    elems = [(tag, cs if tag == LOWER else tuple(base.inv_value(c) for c in cs))
+             for tag, cs in drawn]
+    # complements make defined mixed sums common
+    elems += [ref.complement_left(x) for x in elems]
+    elems += [ref.complement_right(x) for x in elems]
+
+    def build(x):
+        # a fresh element on every call, so a hit is found by value
+        return kite.lower(*x[1]) if x[0] == LOWER else kite.upper(*x[1])
+
+    for x in elems:
+        assert ref.add(ref.complement_left(x), x) == ref.one
+        assert ref.add(x, ref.complement_right(x)) == ref.one
+        for _ in range(2):  # the first call misses, the second hits
+            assert _plain(kite.complement_left(build(x))) == ref.complement_left(x)
+            assert _plain(kite.complement_right(build(x))) == ref.complement_right(x)
+    for x, y in itertools.product(elems, repeat=2):
+        for _ in range(2):
+            assert _plain(kite.add(build(x), build(y))) == ref.add(x, y)
+            if base.is_lattice:
+                assert _plain(kite.mv_oplus(build(x), build(y))) == ref.oplus(x, y)
+            else:
+                with pytest.raises(CapabilityError):
+                    kite.mv_oplus(build(x), build(y))
+
+
+def test_memo_checks_ownership_before_lookup():
+    k = mk(2, (0, 1), (1, 0))
+    x, y = k.lower(1, 0), k.upper(-1, -2)
+    calls = [(k.add, (x, y)), (k.add, (y, x)), (k.add, (y, y)),
+             (k.mv_oplus, (x, y)), (k.mv_oplus, (y, x)),
+             (k.complement_left, (x,)), (k.complement_right, (y,))]
+    warm = [op(*args) for op, args in calls]
+    assert warm[2] is None and None not in warm[:2]
+    other = mk(2, (0, 1), (0, 1))
+    twin = mk(2, (0, 1), (1, 0), Integers())
+    assert other.shape != k.shape
+    assert twin.shape == k.shape and twin.shape is not k.shape
+    for (op, args), want in zip(calls, warm):
+        for i, a in enumerate(args):
+            # same tag and coords as a warmed operand, different shape
+            foreign = list(args)
+            foreign[i] = KiteElement(other.shape, a.tag, a.coords)
+            with pytest.raises(UsageError):
+                op(*foreign)
+        assert op(*(KiteElement(twin.shape, a.tag, a.coords) for a in args)) == want

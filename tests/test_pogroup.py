@@ -208,7 +208,14 @@ def test_twisted_lex_interval_across_levels_not_exhaustive():
     assert not exhaustive
 
 
-@pytest.mark.parametrize("name", ["z", "strictcone2", "z2", "z3", "trivial"])
+TWISTED_LEX_SC2 = {"kind": "TwistedLex", "params": {
+    "n": 2, "lam": [0, 1], "rho": [1, 0], "base": {"kind": "StrictCone2"}}}
+
+
+@pytest.mark.parametrize("name", [
+    "z", "strictcone2", "z2", "z3", "trivial",
+    pytest.param(TWISTED_LEX_SC2, id="twistedlex"),
+])
 def test_direct_sort_keys_and_norms_match_the_flattened_form(name):
     g = parse_group(name)
     for v in g.ball_values(3):
