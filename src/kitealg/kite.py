@@ -64,7 +64,8 @@ class KiteShape:
 LOWER = "L"
 UPPER = "U"
 
-# marks a miss in Kite's add memo, which stores None for an undefined sum
+# marks a miss in Kite's add and difference memos, which store None for an
+# undefined result
 _MISSING = object()
 
 
@@ -102,13 +103,14 @@ class Kite:
     builds and sorts the carrier sample once and hands out a fresh list
     copy on every call, so interval queries never rebuild it.
 
-    add, mv_oplus, complement_left and complement_right are memoised per
-    instance too, each in its own dict that lives as long as the Kite. Every
-    call first checks ownership of each operand, so a foreign element raises
-    even when an equal key is stored; only then is the key built from the
-    raw operands, (x.tag, x.coords) or (x.tag, x.coords, y.tag, y.coords),
-    so no KiteElement or KiteShape is hashed on the way. The add memo stores
-    None for an undefined sum.
+    add, mv_oplus, complement_left, complement_right, ldiff and rdiff are
+    memoised per instance too, each in its own dict that lives as long as the
+    Kite. Every call first checks ownership of each operand, so a foreign
+    element raises even when an equal key is stored; only then is the key
+    built from the raw operands in argument order, (x.tag, x.coords) or
+    (x.tag, x.coords, y.tag, y.coords), so no KiteElement or KiteShape is
+    hashed on the way. The add, ldiff and rdiff memos store None for an
+    undefined result.
 
     A Kite is what the checkers in axioms, riesz, ideals and
     representations take: it has every member of axioms.Algebra.
@@ -131,6 +133,8 @@ class Kite:
         self._oplus_memo: dict[tuple, KiteElement] = {}
         self._left_memo: dict[tuple, KiteElement] = {}
         self._right_memo: dict[tuple, KiteElement] = {}
+        self._ldiff_memo: dict[tuple, Optional[KiteElement]] = {}
+        self._rdiff_memo: dict[tuple, Optional[KiteElement]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -243,8 +247,24 @@ class Kite:
 
     def ldiff(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
         """The c with c + a = b, when a <= b; None otherwise."""
-        self.own(a)
-        self.own(b)
+        return self._diff(self._ldiff_memo, self._ldiff, b, a)
+
+    def rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
+        """The c with a + c = b, when a <= b; None otherwise."""
+        return self._diff(self._rdiff_memo, self._rdiff, a, b)
+
+    def _diff(self, memo: dict, solve, x: KiteElement,
+              y: KiteElement) -> Optional[KiteElement]:
+        """Memo lookup for ldiff and rdiff; solve(x, y) runs on a miss."""
+        self.own(x)
+        self.own(y)
+        key = (x.tag, x.coords, y.tag, y.coords)
+        c = memo.get(key, _MISSING)
+        if c is _MISSING:
+            c = memo[key] = solve(x, y)
+        return c
+
+    def _ldiff(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
         if not self._leq(a, b):
             return None
         mul, inv = self.base.mul_values, self.base.inv_value
@@ -259,10 +279,7 @@ class Kite:
             return self._wrap(tag, vals)
         return None
 
-    def rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
-        """The c with a + c = b, when a <= b; None otherwise."""
-        self.own(a)
-        self.own(b)
+    def _rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
         if not self._leq(a, b):
             return None
         mul, inv = self.base.mul_values, self.base.inv_value

@@ -2,8 +2,9 @@
 
 Groups are written multiplicatively in the API. Each backend stores whatever
 value representation is convenient (plain ints for the integers backend) and
-exposes the same operations: mul, inv, leq, norm, serialization, and finite
-"window" enumeration bounded by a coordinate norm.
+exposes the same value-level operations: mul_values, inv_value, leq_values,
+norm_value, serialization, and finite "window" enumeration bounded by a
+coordinate norm.
 
 The window norm is the maximum absolute value of the integers appearing in the
 element's canonical serialization. Window enumeration is deterministic, sorted
@@ -448,7 +449,8 @@ class TwistedLexGroup(PoGroup):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.rho_lam = tuple(perms.compose(self.rho, self.lam))
         self.base = base
-        self._pow_cache: dict[tuple[str, int], list[int]] = {}
+        self._pow_cache: dict[str, dict[int, list[int]]] = {
+            "lam": {}, "rho": {}, "rho_lam": {}}
         self.is_lattice = base.is_lattice
         self.is_abelian = base.is_abelian and self.lam == self.rho
         self.is_totally_ordered = n == 0 or (n == 1 and base.is_totally_ordered)
@@ -463,10 +465,11 @@ class TwistedLexGroup(PoGroup):
 
     def _power(self, which: str, k: int) -> list[int]:
         """k-th power of the permutation named which: lam, rho or rho_lam."""
-        key = (which, k)
-        cached = self._pow_cache.get(key)
+        powers = self._pow_cache[which]
+        # the n = 0 power is [], so a miss is told by None, not by falsiness
+        cached = powers.get(k)
         if cached is None:
-            cached = self._pow_cache[key] = perms.power(getattr(self, which), k)
+            cached = powers[k] = perms.power(getattr(self, which), k)
         return cached
 
     def identity_value(self):
@@ -485,17 +488,15 @@ class TwistedLexGroup(PoGroup):
     def mul_values(self, x, y):
         m1, xs = x
         m2, ys = y
-        lam_p = self._power("lam", -m2)
-        rho_p = self._power("rho", -m1)
-        coords = tuple(
-            self.base.mul_values(xs[lam_p[i]], ys[rho_p[i]]) for i in range(self.n))
-        return (m1 + m2, coords)
+        mul = self.base.mul_values
+        return (m1 + m2, tuple([
+            mul(xs[i], ys[j])
+            for i, j in zip(self._power("lam", -m2), self._power("rho", -m1))]))
 
     def inv_value(self, x):
         m, xs = x
-        p = self._power("rho_lam", m)
-        coords = tuple(self.base.inv_value(xs[p[i]]) for i in range(self.n))
-        return (-m, coords)
+        inv = self.base.inv_value
+        return (-m, tuple([inv(xs[i]) for i in self._power("rho_lam", m)]))
 
     def leq_values(self, x, y):
         m1, xs = x
@@ -690,63 +691,72 @@ def check_group_laws(group: PoGroup, w: Window, cap: int = 12) -> Verdict:
 
     Quantifies over the lowest-norm `cap` window elements for the triple and
     quadruple laws and the whole window for the unary ones.
+
+    Works on raw values with the backend's value operations; witnesses are
+    serialised with serialize_value, as Elem.serialized() would. One table
+    left[i][j][k] = (s_i s_j) s_k of the capped sample s serves both the
+    associativity left side and translation invariance, where (x a) y is
+    left[x][a][y].
     """
-    full = enumerate_window(group, w)
+    full = [a.value for a in enumerate_window(group, w)]
     sample = full[:cap]
-    e = group.e
+    mul, inv, leq = group.mul_values, group.inv_value, group.leq_values
+    ser = group.serialize_value
+    e = group.e.value
     t = Tally()
     for a in full:
         t.hit()
-        if group.mul(a, e) != a or group.mul(e, a) != a:
-            return t.fail({"a": a.serialized()}, reason="identity law broken")
-        if group.mul(a, group.inv(a)) != e or group.mul(group.inv(a), a) != e:
-            return t.fail({"a": a.serialized()}, reason="inverse law broken")
-        if group.leq(e, a) and group.leq(a, e) and a != e:
-            return t.fail({"a": a.serialized()},
+        if mul(a, e) != a or mul(e, a) != a:
+            return t.fail({"a": ser(a)}, reason="identity law broken")
+        a_inv = inv(a)
+        if mul(a, a_inv) != e or mul(a_inv, a) != e:
+            return t.fail({"a": ser(a)}, reason="inverse law broken")
+        if leq(e, a) and leq(a, e) and a != e:
+            return t.fail({"a": ser(a)},
                           reason="positive and negative cone share a non-identity element")
-    for a in sample:
-        for b in sample:
-            for c in sample:
+    idx = range(len(sample))
+    prod = [[mul(a, b) for b in sample] for a in sample]
+    left = [[[mul(ab, c) for c in sample] for ab in row] for row in prod]
+    for i in idx:
+        a = sample[i]
+        for j in idx:
+            for k in idx:
                 t.hit()
-                if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
-                    return t.fail(
-                        {"a": a.serialized(), "b": b.serialized(), "c": c.serialized()},
-                        reason="associativity broken")
-    pairs = [(a, b) for a in sample for b in sample if group.leq(a, b)]
-    for a, b in pairs:
-        for x in sample:
-            for y in sample:
+                if left[i][j][k] != mul(a, prod[j][k]):
+                    return t.fail({"a": ser(a), "b": ser(sample[j]),
+                                   "c": ser(sample[k])},
+                                  reason="associativity broken")
+    ordered = [(i, j) for i in idx for j in idx if leq(sample[i], sample[j])]
+    for i, j in ordered:
+        for x in idx:
+            lhs, rhs = left[x][i], left[x][j]
+            for y in idx:
                 t.hit()
-                lhs = group.mul(group.mul(x, a), y)
-                rhs = group.mul(group.mul(x, b), y)
-                if not group.leq(lhs, rhs):
+                if not leq(lhs[y], rhs[y]):
                     return t.fail(
-                        {"a": a.serialized(), "b": b.serialized(),
-                         "x": x.serialized(), "y": y.serialized()},
+                        {"a": ser(sample[i]), "b": ser(sample[j]),
+                         "x": ser(sample[x]), "y": ser(sample[y])},
                         reason="order not translation invariant")
     if group.is_lattice:
+        join, meet = group.join_values, group.meet_values
         for a in sample:
             for b in sample:
                 t.hit()
-                j = group.join(a, b)
-                m = group.meet(a, b)
-                if not (group.leq(a, j) and group.leq(b, j)):
-                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                j = join(a, b)
+                m = meet(a, b)
+                if not (leq(a, j) and leq(b, j)):
+                    return t.fail({"a": ser(a), "b": ser(b)},
                                   reason="join is not an upper bound")
-                if not (group.leq(m, a) and group.leq(m, b)):
-                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                if not (leq(m, a) and leq(m, b)):
+                    return t.fail({"a": ser(a), "b": ser(b)},
                                   reason="meet is not a lower bound")
                 for c in sample:
-                    if group.leq(a, c) and group.leq(b, c) and not group.leq(j, c):
-                        return t.fail(
-                            {"a": a.serialized(), "b": b.serialized(),
-                             "c": c.serialized()},
-                            reason="join is not least among window bounds")
-                    if group.leq(c, a) and group.leq(c, b) and not group.leq(c, m):
-                        return t.fail(
-                            {"a": a.serialized(), "b": b.serialized(),
-                             "c": c.serialized()},
-                            reason="meet is not greatest among window bounds")
+                    if leq(a, c) and leq(b, c) and not leq(j, c):
+                        return t.fail({"a": ser(a), "b": ser(b), "c": ser(c)},
+                                      reason="join is not least among window bounds")
+                    if leq(c, a) and leq(c, b) and not leq(c, m):
+                        return t.fail({"a": ser(a), "b": ser(b), "c": ser(c)},
+                                      reason="meet is not greatest among window bounds")
     return t.done()
 
 

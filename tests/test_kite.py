@@ -350,8 +350,9 @@ def test_coordinates_are_raw_base_values(name):
 class RefKite:
     """Kite operations on plain (tag, coords) tuples, written from the
     addition rules in the kite module docstring. The complements solve
-    d + x = 1 and x + d = 1 for d, and oplus is x + (x~ and y) with x~ the
-    right complement."""
+    d + x = 1 and x + d = 1 for d, the differences solve c + a = b and
+    a + c = b for c, and oplus is x + (x~ and y) with x~ the right
+    complement."""
 
     def __init__(self, n, lam, rho, base):
         self.n, self.base = n, base
@@ -397,6 +398,45 @@ class RefKite:
             else:               # u_i * f[rho^-1(i)] = e
                 d[self.rho_inv[i]] = inv(xs[i])
         return (UPPER if tag == LOWER else LOWER), tuple(d)
+
+    def ldiff(self, b, a):
+        """The c with c + a = b, or None."""
+        (bt, bs), (at, as_) = b, a
+        mul, inv, d = self.base.mul_values, self.base.inv_value, [None] * self.n
+        if bt == LOWER and at == UPPER:
+            return None
+        for i in range(self.n):
+            if bt == LOWER:       # c_j * a_j = b_j
+                d[i] = mul(bs[i], inv(as_[i]))
+            elif at == LOWER:     # c_i * a[rho^-1(i)] = b_i
+                d[i] = mul(bs[i], inv(as_[self.rho_inv[i]]))
+            else:                 # c[lam^-1(i)] * a_i = b_i
+                d[self.lam_inv[i]] = mul(bs[i], inv(as_[i]))
+        c = (UPPER if bt == UPPER and at == LOWER else LOWER), tuple(d)
+        return c if self._is_element(c) and self.add(c, a) == b else None
+
+    def rdiff(self, a, b):
+        """The c with a + c = b, or None."""
+        (at, as_), (bt, bs) = a, b
+        mul, inv, d = self.base.mul_values, self.base.inv_value, [None] * self.n
+        if bt == LOWER and at == UPPER:
+            return None
+        for i in range(self.n):
+            if bt == LOWER:       # a_j * c_j = b_j
+                d[i] = mul(inv(as_[i]), bs[i])
+            elif at == LOWER:     # a[lam^-1(i)] * c_i = b_i
+                d[i] = mul(inv(as_[self.lam_inv[i]]), bs[i])
+            else:                 # a_i * c[rho^-1(i)] = b_i
+                d[self.rho_inv[i]] = mul(inv(as_[i]), bs[i])
+        c = (UPPER if bt == UPPER and at == LOWER else LOWER), tuple(d)
+        return c if self._is_element(c) and self.add(a, c) == b else None
+
+    def _is_element(self, x):
+        """Lower coordinates positive, upper coordinates negative."""
+        leq = self.base.leq_values
+        if x[0] == LOWER:
+            return all(leq(self.e, c) for c in x[1])
+        return all(leq(c, self.e) for c in x[1])
 
     def meet(self, x, y):
         if x[0] != y[0]:
@@ -456,6 +496,8 @@ def test_memoised_operations_match_plain_tuple_reference(case):
     for x, y in itertools.product(elems, repeat=2):
         for _ in range(2):
             assert _plain(kite.add(build(x), build(y))) == ref.add(x, y)
+            assert _plain(kite.ldiff(build(x), build(y))) == ref.ldiff(x, y)
+            assert _plain(kite.rdiff(build(x), build(y))) == ref.rdiff(x, y)
             if base.is_lattice:
                 assert _plain(kite.mv_oplus(build(x), build(y))) == ref.oplus(x, y)
             else:
@@ -468,9 +510,15 @@ def test_memo_checks_ownership_before_lookup():
     x, y = k.lower(1, 0), k.upper(-1, -2)
     calls = [(k.add, (x, y)), (k.add, (y, x)), (k.add, (y, y)),
              (k.mv_oplus, (x, y)), (k.mv_oplus, (y, x)),
-             (k.complement_left, (x,)), (k.complement_right, (y,))]
+             (k.complement_left, (x,)), (k.complement_right, (y,)),
+             (k.ldiff, (y, x)), (k.ldiff, (x, y)),
+             (k.rdiff, (x, y)), (k.rdiff, (y, x))]
     warm = [op(*args) for op, args in calls]
     assert warm[2] is None and None not in warm[:2]
+    # each difference is defined in one argument order and stored as None
+    # in the other
+    assert warm[7] is not None and warm[8] is None
+    assert warm[9] is not None and warm[10] is None
     other = mk(2, (0, 1), (0, 1))
     twin = mk(2, (0, 1), (1, 0), Integers())
     assert other.shape != k.shape

@@ -22,7 +22,7 @@ from kitealg.pogroup import (
     parse_group,
     window_sample,
 )
-from kitealg.verdict import Status
+from kitealg.verdict import Status, Tally
 
 Z = Integers()
 SC = StrictCone2()
@@ -173,17 +173,149 @@ def test_twisted_lex_same_direction_is_abelian():
 # -- bounded checks -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("group", [
+LAW_GROUPS = [
     Z,
     integer_product(2),
     SC,
     tl(2, (0, 1), (1, 0)),
     tl(2, (1, 0), (1, 0)),
     Product(()),
-])
+]
+
+
+@pytest.mark.parametrize("group", LAW_GROUPS)
 def test_group_laws_hold(group):
     v = check_group_laws(group, Window(2), cap=10)
     assert v.ok, v.describe()
+
+
+def _reference_group_laws(group, w, cap=12):
+    """check_group_laws as it was written on Elem objects, kept verbatim as
+    the reference for the value-level version."""
+    full = enumerate_window(group, w)
+    sample = full[:cap]
+    e = group.e
+    t = Tally()
+    for a in full:
+        t.hit()
+        if group.mul(a, e) != a or group.mul(e, a) != a:
+            return t.fail({"a": a.serialized()}, reason="identity law broken")
+        if group.mul(a, group.inv(a)) != e or group.mul(group.inv(a), a) != e:
+            return t.fail({"a": a.serialized()}, reason="inverse law broken")
+        if group.leq(e, a) and group.leq(a, e) and a != e:
+            return t.fail({"a": a.serialized()},
+                          reason="positive and negative cone share a non-identity element")
+    for a in sample:
+        for b in sample:
+            for c in sample:
+                t.hit()
+                if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+                    return t.fail(
+                        {"a": a.serialized(), "b": b.serialized(), "c": c.serialized()},
+                        reason="associativity broken")
+    pairs = [(a, b) for a in sample for b in sample if group.leq(a, b)]
+    for a, b in pairs:
+        for x in sample:
+            for y in sample:
+                t.hit()
+                lhs = group.mul(group.mul(x, a), y)
+                rhs = group.mul(group.mul(x, b), y)
+                if not group.leq(lhs, rhs):
+                    return t.fail(
+                        {"a": a.serialized(), "b": b.serialized(),
+                         "x": x.serialized(), "y": y.serialized()},
+                        reason="order not translation invariant")
+    if group.is_lattice:
+        for a in sample:
+            for b in sample:
+                t.hit()
+                j = group.join(a, b)
+                m = group.meet(a, b)
+                if not (group.leq(a, j) and group.leq(b, j)):
+                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                                  reason="join is not an upper bound")
+                if not (group.leq(m, a) and group.leq(m, b)):
+                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                                  reason="meet is not a lower bound")
+                for c in sample:
+                    if group.leq(a, c) and group.leq(b, c) and not group.leq(j, c):
+                        return t.fail(
+                            {"a": a.serialized(), "b": b.serialized(),
+                             "c": c.serialized()},
+                            reason="join is not least among window bounds")
+                    if group.leq(c, a) and group.leq(c, b) and not group.leq(c, m):
+                        return t.fail(
+                            {"a": a.serialized(), "b": b.serialized(),
+                             "c": c.serialized()},
+                            reason="meet is not greatest among window bounds")
+    return t.done()
+
+
+class NonAssociative(Integers):
+    """2 * 1 = 4; identity and inverses still hold."""
+
+    kind = "NonAssociative"
+
+    def mul_values(self, x, y):
+        return x + y + (x == 2 and y == 1)
+
+
+class NotTranslationInvariant(TwistedLexGroup):
+    """A twisted lex group whose cone also holds p = (0, (1, -1)), ordered
+    by x <= y iff y x^-1 is in the cone. That order is right invariant, but
+    p's conjugate (0, (-1, 1)) is not in the cone, so left translation breaks
+    it; p^-1 is not in the cone either, so the cones stay apart."""
+
+    kind = "NotTranslationInvariant"
+
+    def __init__(self):
+        super().__init__(2, (0, 1), (1, 0), Integers())
+
+    def leq_values(self, x, y):
+        return (super().leq_values(x, y)
+                or self.mul_values(y, self.inv_value(x)) == (0, (1, -1)))
+
+
+class WrongJoin(Integers):
+    """The join of two distinct elements overshoots by one."""
+
+    kind = "WrongJoin"
+
+    def join_values(self, x, y):
+        return max(x, y) + (x != y)
+
+
+@pytest.mark.parametrize("group", LAW_GROUPS)
+def test_value_level_law_check_matches_elem_reference(group):
+    # Verdict equality compares status, checked, skipped, witness and reason
+    assert (check_group_laws(group, Window(2), cap=10)
+            == _reference_group_laws(group, Window(2), cap=10))
+
+
+@pytest.mark.parametrize("n, lam, rho", [
+    (0, (), ()),
+    (1, (0,), (0,)),
+    (2, (0, 1), (1, 0)),
+    (3, (1, 2, 0), (0, 1, 2)),
+])
+def test_value_level_law_check_matches_reference_on_twisted_lex(n, lam, rho):
+    for base in (Z, SC):
+        g = tl(n, lam, rho, base)
+        # the construction self-check's window and cap
+        want = _reference_group_laws(g, Window(1), cap=8)
+        assert want.ok
+        assert check_group_laws(g, Window(1), cap=8) == want
+
+
+@pytest.mark.parametrize("broken, reason", [
+    (NonAssociative(), "associativity broken"),
+    (NotTranslationInvariant(), "order not translation invariant"),
+    (WrongJoin(), "join is not least among window bounds"),
+])
+def test_value_level_law_check_fails_like_reference(broken, reason):
+    want = _reference_group_laws(broken, Window(2), cap=10)
+    assert want.failed and want.reason == reason and want.witness
+    assert check_group_laws(broken, Window(2), cap=10) == want
 
 
 def test_directedness_search():
