@@ -23,6 +23,19 @@ builders compute with the base's value operations; only a base table or
 split search wraps its arguments as Elems of the base, in _base_table and
 _base_split, and unwraps what it finds.
 
+The base searches are memoised with functools.cache, because a quantified
+check asks the same few again and again: the cap-14 RDP battery over a Z
+kite asks for 2,790 base tables and 1,266 base splits, on 57 and 23 keys.
+The key is raw values: the base, the arguments (for a table, in the order
+the search runs them, so after the opposite-group swap), the effective level
+(RDP1 and RDP2 keep theirs, every other level searches as RDP) and the
+window. What is stored is immutable, a (cells, side, note) tuple or a split
+pair, and each call builds a fresh RefinementTable from it, so a caller may
+set side on the table it gets. The common upper bounds (_upper_bound, a
+window scan on a non-lattice base) are memoised the same way. The memos live
+for the process; groups hash and compare by their structural key, so equal
+groups built apart share them.
+
 Each mirror-image case is written once. The opposite algebra of a kite
 (x + y read as y + x) is again a kite: lam and rho trade places and the base
 product is reversed. L-U-L-U tables and U-L-U splits are the U-L-U-L and
@@ -34,6 +47,7 @@ non-abelian base. The crossed L-U-U-L table is the transpose of U-L-L-U's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -43,7 +57,7 @@ from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, KiteElement, LOWER, UPPER
 from .pogroup import Elem, PoGroup, PositiveCone, UsageError, Window
-from .verdict import Status, Tally, Verdict, fails, holds, unknown
+from .verdict import Status, Tally, Verdict, fails, holds, merge, unknown
 
 
 class RdpLevel(Enum):
@@ -257,9 +271,10 @@ def _wide(kite: Kite, parts) -> Window:
     return Window(h)
 
 
+@functools.cache
 def _upper_bound(base: PoGroup, a, b):
     """Smallest-norm common upper bound of two raw values, or None; exact
-    via join on lattices."""
+    via join on lattices, a window scan otherwise (memoised)."""
     if base.is_lattice:
         return base.join_values(a, b)
     leq = base.leq_values
@@ -293,25 +308,35 @@ def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, level: RdpLevel,
     when flip; the search runs on the base's positive cone."""
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
     args = (r2, r1, s2, s1) if flip else (r1, r2, s1, s2)
-    t = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
-    if t is None:
+    found = _base_refinement(base, args, lv, w)
+    if found is None:
         return None
-    t = RefinementTable(*[c.value for c in t.cells()], side=t.side, note=t.note)
+    cells, side, note = found
+    t = RefinementTable(*cells, side=side, note=note)
     return _anti(t) if flip else t
 
 
+@functools.cache
+def _base_refinement(base: PoGroup, args: tuple, lv: RdpLevel, w: Window):
+    """find_refinement on the base cone for raw args, as an immutable
+    (cells, side, note) tuple of raw values, or None (memoised)."""
+    t = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
+    if t is None:
+        return None
+    return tuple(c.value for c in t.cells()), t.side, t.note
+
+
+@functools.cache
 def _base_split(base: PoGroup, a, b, c, w: Window):
-    """rdp0_split of a below b + c in the base, in raw values, or None."""
+    """rdp0_split of a below b + c in the base, in raw values, or None
+    (memoised)."""
     pair = rdp0_split(base, Elem(base, a), Elem(base, b), Elem(base, c), w)
     return None if pair is None else (pair[0].value, pair[1].value)
 
 
 def _merge_sides(tables) -> Optional[Verdict]:
     sides = [t.side for t in tables if t.side is not None]
-    if not sides:
-        return None
-    from .verdict import merge
-    return merge(*sides)
+    return merge(*sides) if sides else None
 
 
 def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
@@ -488,23 +513,29 @@ def check_rdp_level(ctx: Algebra | PoGroup, level: RdpLevel,
 
 
 def _check_rip(ctx: Algebra, w: Window) -> Verdict:
-    """find_interpolant over every instance, with each [a1, b1] interval
-    computed once per (a1, b1) instead of once per (a1, a2, b1, b2)."""
+    """find_interpolant over every instance, in the order of the sample.
+
+    The order tests come from one matrix up[i][j] = leq(pos[i], pos[j]),
+    computed once per call (n^2 tests for a sample of n): for each (a1, a2)
+    the instances are the b1, b2 among the indices above both. Each [a1, b1]
+    interval is computed once per (a1, b1) instead of once per
+    (a1, a2, b1, b2).
+    """
     pos = ctx.elements(w)
-    leq = ctx.leq
+    up = [[ctx.leq(a, b) for b in pos] for a in pos]
     t = Tally()
-    for a1 in pos:
+    for i, a1 in enumerate(pos):
         intervals: list = [None] * len(pos)  # [a1, b1] by b1's index in pos
-        for a2 in pos:
-            for j, b1 in enumerate(pos):
-                if not (leq(a1, b1) and leq(a2, b1)):
-                    continue
+        for k, a2 in enumerate(pos):
+            above = [j for j, (u1, u2) in enumerate(zip(up[i], up[k]))
+                     if u1 and u2]
+            for j in above:
+                b1 = pos[j]
                 if intervals[j] is None:
                     intervals[j] = ctx.interval(a1, b1, w)
                 cands, exhaustive = intervals[j]
-                for b2 in pos:
-                    if not (leq(a1, b2) and leq(a2, b2)):
-                        continue
+                for m in above:
+                    b2 = pos[m]
                     if _first_between(ctx, cands, a2, b2) is not None:
                         t.hit()
                     elif exhaustive:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kitealg import riesz
 from kitealg.cli import main
 
 SWAP_SHAPE = '{"n": 2, "lambda": "id", "rho": "swap"}'
@@ -124,6 +125,23 @@ def test_report_is_deterministic(capsys):
     _, first, _ = run_json(capsys, argv)
     _, second, _ = run_json(capsys, argv)
     assert strip_clock(first) == strip_clock(second)
+
+
+def test_warm_base_memos_leave_the_report_unchanged(capsys):
+    """The riesz benchmark command twice in one process: the first run fills
+    the module-level base-search memos from cold, the second reads them."""
+    for memo in (riesz._base_refinement, riesz._base_split,
+                 riesz._upper_bound):
+        memo.cache_clear()
+    argv = ["check", "--group", "z", "--shape", SWAP_SHAPE, "--height", "2",
+            "--cap", "14", "--checks", "rdp"]
+    cold_code, cold, _ = run_json(capsys, argv)
+    filled = riesz._base_refinement.cache_info().misses
+    warm_code, warm, _ = run_json(capsys, argv)
+    assert cold_code == warm_code == 0
+    assert strip_clock(cold) == strip_clock(warm)
+    # the warm run searched nothing anew
+    assert riesz._base_refinement.cache_info().misses == filled > 0
 
 
 def test_report_is_identical_across_hash_seeds():

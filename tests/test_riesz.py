@@ -1,17 +1,26 @@
 """Splits, interpolants, refinement tables, and the level checkers."""
 
+import contextlib
+import io
 import itertools
 
 import pytest
 
+from kitealg import riesz
+from kitealg.cli import main as cli_main
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
-from kitealg.pogroup import (Elem, Integers, StrictCone2, TwistedLexGroup,
-                             UsageError, Window, integer_product)
+from kitealg.pogroup import (Elem, Integers, PoGroup, StrictCone2,
+                             TwistedLexGroup, UsageError, Window, cone_window,
+                             integer_product)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
     RdpLevel,
     RefinementTable,
+    _anti,
+    _base_refinement,
+    _base_split,
+    _base_table,
     _check_rip,
     _meet_zero,
     _merge_sides,
@@ -480,7 +489,13 @@ def _table_view(kite, tab):
     (mk(2, (0, 1), (1, 0), integer_product(2)), 1, (RdpLevel.RDP,)),
 ], ids=["twistedlex-n1", "strictcone2-n1", "z2-n2"])
 def test_constructive_witnesses_match_mirror_reference(kite, h, levels):
-    pos = kite.elements(Window(h))
+    tables, splits = _match_reference(kite, kite.elements(Window(h)), levels)
+    assert tables > 0 and splits > 0
+
+
+def _match_reference(kite, pos, levels):
+    """Compare both constructive builders with the written-out references on
+    every instance over pos; return how many tables and splits were found."""
     sums = {}
     for p1, p2 in itertools.product(pos, repeat=2):
         s = kite.add(p1, p2)
@@ -505,7 +520,134 @@ def test_constructive_witnesses_match_mirror_reference(kite, h, levels):
                 got = kite_rdp0_split_constructive(kite, x, y, z)
                 assert got == _split_reference(kite, x, y, z), (x, y, z)
                 splits += got is not None
-    assert tables > 0 and splits > 0
+    return tables, splits
+
+
+# -- base-search memos -------------------------------------------------------------
+
+TLEX = TwistedLexGroup(2, (0, 1), (1, 0), Z)
+TABLE_LEVELS = (RdpLevel.RDP, RdpLevel.RDP1, RdpLevel.RDP2)
+
+
+def _clear_base_memos():
+    for memo in (_base_refinement, _base_split, _upper_bound):
+        memo.cache_clear()
+
+
+@pytest.mark.parametrize("base, cap", [
+    (Z, 14), (integer_product(2), 10), (SC, 14), (TLEX, 10),
+], ids=["z", "z2", "strictcone2", "twistedlex"])
+def test_base_memos_match_uncached_search(base, cap):
+    """Two kites with different (lam, rho) share one base and so one set of
+    memo entries; every instance must agree with the uncached
+    _ref_base_table/_ref_base_split path, from a cold and from a warm memo."""
+    kites = [mk(2, (0, 1), (1, 0), base), mk(2, (1, 0), (0, 1), base)]
+    _clear_base_memos()
+    for _ in ("cold", "warm"):
+        for kite in kites:
+            tables, splits = _match_reference(
+                kite, kite.elements(Window(1, cap=cap)), TABLE_LEVELS)
+            assert tables > 0 and splits > 0
+    assert _base_refinement.cache_info().hits > 0
+    assert _base_split.cache_info().hits > 0
+
+
+def _tlex_instances():
+    """Table instances r1 + r2 = s1 + s2 over a few positive TwistedLex
+    values; (1, (-1, -1)) has a wider table in a wider window."""
+    pos = [x.value for x in cone_window(TLEX, Window(1))][:6]
+    mul, inv, e = TLEX.mul_values, TLEX.inv_value, TLEX.e.value
+    out = []
+    for r1, r2, s1 in itertools.product(pos, repeat=3):
+        s2 = mul(inv(s1), mul(r1, r2))
+        if TLEX.leq_values(e, s2):
+            out.append((r1, r2, s1, s2))
+    return out
+
+
+def _base_view(tab):
+    if tab is None:
+        return None
+    return (tab.cells(), tab.note,
+            None if tab.side is None else tab.side.describe())
+
+
+def test_base_table_memo_keys_on_flip_level_and_window():
+    instances = _tlex_instances()
+    _clear_base_memos()
+    for _ in ("cold", "warm"):
+        for args, flip, lv, h in itertools.product(
+                instances, (False, True), TABLE_LEVELS, (2, 3)):
+            r1, r2, s1, s2 = args
+            want = _ref_base_table(TLEX, *args, lv, Window(h))
+            if flip:
+                # r2 + r1 = s2 + s1 in the opposite group is this instance
+                got = _base_table(TLEX, True, r2, r1, s2, s1, lv, Window(h))
+                want = _anti(want)
+            else:
+                got = _base_table(TLEX, False, *args, lv, Window(h))
+            assert _base_view(got) == _base_view(want), (args, flip, lv, h)
+    u = (1, (-1, -1))
+    narrow = _base_table(TLEX, False, u, u, u, u, RdpLevel.RDP, Window(2))
+    wide = _base_table(TLEX, False, u, u, u, u, RdpLevel.RDP, Window(3))
+    assert narrow.cells() != wide.cells()
+    split2 = _base_split(TLEX, u, u, u, Window(2))
+    assert split2 == _ref_base_split(TLEX, u, u, u, Window(2))
+    assert split2 != _base_split(TLEX, u, u, u, Window(3))
+
+
+def test_base_table_memo_hands_out_fresh_tables():
+    _clear_base_memos()
+    args = (Z.make(2).value, Z.make(1).value, Z.make(1).value, Z.make(2).value)
+    first = _base_table(Z, False, *args, RdpLevel.RDP1, Window(2))
+    want = _base_view(first)
+    first.side = holds(99, reason="changed by the caller")
+    first.c11 = Z.make(7).value
+    again = _base_table(Z, False, *args, RdpLevel.RDP1, Window(2))
+    assert again is not first
+    assert _base_view(again) == want
+    assert _base_refinement.cache_info().hits == 1
+
+
+def test_base_searches_run_once_per_key(monkeypatch):
+    """The riesz benchmark command (z, n = 2, h = 2, cap 14, --checks rdp)
+    asks for 2,790 base tables on 84 distinct argument tuples, which fold to
+    57 keys once the flip and the level are normalised, and for 1,266 base
+    splits on 23 tuples. Each key is searched once, and a second run in the
+    same process searches nothing."""
+    runs = []
+    base_table, base_split = riesz._base_table, riesz._base_split
+    search, split = riesz.find_refinement, riesz.rdp0_split
+
+    def count(name, fn, only=lambda *args: True):
+        def wrapper(*args):
+            if only(*args):
+                runs[-1][name].append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(riesz, "_base_table", count("tables", base_table))
+    monkeypatch.setattr(riesz, "_base_split", count("splits", base_split))
+    monkeypatch.setattr(riesz, "find_refinement", count(
+        "searches", search, lambda ctx, *args: isinstance(ctx, PoGroup)))
+    monkeypatch.setattr(riesz, "rdp0_split", count("base_splits", split))
+    _clear_base_memos()
+    for _ in ("cold", "warm"):
+        runs.append({"tables": [], "splits": [], "searches": [],
+                     "base_splits": []})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["check", "--group", "z", "--shape",
+                             '{"n": 2, "lambda": "id", "rho": "swap"}',
+                             "--height", "2", "--cap", "14",
+                             "--checks", "rdp", "--format", "json"]) == 0
+    cold, warm = runs
+    assert len(cold["tables"]) == len(warm["tables"]) == 2790
+    assert len(set(cold["tables"])) == 84
+    assert len(cold["splits"]) == len(warm["splits"]) == 1266
+    assert len(set(cold["splits"])) == 23
+    assert len(cold["searches"]) == len(set(cold["searches"])) == 57
+    assert len(cold["base_splits"]) == 23
+    assert warm["searches"] == [] and warm["base_splits"] == []
 
 
 def test_tally_unknown_reason_counts_each_skip_note():
