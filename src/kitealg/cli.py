@@ -133,13 +133,24 @@ def _parse_perm(spec, n: int, fieldname: str) -> tuple:
             _expect(n == 2, f"field '{fieldname}': 'swap' needs n=2")
             return (1, 0)
         if name.startswith("shift"):
-            k = int(name.split(":", 1)[1]) if ":" in name else 1
+            k = _perm_offset(name, 1, fieldname)
             return tuple(perms.cyclic_shift(n, k))
         if name.startswith("reflect"):
-            k = int(name.split(":", 1)[1]) if ":" in name else 0
+            k = _perm_offset(name, 0, fieldname)
             return tuple((k - i) % n for i in range(n)) if n else ()
     raise UsageError(f"field '{fieldname}': expected a permutation list or a "
                      "name like 'id', 'swap', 'shift:k', 'reflect:k'")
+
+
+def _perm_offset(name: str, default: int, fieldname: str) -> int:
+    """The k of a 'shift:k' or 'reflect:k' name, or default without ':'."""
+    if ":" not in name:
+        return default
+    try:
+        return int(name.split(":", 1)[1])
+    except ValueError:
+        raise UsageError(f"field '{fieldname}': {name!r} needs an integer "
+                         "after ':'")
 
 
 def build_kite(cfg: RunConfig) -> Kite:
@@ -228,8 +239,7 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
             extras["relabel"] = relabel.as_json()
             verdicts["canonical_roundtrip"] = verify_iso(
                 kite, Kite(new_shape), relabel, w)
-        if kite.shape.lam == kite.shape.rho and \
-                kite.base.rdp_hint in ("rdp1", "rdp2"):
+        if kite.shape.lam == kite.shape.rho and kite.base.is_lattice:
             target, spec, v = perfect_representation(kite, w)
             verdicts["perfect_representation"] = v
             if spec is not None:
@@ -278,6 +288,15 @@ def _grid_cells(cfg: RunConfig):
     ns = grid.get("n", [cfg.shape.get("n", 1)])
     heights = grid.get("heights", [cfg.height])
     pair_spec = grid.get("perm_pairs", "all")
+    _expect(isinstance(groups, list), "field 'grid.groups': must be a list")
+    for name, values in (("n", ns), ("heights", heights)):
+        _expect(isinstance(values, list) and all(
+            isinstance(v, int) and v >= 0 for v in values),
+            f"field 'grid.{name}': must be a list of non-negative integers")
+    _expect(pair_spec == "all" or (isinstance(pair_spec, list) and all(
+        isinstance(p, list) and len(p) == 2 for p in pair_spec)),
+        "field 'grid.perm_pairs': must be 'all' or a list of [lambda, rho] "
+        "pairs")
     cells = []
     for gdesc, n, h in itertools.product(groups, ns, heights):
         if pair_spec == "all":

@@ -324,17 +324,16 @@ def least_normal_ideal(kite: Kite, w: Window):
     twisting bijections are connected; the payload is then the window part
     of the lower-element ideal over the base o-ideal's cone. A disconnected
     shape yields Fails with two disjoint witness ideals, one per support
-    component. The equivalence needs the base directed with RDP1; without
-    that established, the verdict stays Unknown.
+    component. The equivalence needs the base to have RDP1 (every base is
+    directed): a lattice-ordered base has it, and any other base must pass
+    the bounded RDP1 check, or the verdict stays Unknown.
     """
     base = kite.base
     if kite.n == 0:
         return (fails(reason="two-element algebra has no non-trivial ideal"),
                 None)
-    if base.rdp_hint not in ("rdp1", "rdp2") and not _base_has_rdp1(base):
+    if not base.is_lattice and not _base_has_rdp1(base):
         return (unknown(skipped=1, reason="base RDP1 not established"), None)
-    if base.is_directed is not True:
-        return (unknown(skipped=1, reason="base directedness unknown"), None)
     report = orbits(kite.shape)
     base_v, base_desc = least_o_ideal(base, w)
     if base_v.ok and report.connected:

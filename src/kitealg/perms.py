@@ -12,8 +12,9 @@ from typing import Iterator, Sequence
 
 def check_perm(p: Sequence[int], n: int) -> list[int]:
     """Validate that p is a permutation of range(n) and return it as a list."""
-    q = list(p)
-    if len(q) != n or sorted(q) != list(range(n)):
+    q = list(p) if isinstance(p, (list, tuple)) else None
+    if q is None or not all(isinstance(i, int) for i in q) or \
+            len(q) != n or sorted(q) != list(range(n)):
         raise ValueError(f"not a permutation of range({n}): {p!r}")
     return q
 

@@ -99,13 +99,10 @@ class PoGroup:
 
     # -- capability flags ---------------------------------------------------
 
+    # every backend is directed; a lattice-ordered group also has RDP2
     is_lattice = False
     is_abelian = False
-    is_totally_ordered = False
-    is_directed: bool | None = None
     is_trivial = False
-    # strongest Riesz level the backend is known to satisfy, or None
-    rdp_hint: str | None = None
     # a <= x <= b forces norm(x) <= max(norm(a), norm(b))
     order_convex_norm = True
 
@@ -172,12 +169,12 @@ class PoGroup:
         raise NotImplementedError
 
     def value_key(self, value) -> tuple:
-        """Flat integer tuple for deterministic sorting."""
-        return tuple(_flatten(self.serialize_value(value)))
+        """The serialization flattened to an integer tuple, for sorting."""
+        raise NotImplementedError
 
     def norm_value(self, value) -> int:
-        return max((abs(c) for c in _flatten(self.serialize_value(value))),
-                   default=0)
+        """The largest absolute integer in the serialization."""
+        raise NotImplementedError
 
     def sort_key(self, a: Elem) -> tuple:
         return (self.norm_value(a.value),) + self.value_key(a.value)
@@ -222,9 +219,6 @@ class Integers(PoGroup):
     kind = "Integers"
     is_lattice = True
     is_abelian = True
-    is_totally_ordered = True
-    is_directed = True
-    rdp_hint = "rdp2"
 
     def _key(self):
         return (self.kind,)
@@ -263,7 +257,6 @@ class Integers(PoGroup):
     def serialize_value(self, value):
         return [value]
 
-    # direct forms of the generic serialize-and-flatten versions; same values
     def value_key(self, value) -> tuple:
         return (value,)
 
@@ -292,18 +285,6 @@ class Product(PoGroup):
         self.is_lattice = all(c.is_lattice for c in cs)
         self.is_abelian = all(c.is_abelian for c in cs)
         self.is_trivial = all(c.is_trivial for c in cs)
-        nontrivial = [c for c in cs if not c.is_trivial]
-        self.is_totally_ordered = (
-            all(c.is_totally_ordered for c in nontrivial) and len(nontrivial) <= 1)
-        flags = [c.is_directed for c in cs]
-        if all(f is True for f in flags):
-            self.is_directed = True
-        elif any(f is False for f in flags):
-            self.is_directed = False
-        else:
-            self.is_directed = None
-        self.rdp_hint = ("rdp2" if self.is_lattice
-                         and all(c.rdp_hint == "rdp2" for c in cs) else None)
         super().__init__()
 
     def _key(self):
@@ -347,7 +328,6 @@ class Product(PoGroup):
             out.extend(_flatten(c.serialize_value(v)))
         return out
 
-    # direct forms of the generic serialize-and-flatten versions; same values
     def value_key(self, value) -> tuple:
         return tuple(itertools.chain.from_iterable(
             c.value_key(v) for c, v in zip(self.components, value)))
@@ -382,11 +362,7 @@ class StrictCone2(PoGroup):
     """
 
     kind = "StrictCone2"
-    is_lattice = False
     is_abelian = True
-    is_totally_ordered = False
-    is_directed = True
-    rdp_hint = None
 
     def _key(self):
         return (self.kind,)
@@ -416,7 +392,6 @@ class StrictCone2(PoGroup):
     def serialize_value(self, value):
         return [value[0], value[1]]
 
-    # direct forms of the generic serialize-and-flatten versions; same values
     def value_key(self, value) -> tuple:
         return value
 
@@ -443,8 +418,11 @@ class TwistedLexGroup(PoGroup):
 
     def __init__(self, n: int, lam, rho, base: PoGroup):
         self.n = n
-        self.lam = tuple(perms.check_perm(lam, n))
-        self.rho = tuple(perms.check_perm(rho, n))
+        try:
+            self.lam = tuple(perms.check_perm(lam, n))
+            self.rho = tuple(perms.check_perm(rho, n))
+        except ValueError as exc:
+            raise UsageError(f"TwistedLex twist: {exc}")
         if perms.compose(self.lam, self.rho) != perms.compose(self.rho, self.lam):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.rho_lam = tuple(perms.compose(self.rho, self.lam))
@@ -453,14 +431,11 @@ class TwistedLexGroup(PoGroup):
             "lam": {}, "rho": {}, "rho_lam": {}}
         self.is_lattice = base.is_lattice
         self.is_abelian = base.is_abelian and self.lam == self.rho
-        self.is_totally_ordered = n == 0 or (n == 1 and base.is_totally_ordered)
-        self.rdp_hint = "rdp2" if base.is_lattice else None
         super().__init__()
 
     def _key(self):
         return (self.kind, self.n, self.lam, self.rho, self.base.key)
 
-    is_directed = True
     order_convex_norm = False
 
     def _power(self, which: str, k: int) -> list[int]:
@@ -529,7 +504,6 @@ class TwistedLexGroup(PoGroup):
         m, coords = value
         return [m, [self.base.serialize_value(c) for c in coords]]
 
-    # direct forms of the generic serialize-and-flatten versions; same values
     def value_key(self, value) -> tuple:
         m, coords = value
         return (m,) + tuple(itertools.chain.from_iterable(
@@ -783,13 +757,24 @@ def parse_group(desc) -> PoGroup:
         raise UsageError("group descriptor must be a name or a dict with 'kind'")
     kind = desc["kind"]
     params = desc.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError("group 'params' must be an object")
     if kind == "Integers":
         return Integers()
     if kind == "Product":
-        return Product([parse_group(c) for c in params.get("components", [])])
+        components = params.get("components", [])
+        if not isinstance(components, list):
+            raise UsageError("Product 'components' must be a list")
+        return Product([parse_group(c) for c in components])
     if kind == "StrictCone2":
         return StrictCone2()
     if kind == "TwistedLex":
-        return TwistedLexGroup(params["n"], params["lam"], params["rho"],
+        missing = [k for k in ("n", "lam", "rho", "base") if k not in params]
+        if missing:
+            raise UsageError(f"TwistedLex params lack {', '.join(missing)}")
+        n = params["n"]
+        if not isinstance(n, int) or n < 0:
+            raise UsageError("TwistedLex 'n' must be a non-negative integer")
+        return TwistedLexGroup(n, params["lam"], params["rho"],
                                parse_group(params["base"]))
     raise UsageError(f"unknown group kind {kind!r}")

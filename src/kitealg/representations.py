@@ -23,8 +23,8 @@ from . import perms
 from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER
-from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
-                      TwistedLexGroup, UsageError, Window)
+from .pogroup import (Elem, Integers, PoGroup, TwistedLexGroup, UsageError,
+                      Window)
 from .verdict import Tally, Verdict
 
 
@@ -93,24 +93,16 @@ class IntervalPEA:
     def is_lattice(self) -> bool:
         return self.group.is_lattice
 
-    def _need_lattice(self) -> None:
-        if not self.group.is_lattice:
-            raise CapabilityError("interval MV operations need a lattice group")
-
     def meet(self, a: Elem, b: Elem) -> Elem:
-        self._need_lattice()
         return self.group.meet(a, b)
 
     def join(self, a: Elem, b: Elem) -> Elem:
-        self._need_lattice()
         return self.group.join(a, b)
 
     def mv_oplus(self, a: Elem, b: Elem) -> Elem:
-        self._need_lattice()
         return self.group.meet(self.group.mul(a, b), self.unit)
 
     def mv_odot(self, a: Elem, b: Elem) -> Elem:
-        self._need_lattice()
         g = self.group
         return g.join(g.mul(g.mul(a, g.inv(self.unit)), b), g.e)
 
@@ -339,10 +331,9 @@ def perfect_representation(kite: Kite, w: Window):
     shape = kite.shape
     if shape.lam != shape.rho:
         raise UsageError("perfect representation needs a symmetric shape")
-    if kite.base.is_directed is not True:
-        raise UsageError("base group must be directed")
-    if kite.base.rdp_hint not in ("rdp1", "rdp2"):
-        raise UsageError("base group needs a declared decomposition property")
+    if not kite.base.is_lattice:
+        raise UsageError("perfect representation needs a lattice-ordered "
+                         "base (for its RDP1)")
     wgroup = twisted_lex_group(shape.n, shape.lam, shape.lam, kite.base)
     target = IntervalPEA(wgroup, wgroup.strong_unit())
     key = f"perfect:{shape.n}:{perms.perm_name(shape.lam)}"

@@ -108,9 +108,12 @@ def test_pea_axioms_catch_broken_addition():
     mk(1, (0,), (0,)),
     mk(2, (0, 1), (1, 0)),
     mk(2, (0, 1), (0, 1), integer_product(2)),
+    # the CLI runs the MV checks on every lattice base, abelian or not
+    mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)),
+    mk(2, (0, 1), (1, 0), TwistedLexGroup(2, (0, 1), (1, 0), Z)),
 ])
 def test_pmv_axioms_hold_on_kites(kite):
-    out = check_pmv_axioms(kite, Window(1, 20))
+    out = check_pmv_axioms(kite, Window(1, 30))
     assert set(out) == {f"PMV.A{i}" for i in range(1, 9)}
     for key, v in out.items():
         assert v.ok, (key, v.describe())

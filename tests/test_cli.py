@@ -108,6 +108,37 @@ def test_bad_inline_json_is_a_usage_error(capsys):
         assert "config error" in err
 
 
+MALFORMED_ARGV = {
+    "shift-offset": ["check", "--shape",
+                     '{"n":2,"lambda":"shift:x","rho":"id"}'],
+    "reflect-offset": ["check", "--shape",
+                       '{"n":2,"lambda":"reflect:","rho":"id"}'],
+    "grid-n": ["sweep", "--grid", '{"n":["x"]}'],
+    "grid-heights": ["sweep", "--grid", '{"heights":["a"]}'],
+    "grid-perm-pairs": ["sweep", "--grid", '{"n":[1],"perm_pairs":[["id"]]}'],
+    "twisted-lex-params": ["check", "--group",
+                           '{"kind":"TwistedLex","params":{"n":1}}'],
+    "product-components": ["check", "--group",
+                           '{"kind":"Product","params":{"components":5}}'],
+    "group-params": ["check", "--group", '{"kind":"Product","params":[]}'],
+    "twisted-lex-n": ["check", "--group",
+                      '{"kind":"TwistedLex","params":{"n":"x","lam":[0],'
+                      '"rho":[0],"base":"z"}}'],
+    "twisted-lex-twist": ["check", "--group",
+                          '{"kind":"TwistedLex","params":{"n":1,"lam":["a"],'
+                          '"rho":[0],"base":"z"}}'],
+    "perm-entries": ["check", "--shape",
+                     '{"n":2,"lambda":[0,"a"],"rho":"id"}'],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV)
+def test_malformed_config_values_exit_64(capsys, argv):
+    code, _, err = run(capsys, argv + ["--height", "1"])
+    assert code == 64
+    assert "config error" in err
+
+
 def test_state_check_answers_on_kite(capsys):
     code, report, _ = run_json(capsys, [
         "check", "--group", "z", "--shape", SWAP_SHAPE,

@@ -8,6 +8,7 @@ from kitealg import perms
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     Integers,
+    StrictCone2,
     TwistedLexGroup,
     UsageError,
     Window,
@@ -222,3 +223,8 @@ def test_perfect_representation_same_direction():
 def test_perfect_representation_requires_symmetry():
     with pytest.raises(UsageError):
         perfect_representation(mk(2, (0, 1), (1, 0)), Window(1))
+
+
+def test_perfect_representation_requires_a_lattice_base():
+    with pytest.raises(UsageError, match="lattice"):
+        perfect_representation(mk(1, (0,), (0,), StrictCone2()), Window(1))

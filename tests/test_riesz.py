@@ -11,7 +11,7 @@ from kitealg.cli import main as cli_main
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
 from kitealg.pogroup import (Elem, Integers, PoGroup, StrictCone2,
                              TwistedLexGroup, UsageError, Window, cone_window,
-                             integer_product)
+                             integer_product, parse_group)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
@@ -95,6 +95,17 @@ def test_integer_levels_all_hold():
     for lv in RDP_ORDER:
         v = check_rdp_level(Z, lv, Window(2))
         assert v.ok, (lv, v.describe())
+
+
+@pytest.mark.parametrize("base", [
+    "z", "z2", "trivial", TwistedLexGroup(1, (0,), (0,), Integers())],
+    ids=["z", "z2", "trivial", "twisted-lex"])
+def test_lattice_bases_have_rdp2(base):
+    # the ideal and representation checks take is_lattice to mean RDP2
+    g = parse_group(base) if isinstance(base, str) else base
+    assert g.is_lattice
+    v = check_rdp_level(g, RdpLevel.RDP2, Window(1))
+    assert v.ok, v.describe()
 
 
 # -- the strict cone as the standard negative fixture ------------------------------
