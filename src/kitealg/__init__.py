@@ -20,15 +20,14 @@ from .ideals import (IdealSet, OrbitReport, canonical_form, ideal_closure,
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
 from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       PositiveCone, Product, StrictCone2, TwistedLexGroup,
-                      UsageError, Window, check_com, check_directed,
-                      check_group_laws, cone_window, enumerate_interval,
-                      enumerate_window, integer_product, parse_group,
-                      window_sample)
+                      UsageError, Window, check_directed, check_group_laws,
+                      cone_window, enumerate_interval, enumerate_window,
+                      integer_product, parse_group, window_sample)
 from .representations import (IntervalPEA, MapSpec, check_strong_unit,
                               mapspec_family, perfect_representation,
                               scrimger_fixture, stored_mapspec,
                               twisted_lex_group, verify_iso)
-from .riesz import (RdpLevel, RefinementTable, check_rdp_level,
+from .riesz import (RdpLevel, RefinementTable, check_com, check_rdp_level,
                     find_interpolant, find_refinement,
                     kite_rdp0_split_constructive,
                     kite_refinement_constructive, rdp0_split)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -283,6 +284,8 @@ def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def _grid_cells(cfg: RunConfig):
+    """(group, n, lam, rho, height) per sweep cell. The cells are counted,
+    and refused over sweep_budget, before any permutation pair is built."""
     grid = cfg.grid or {}
     groups = grid.get("groups", [cfg.group])
     ns = grid.get("n", [cfg.shape.get("n", 1)])
@@ -297,6 +300,13 @@ def _grid_cells(cfg: RunConfig):
         isinstance(p, list) and len(p) == 2 for p in pair_spec)),
         "field 'grid.perm_pairs': must be 'all' or a list of [lambda, rho] "
         "pairs")
+    per_n = [math.factorial(n) ** 2 if pair_spec == "all" else len(pair_spec)
+             for n in ns]
+    count = len(groups) * sum(per_n) * len(heights)
+    if count > cfg.sweep_budget:
+        raise UsageError(
+            f"sweep grid has {count} cells, over the budget of "
+            f"{cfg.sweep_budget}; shrink the grid or raise 'sweep_budget'")
     cells = []
     for gdesc, n, h in itertools.product(groups, ns, heights):
         if pair_spec == "all":
@@ -312,13 +322,8 @@ def _grid_cells(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
-    cells = _grid_cells(cfg)
-    if len(cells) > cfg.sweep_budget:
-        raise UsageError(
-            f"sweep grid has {len(cells)} cells, over the budget of "
-            f"{cfg.sweep_budget}; shrink the grid or raise 'sweep_budget'")
     rows = []
-    for gdesc, n, lam, rho, h in cells:
+    for gdesc, n, lam, rho, h in _grid_cells(cfg):
         cell_cfg = replace(cfg, group=gdesc, height=h,
                            shape={"n": n, "lambda": list(lam),
                                   "rho": list(rho)})

@@ -293,20 +293,18 @@ def _joint_orbits(lam, rho) -> tuple:
     return tuple(tuple(v) for _, v in sorted(groups.items()))
 
 
-def _lower_component_ideal(kite: Kite, component, w: Window) -> IdealSet:
-    """Window lowers supported inside one index component."""
-    comp = set(component)
-    members = []
-    for x in kite.elements(w):
-        if x.tag != LOWER:
-            continue
-        if all(i in comp for i in kite.support(x)):
-            members.append(x)
+def _lower_component_ideal(kite: Kite, indices, w: Window,
+                           **flags) -> IdealSet:
+    """Window lowers supported inside the indices; flags are added to the
+    closure flags."""
+    comp = set(indices)
+    members = tuple(x for x in kite.elements(w) if x.tag == LOWER
+                    and all(i in comp for i in kite.support(x)))
     return IdealSet(
-        elements=tuple(members),
+        elements=members,
         generators=tuple(x for x in members if kite.dimension(x) == 1)[:1],
         closed_flags={"downward": True, "sums": True, "exhaustive": False,
-                      "component": tuple(component)})
+                      **flags})
 
 
 @lru_cache
@@ -337,22 +335,15 @@ def least_normal_ideal(kite: Kite, w: Window):
     report = orbits(kite.shape)
     base_v, base_desc = least_o_ideal(base, w)
     if base_v.ok and report.connected:
-        members = tuple(x for x in kite.elements(w) if x.tag == LOWER)
-        ideal = IdealSet(
-            elements=members,
-            generators=tuple(x for x in members
-                             if kite.dimension(x) == 1)[:1],
-            closed_flags={"downward": True, "sums": True,
-                          "exhaustive": False,
-                          "base_o_ideal": base_desc.get("least")})
-        v = holds(checked=len(members),
+        ideal = _lower_component_ideal(kite, range(kite.n), w,
+                                       base_o_ideal=base_desc.get("least"))
+        v = holds(checked=len(ideal.elements),
                   reason="connected shape over a base with least o-ideal")
         return v, ideal
     if not report.connected and base_v.ok:
         comps = _support_orbit_components(kite.shape)
-        first, second = comps[0], comps[1]
-        w1 = _lower_component_ideal(kite, first, w)
-        w2 = _lower_component_ideal(kite, second, w)
+        w1, w2 = (_lower_component_ideal(kite, c, w, component=tuple(c))
+                  for c in comps[:2])
         v = fails(witness={"components": [list(c) for c in comps]},
                   checked=2,
                   reason="disconnected shape: two disjoint non-trivial"

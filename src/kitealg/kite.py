@@ -17,6 +17,9 @@ Complements are closed forms (solve the mixed cases for the all-e result):
 0' and 1' swap, lower(f)'s complements re-index f through rho / lam, an
 upper's complements re-index the inverted coordinates through lam / rho.
 Differences invert the case equations coordinatewise and validate by re-adding.
+One solver serves both: a + c = b is c + a = b in the opposite kite (x + y
+read as y + x), where lam and rho trade places and the base product is
+reversed.
 
 With a lattice base the kite carries total MV operations; oplus truncates the
 case products at e and extends the partial addition, and odot is its
@@ -107,10 +110,10 @@ class Kite:
     memoised per instance too, each in its own dict that lives as long as the
     Kite. Every call first checks ownership of each operand, so a foreign
     element raises even when an equal key is stored; only then is the key
-    built from the raw operands in argument order, (x.tag, x.coords) or
-    (x.tag, x.coords, y.tag, y.coords), so no KiteElement or KiteShape is
-    hashed on the way. The add, ldiff and rdiff memos store None for an
-    undefined result.
+    built from the raw operands, (x.tag, x.coords) or (x.tag, x.coords,
+    y.tag, y.coords) in argument order (b before a for both differences), so
+    no KiteElement or KiteShape is hashed on the way. The add, ldiff and
+    rdiff memos store None for an undefined result.
 
     A Kite is what the checkers in axioms, riesz, ideals and
     representations take: it has every member of axioms.Algebra.
@@ -140,23 +143,23 @@ class Kite:
 
     def lower(self, *values) -> KiteElement:
         """Lower element from base values; coordinates must be positive."""
-        coords = tuple(self.base.check_value(v) for v in values)
-        if len(coords) != self.n:
-            raise UsageError(f"expected {self.n} coordinates")
-        for c in coords:
-            if not self.base.leq_values(self._e, c):
-                raise UsageError(f"lower coordinate {c!r} is not positive")
-        return KiteElement(self.shape, LOWER, coords)
+        return self._element(LOWER, values)
 
     def upper(self, *values) -> KiteElement:
         """Upper element from base values; coordinates must be negative."""
+        return self._element(UPPER, values)
+
+    def _element(self, tag: str, values) -> KiteElement:
         coords = tuple(self.base.check_value(v) for v in values)
         if len(coords) != self.n:
             raise UsageError(f"expected {self.n} coordinates")
+        leq, e = self.base.leq_values, self._e
         for c in coords:
-            if not self.base.leq_values(c, self._e):
+            if tag == LOWER and not leq(e, c):
+                raise UsageError(f"lower coordinate {c!r} is not positive")
+            if tag == UPPER and not leq(c, e):
                 raise UsageError(f"upper coordinate {c!r} is not negative")
-        return KiteElement(self.shape, UPPER, coords)
+        return KiteElement(self.shape, tag, coords)
 
     def own(self, x: KiteElement) -> None:
         if x.shape is not self.shape and x.shape != self.shape:
@@ -247,52 +250,47 @@ class Kite:
 
     def ldiff(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
         """The c with c + a = b, when a <= b; None otherwise."""
-        return self._diff(self._ldiff_memo, self._ldiff, b, a)
+        return self._diff(b, a, False)
 
     def rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
         """The c with a + c = b, when a <= b; None otherwise."""
-        return self._diff(self._rdiff_memo, self._rdiff, a, b)
+        return self._diff(b, a, True)
 
-    def _diff(self, memo: dict, solve, x: KiteElement,
-              y: KiteElement) -> Optional[KiteElement]:
-        """Memo lookup for ldiff and rdiff; solve(x, y) runs on a miss."""
-        self.own(x)
-        self.own(y)
-        key = (x.tag, x.coords, y.tag, y.coords)
+    def _diff(self, b: KiteElement, a: KiteElement,
+              flip: bool) -> Optional[KiteElement]:
+        """Memo lookup for ldiff (flip false) and rdiff (flip true); the
+        solver runs on a miss."""
+        self.own(a)
+        self.own(b)
+        memo = self._rdiff_memo if flip else self._ldiff_memo
+        key = (b.tag, b.coords, a.tag, a.coords)
         c = memo.get(key, _MISSING)
         if c is _MISSING:
-            c = memo[key] = solve(x, y)
+            c = memo[key] = self._solve(b, a, flip)
         return c
 
-    def _ldiff(self, b: KiteElement, a: KiteElement) -> Optional[KiteElement]:
+    def _solve(self, b: KiteElement, a: KiteElement,
+               flip: bool) -> Optional[KiteElement]:
+        """The c with c + a = b, or with a + c = b when flip: that is c + a = b
+        in the opposite kite, where lam and rho trade places and the base
+        product is reversed."""
         if not self._leq(a, b):
             return None
         mul, inv = self.base.mul_values, self.base.inv_value
+        rho_inv, lam = self.rho_inv, self.lam
+        if flip:
+            rho_inv, lam = self.lam_inv, self.rho
+            mul = lambda x, y, m=mul: m(y, x)  # the reversed base product
         av, bv = a.coords, b.coords
         if a.tag == LOWER and b.tag == LOWER:
             tag, vals = LOWER, [mul(q, inv(p)) for p, q in zip(av, bv)]
         elif a.tag == LOWER:
-            tag, vals = UPPER, [mul(q, inv(av[j])) for q, j in zip(bv, self.rho_inv)]
+            tag, vals = UPPER, [mul(q, inv(av[j])) for q, j in zip(bv, rho_inv)]
         else:
-            tag, vals = LOWER, [mul(bv[k], inv(av[k])) for k in self.lam]
-        if self._sum(tag, vals, a.tag, av) == (b.tag, bv):
-            return self._wrap(tag, vals)
-        return None
-
-    def _rdiff(self, a: KiteElement, b: KiteElement) -> Optional[KiteElement]:
-        if not self._leq(a, b):
-            return None
-        mul, inv = self.base.mul_values, self.base.inv_value
-        av, bv = a.coords, b.coords
-        if a.tag == LOWER and b.tag == LOWER:
-            tag, vals = LOWER, [mul(inv(p), q) for p, q in zip(av, bv)]
-        elif a.tag == LOWER:
-            tag, vals = UPPER, [mul(inv(av[j]), q) for j, q in zip(self.lam_inv, bv)]
-        else:
-            tag, vals = LOWER, [mul(inv(av[k]), bv[k]) for k in self.rho]
-        if self._sum(a.tag, av, tag, vals) == (b.tag, bv):
-            return self._wrap(tag, vals)
-        return None
+            tag, vals = LOWER, [mul(bv[k], inv(av[k])) for k in lam]
+        s = (self._sum(a.tag, av, tag, vals) if flip
+             else self._sum(tag, vals, a.tag, av))
+        return self._wrap(tag, vals) if s == (b.tag, bv) else None
 
     # -- lattice and MV layer --------------------------------------------------
 
@@ -301,22 +299,21 @@ class Kite:
             raise CapabilityError("kite MV/lattice operations need a lattice base")
 
     def join(self, x: KiteElement, y: KiteElement) -> KiteElement:
-        self.own(x)
-        self.own(y)
-        self._need_lattice()
-        if x.tag != y.tag:
-            return x if x.tag == UPPER else y
-        join = self.base.join_values
-        return self._wrap(x.tag, [join(a, b) for a, b in zip(x.coords, y.coords)])
+        return self._bound(x, y, UPPER, self.base.join_values)
 
     def meet(self, x: KiteElement, y: KiteElement) -> KiteElement:
+        return self._bound(x, y, LOWER, self.base.meet_values)
+
+    def _bound(self, x: KiteElement, y: KiteElement, top: str,
+               op) -> KiteElement:
+        """join (top UPPER) or meet (top LOWER): across the two parts the
+        element tagged top, within a part op coordinatewise."""
         self.own(x)
         self.own(y)
         self._need_lattice()
         if x.tag != y.tag:
-            return x if x.tag == LOWER else y
-        meet = self.base.meet_values
-        return self._wrap(x.tag, [meet(a, b) for a, b in zip(x.coords, y.coords)])
+            return x if x.tag == top else y
+        return self._wrap(x.tag, [op(a, b) for a, b in zip(x.coords, y.coords)])
 
     def mv_oplus(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated sum; equals x + (x~ and y) and extends add."""

@@ -12,8 +12,7 @@ ascending by (norm, serialized value), contains the identity, and is closed
 under inversion.
 
 Order queries never guess: incomparability is op_leq false in both directions,
-and bounded existential checks (directedness, commutation of intervals) return
-a Verdict rather than a bool.
+and the bounded directedness check returns a Verdict rather than a bool.
 """
 
 from __future__ import annotations
@@ -598,36 +597,17 @@ def check_directed(group: PoGroup, g1: Elem, g2: Elem, w: Window) -> Verdict:
                    reason="no upper bound within window; not refutable by search")
 
 
-def check_com(group: PoGroup, a: Elem, b: Elem, w: Window) -> Verdict:
-    """All x in [0,a] and y in [0,b] commute; Unknown if the intervals were cut."""
-    e = group.e
-    if not group.leq(e, a) or not group.leq(e, b):
-        raise UsageError("com requires positive arguments")
-    xs, ex_a = enumerate_interval(group, e, a, w)
-    ys, ex_b = enumerate_interval(group, e, b, w)
-    t = Tally()
-    if not ex_a:
-        t.skip("interval [0,a] truncated by window")
-    if not ex_b:
-        t.skip("interval [0,b] truncated by window")
-    for x in xs:
-        for y in ys:
-            t.hit()
-            if group.mul(x, y) != group.mul(y, x):
-                return t.fail({"x": x.serialized(), "y": y.serialized()},
-                              reason="witness pair does not commute")
-    return t.done()
-
-
+@dataclass(frozen=True)
 class PositiveCone:
     """The positive cone of a po-group as a partial algebra for the Riesz
     checkers: the sum is the group product, differences are defined when they
     stay in the cone, and the window sample is cone_window."""
 
-    def __init__(self, group: PoGroup):
-        self.group = group
-        self.zero = group.e
-        self.is_lattice = group.is_lattice
+    group: PoGroup
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "zero", self.group.e)
+        object.__setattr__(self, "is_lattice", self.group.is_lattice)
 
     def elements(self, w: Window) -> list[Elem]:
         return cone_window(self.group, w)

@@ -23,30 +23,28 @@ from . import perms
 from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER
-from .pogroup import (Elem, Integers, PoGroup, TwistedLexGroup, UsageError,
-                      Window)
+from .pogroup import (Elem, Integers, PoGroup, PositiveCone, TwistedLexGroup,
+                      UsageError, Window)
 from .verdict import Tally, Verdict
 
 
 @dataclass(frozen=True)
-class IntervalPEA:
-    """The interval [0, u] of a po-group, with a + b defined iff a*b <= u.
+class IntervalPEA(PositiveCone):
+    """The interval [0, u] of a po-group, with a + b defined iff a*b <= u:
+    the positive cone cut at the unit, so order, differences, meet and
+    intervals are the cone's.
 
     It has every member of axioms.Algebra, so the checkers take it directly.
     """
 
-    group: PoGroup
     unit: Elem
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         g = self.group
         g.own(self.unit)
-        if self.unit == g.e or not g.leq(g.e, self.unit):
+        if self.unit == self.zero or not g.leq(self.zero, self.unit):
             raise UsageError("unit must be strictly positive")
-
-    @property
-    def zero(self) -> Elem:
-        return self.group.e
 
     @property
     def one(self) -> Elem:
@@ -56,20 +54,12 @@ class IntervalPEA:
         return f"Gamma({self.group.kind}, {self.group.serialize_value(self.unit.value)})"
 
     def elements(self, w: Window) -> list:
-        lst, _ = pg.enumerate_interval(self.group, self.group.e, self.unit,
-                                       Window(w.height))
-        if w.cap is not None:
-            return lst[: w.cap]
-        return lst
-
-    def leq(self, a: Elem, b: Elem) -> bool:
-        return self.group.leq(a, b)
+        lst, _ = self.interval(self.zero, self.unit, Window(w.height))
+        return lst if w.cap is None else lst[: w.cap]
 
     def add(self, a: Elem, b: Elem) -> Optional[Elem]:
         s = self.group.mul(a, b)
-        if self.group.leq(s, self.unit):
-            return s
-        return None
+        return s if self.group.leq(s, self.unit) else None
 
     def complement_left(self, x: Elem) -> Elem:
         return self.group.mul(self.unit, self.group.inv(x))
@@ -77,40 +67,8 @@ class IntervalPEA:
     def complement_right(self, x: Elem) -> Elem:
         return self.group.mul(self.group.inv(x), self.unit)
 
-    def ldiff(self, b: Elem, a: Elem) -> Optional[Elem]:
-        c = self.group.mul(b, self.group.inv(a))
-        if self.group.leq(self.group.e, c):
-            return c
-        return None
-
-    def rdiff(self, a: Elem, b: Elem) -> Optional[Elem]:
-        c = self.group.mul(self.group.inv(a), b)
-        if self.group.leq(self.group.e, c):
-            return c
-        return None
-
-    @property
-    def is_lattice(self) -> bool:
-        return self.group.is_lattice
-
-    def meet(self, a: Elem, b: Elem) -> Elem:
-        return self.group.meet(a, b)
-
-    def join(self, a: Elem, b: Elem) -> Elem:
-        return self.group.join(a, b)
-
     def mv_oplus(self, a: Elem, b: Elem) -> Elem:
         return self.group.meet(self.group.mul(a, b), self.unit)
-
-    def mv_odot(self, a: Elem, b: Elem) -> Elem:
-        g = self.group
-        return g.join(g.mul(g.mul(a, g.inv(self.unit)), b), g.e)
-
-    def interval(self, a: Elem, b: Elem, w: Window) -> tuple:
-        return pg.enumerate_interval(self.group, a, b, w)
-
-    def serialize(self, x: Elem):
-        return x.serialized()
 
 
 def twisted_lex_group(n: int, lam, rho, base: PoGroup) -> TwistedLexGroup:

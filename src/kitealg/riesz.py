@@ -10,10 +10,12 @@ All searches take the algebra itself: a Kite, an IntervalPEA or the positive
 cone of a po-group (pogroup.PositiveCone; the public entry points also take
 a bare PoGroup and use its cone). They use its partial addition, differences,
 interval enumeration with an exhaustiveness flag, and meet when is_lattice
-is set. Searches iterate candidates in descending enumeration order and take
-the first valid hit, so results are deterministic. Absence is conclusive only
-when the searched interval was exhaustive; otherwise the caller records a
-skip.
+is set. RDP1's side condition, check_com, is one check on any of these: it
+asks the algebra's own sum whether everything below c12 commutes with
+everything below c21. Searches iterate candidates in descending enumeration
+order and take the first valid hit, so results are deterministic. Absence is
+conclusive only when the searched interval was exhaustive; otherwise the
+caller records a skip.
 
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
@@ -51,7 +53,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import pogroup as pg
 from .axioms import Algebra
@@ -99,33 +101,32 @@ class RefinementTable:
     def cells(self) -> tuple:
         return (self.c11, self.c12, self.c21, self.c22)
 
-    def as_json(self, ser: Callable[[Any], Any]) -> dict:
-        out = {"c11": ser(self.c11), "c12": ser(self.c12),
-               "c21": ser(self.c21), "c22": ser(self.c22)}
-        if self.side is not None:
-            out["side"] = self.side.describe()
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 def _cone(obj):
     """A bare po-group stands for its positive cone."""
     return PositiveCone(obj) if isinstance(obj, PoGroup) else obj
 
 
-def _pea_com(P: Algebra, a, b, w: Window) -> Verdict:
-    """Everything below a commutes with everything below b (window-bounded)."""
-    if a == P.zero or b == P.zero:
+def check_com(ctx: Algebra | PoGroup, a, b, w: Window) -> Verdict:
+    """Everything below a commutes with everything below b (window-bounded).
+
+    This is RDP1's side condition. ctx is any algebra or a bare po-group,
+    which stands for its positive cone; only then are a and b checked for
+    positivity, because they come from outside rather than from a search.
+    """
+    if isinstance(ctx, PoGroup):
+        ctx = PositiveCone(ctx)
+        if not ctx.leq(ctx.zero, a) or not ctx.leq(ctx.zero, b):
+            raise UsageError("com requires positive arguments")
+    if a == ctx.zero or b == ctx.zero:
         return holds(checked=1, reason="zero commutes with everything")
-    la, ea = P.interval(P.zero, a, w)
-    lb, eb = P.interval(P.zero, b, w)
+    la, ea = ctx.interval(ctx.zero, a, w)
+    lb, eb = ctx.interval(ctx.zero, b, w)
     t = Tally()
     for x in la:
         for y in lb:
-            xy, yx = P.add(x, y), P.add(y, x)
-            if (xy is None) != (yx is None) or xy != yx:
-                return t.fail({"x": P.serialize(x), "y": P.serialize(y)},
+            if ctx.add(x, y) != ctx.add(y, x):
+                return t.fail({"x": ctx.serialize(x), "y": ctx.serialize(y)},
                               "pair below the cells does not commute")
             t.hit()
     if not (ea and eb):
@@ -200,11 +201,9 @@ def _meet_zero(ctx: Algebra, x, y, w: Window) -> Verdict:
 def _side_condition(ctx: Algebra, level: RdpLevel, c12, c21,
                     w: Window) -> Optional[Verdict]:
     """The level's condition on the off-diagonal cells, or None below RDP1:
-    com for RDP1 (check_com on a cone, _pea_com on a PEA), meet zero for RDP2."""
+    com for RDP1, meet zero for RDP2."""
     if level is RdpLevel.RDP1:
-        if isinstance(ctx, PositiveCone):
-            return pg.check_com(ctx.group, c12, c21, w)
-        return _pea_com(ctx, c12, c21, w)
+        return check_com(ctx, c12, c21, w)
     if level is RdpLevel.RDP2:
         return _meet_zero(ctx, c12, c21, w)
     return None

@@ -242,6 +242,18 @@ def test_sweep_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_sweep_budget_refused_before_any_pair_is_built(capsys, monkeypatch):
+    # n = 6 has (6!)^2 = 518,400 cells; the count alone must refuse it
+    def no_perms(n):
+        raise AssertionError("permutations built before the budget check")
+
+    monkeypatch.setattr("kitealg.perms.all_perms", no_perms)
+    grid = json.dumps({"groups": ["z"], "n": [6], "heights": [1]})
+    code, _, err = run(capsys, ["sweep", "--grid", grid])
+    assert code == 64
+    assert "sweep grid has 518400 cells" in err
+
+
 # -- show -------------------------------------------------------------------------
 
 

@@ -187,10 +187,20 @@ def test_diffs_recover_summands_on_window():
 
 def test_meet_join_goldens():
     k = ID2
-    assert k.join(k.lower(1, 0), k.lower(0, 2)) == k.lower(1, 2)
-    assert k.meet(k.upper(-1, 0), k.upper(0, -2)) == k.upper(-1, -2)
-    assert k.meet(k.lower(5, 5), k.upper(0, 0)) == k.lower(5, 5)
-    assert k.join(k.lower(5, 5), k.upper(0, 0)) == k.one
+    cases = [
+        ("join", k.lower(1, 0), k.lower(0, 2), k.lower(1, 2)),
+        ("join", k.upper(-1, 0), k.upper(0, -2), k.one),
+        ("join", k.lower(5, 5), k.upper(0, 0), k.one),
+        ("join", k.lower(5, 5), k.upper(-1, -3), k.upper(-1, -3)),
+        ("meet", k.upper(-1, 0), k.upper(0, -2), k.upper(-1, -2)),
+        ("meet", k.lower(1, 0), k.lower(0, 2), k.zero),
+        ("meet", k.lower(5, 5), k.upper(0, 0), k.lower(5, 5)),
+        ("meet", k.lower(5, 5), k.upper(-1, -3), k.lower(5, 5)),
+    ]
+    # every case in both argument orders
+    for op, x, y, want in cases:
+        assert getattr(k, op)(x, y) == want, (op, x, y)
+        assert getattr(k, op)(y, x) == want, (op, y, x)
 
 
 def test_mv_odot_zero_set_matches_definedness():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     _flatten,
     CapabilityError,
@@ -12,7 +13,6 @@ from kitealg.pogroup import (
     TwistedLexGroup,
     UsageError,
     Window,
-    check_com,
     check_directed,
     check_group_laws,
     cone_window,
@@ -22,6 +22,7 @@ from kitealg.pogroup import (
     parse_group,
     window_sample,
 )
+from kitealg.riesz import check_com
 from kitealg.verdict import Status, Tally
 
 Z = Integers()
@@ -157,6 +158,15 @@ def test_twisted_lex_noncommutative_witness():
     x = g.deserialize(w["x"])
     y = g.deserialize(w["y"])
     assert g.mul(x, y) != g.mul(y, x)
+    # a bare group's arguments come from outside, so they are checked
+    with pytest.raises(UsageError):
+        check_com(g, g.inv(u), u, Window(2))
+    # on a kite the check reads the kite's own partial sum
+    k = Kite(KiteShape(2, (0, 1), (1, 0), Z))
+    v = check_com(k, k.one, k.one, Window(1))
+    assert v.status is Status.FAILS
+    assert v.witness_dict() == {"x": k.lower(0, 1).serialized(),
+                                "y": k.upper(-1, -1).serialized()}
 
 
 def test_twisted_lex_same_direction_is_abelian():
@@ -168,6 +178,9 @@ def test_twisted_lex_same_direction_is_abelian():
     v = check_com(g, u, u, Window(2))
     assert not v.failed
     assert v.skipped > 0
+    # zero commutes with everything, whatever the window
+    v = check_com(g, g.e, u, Window(2))
+    assert v.ok and v.checked == 1
 
 
 # -- bounded checks -------------------------------------------------------------

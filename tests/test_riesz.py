@@ -24,9 +24,9 @@ from kitealg.riesz import (
     _check_rip,
     _meet_zero,
     _merge_sides,
-    _pea_com,
     _upper_bound,
     _wide,
+    check_com,
     check_rdp_level,
     find_interpolant,
     find_refinement,
@@ -425,7 +425,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
             or kite.add(table.c12, table.c22) != y2):
         return None
     if level in (RdpLevel.RDP1, RdpLevel.RDP2) and table.side is None:
-        side_check = _pea_com if level is RdpLevel.RDP1 else _meet_zero
+        side_check = check_com if level is RdpLevel.RDP1 else _meet_zero
         table.side = side_check(kite, table.c12, table.c21, w)
         if table.side.failed:
             return None
