@@ -22,7 +22,7 @@ from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       PositiveCone, Product, StrictCone2, TwistedLexGroup,
                       UsageError, Window, check_directed, check_group_laws,
                       cone_window, enumerate_interval, enumerate_window,
-                      integer_product, parse_group, window_sample)
+                      integer_product, parse_group)
 from .representations import (IntervalPEA, MapSpec, check_strong_unit,
                               mapspec_family, perfect_representation,
                               scrimger_fixture, stored_mapspec,
@@ -52,5 +52,5 @@ __all__ = [
     "normal_ideal_generated", "orbits", "parse_group",
     "perfect_representation", "perfect_split", "phi_o_ideal", "rdp0_split",
     "scrimger_fixture", "stored_mapspec", "twisted_lex_group",
-    "unique_state", "verify_iso", "window_sample",
+    "unique_state", "verify_iso",
 ]

@@ -458,21 +458,15 @@ def _overrides(args: argparse.Namespace) -> dict:
     out = {"group": args.group, "height": args.height, "checks": args.checks,
            "out": args.out, "format": args.format, "seed": args.seed,
            "cap": args.cap}
-    if args.shape is not None:
-        try:
-            out["shape"] = json.loads(args.shape)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--shape: {exc.msg}")
-    if args.grid is not None:
-        try:
-            out["grid"] = json.loads(args.grid)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--grid: {exc.msg}")
-    if args.group is not None and args.group.strip().startswith("{"):
-        try:
-            out["group"] = json.loads(args.group)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--group: {exc.msg}")
+    # --group is JSON only when it is an object; otherwise it is a shortcut
+    group_json = args.group is not None and args.group.strip().startswith("{")
+    for name, text in (("shape", args.shape), ("grid", args.grid),
+                       ("group", args.group if group_json else None)):
+        if text is not None:
+            try:
+                out[name] = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"--{name}: {exc.msg}")
     return out
 
 

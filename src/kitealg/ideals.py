@@ -107,6 +107,17 @@ def ideal_closure(P: Algebra, gens, w: Window) -> IdealSet:
                       "exhaustive": not boundary})
 
 
+def _companions(P: Algebra, x, y):
+    """(side, s, z) for each defined s, left first: left s = x + y and
+    z + x = s, right s = y + x and x + z = s; z is None if unsolvable."""
+    s = P.add(x, y)
+    if s is not None:
+        yield "left", s, P.ldiff(s, x)
+    s = P.add(y, x)
+    if s is not None:
+        yield "right", s, P.rdiff(x, s)
+
+
 def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     """Window check of x + I = I + x via the unique-solution trichotomy.
 
@@ -114,8 +125,8 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     z + x = x + y is the left difference; if it exists inside the window but
     outside the ideal the equality genuinely fails, and if it lands outside
     the window the instance is skipped. The right half is the mirror image:
-    x + z = y + x solved by the right difference. One loop runs both halves,
-    left before right for each (x, y).
+    x + z = y + x solved by the right difference. _companions runs both
+    halves, left before right for each (x, y).
     """
     sample = P.elements(w)
     universe = set(sample)
@@ -123,16 +134,9 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     index = set(members)
     t = Tally()
     ser = P.serialize
-    add, ldiff, rdiff = P.add, P.ldiff, P.rdiff
-    # left: s = x + y and z + x = s; right: s = y + x and x + z = s
     for x in sample:
         for y in members:
-            for side in ("left", "right"):
-                left = side == "left"
-                s = add(x, y) if left else add(y, x)
-                if s is None:
-                    continue
-                z = ldiff(s, x) if left else rdiff(x, s)
+            for side, s, z in _companions(P, x, y):
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
                                   f"sum has no {side} companion at all")
@@ -171,14 +175,7 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
         new = set(members)
         for m in current.elements:
             for t_el in sample:
-                s = P.add(m, t_el)
-                if s is not None:
-                    z = P.rdiff(t_el, s)
-                    if z is not None and z in universe:
-                        new.add(z)
-                s = P.add(t_el, m)
-                if s is not None:
-                    z = P.ldiff(s, t_el)
+                for _, _, z in _companions(P, t_el, m):
                     if z is not None and z in universe:
                         new.add(z)
             for img in (P.complement_left(P.complement_left(m)),

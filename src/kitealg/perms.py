@@ -6,6 +6,7 @@ image of ``i``. The empty list is the unique permutation of the empty set.
 
 from __future__ import annotations
 
+import functools
 from itertools import permutations as _itertools_permutations
 from typing import Iterator, Sequence
 
@@ -35,8 +36,10 @@ def compose(p: Sequence[int], q: Sequence[int]) -> list[int]:
     return [p[q[i]] for i in range(len(q))]
 
 
-def power(p: Sequence[int], k: int) -> list[int]:
-    """k-th compositional power; negative k uses the inverse."""
+@functools.cache
+def power(p: tuple[int, ...], k: int) -> list[int]:
+    """k-th compositional power of the tuple p; negative k uses the inverse.
+    Memoised: equal calls share one list, so callers must not mutate it."""
     n = len(p)
     base = list(p) if k >= 0 else inverse(p)
     result = identity(n)

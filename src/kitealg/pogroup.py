@@ -9,7 +9,8 @@ coordinate norm.
 The window norm is the maximum absolute value of the integers appearing in the
 element's canonical serialization. Window enumeration is deterministic, sorted
 ascending by (norm, serialized value), contains the identity, and is closed
-under inversion.
+under inversion; a cap keeps its lowest prefix. A group is identified by its
+descriptor: groups built apart from equal descriptors are equal.
 
 Order queries never guess: incomparability is op_leq false in both directions,
 and the bounded directedness check returns a Verdict rather than a bool.
@@ -18,6 +19,7 @@ and the bounded directedness check returns a Verdict rather than a bool.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -37,9 +39,10 @@ class CapabilityError(UsageError):
 class Window:
     """Enumeration bound.
 
-    height bounds the coordinate norm; cap, when set, truncates carrier
-    samples to the lowest-norm prefix of that many elements. Checks report
-    how many elements they actually quantified over.
+    height bounds the coordinate norm; cap, when set, truncates every carrier
+    sample (enumerate_window, cone_window, each algebra's elements) to its
+    lowest-norm prefix of that many elements; uncapped() is the whole window.
+    Checks report how many elements they actually quantified over.
     """
 
     height: int
@@ -73,21 +76,18 @@ class PoGroup:
     """Base class for the pluggable po-group backends.
 
     Subclasses set their parameters before calling this constructor, which
-    fixes the structural key and the identity element. Groups are immutable
-    after construction.
+    fixes the structural key, describe() as canonical JSON, and the identity
+    element. Groups are immutable after construction.
     """
 
     kind = "?"
 
     def __init__(self) -> None:
-        self.key = self._key()
+        self.key = json.dumps(self.describe(), sort_keys=True)
         self._hash = hash(self.key)
         self.e = Elem(self, self.identity_value())
 
     # -- identity & structural equality ------------------------------------
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, PoGroup)
@@ -219,9 +219,6 @@ class Integers(PoGroup):
     is_lattice = True
     is_abelian = True
 
-    def _key(self):
-        return (self.kind,)
-
     def identity_value(self):
         return 0
 
@@ -285,9 +282,6 @@ class Product(PoGroup):
         self.is_abelian = all(c.is_abelian for c in cs)
         self.is_trivial = all(c.is_trivial for c in cs)
         super().__init__()
-
-    def _key(self):
-        return (self.kind, tuple(c.key for c in self.components))
 
     def identity_value(self):
         return tuple(c.identity_value() for c in self.components)
@@ -363,9 +357,6 @@ class StrictCone2(PoGroup):
     kind = "StrictCone2"
     is_abelian = True
 
-    def _key(self):
-        return (self.kind,)
-
     def identity_value(self):
         return (0, 0)
 
@@ -426,25 +417,11 @@ class TwistedLexGroup(PoGroup):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.rho_lam = tuple(perms.compose(self.rho, self.lam))
         self.base = base
-        self._pow_cache: dict[str, dict[int, list[int]]] = {
-            "lam": {}, "rho": {}, "rho_lam": {}}
         self.is_lattice = base.is_lattice
         self.is_abelian = base.is_abelian and self.lam == self.rho
         super().__init__()
 
-    def _key(self):
-        return (self.kind, self.n, self.lam, self.rho, self.base.key)
-
     order_convex_norm = False
-
-    def _power(self, which: str, k: int) -> list[int]:
-        """k-th power of the permutation named which: lam, rho or rho_lam."""
-        powers = self._pow_cache[which]
-        # the n = 0 power is [], so a miss is told by None, not by falsiness
-        cached = powers.get(k)
-        if cached is None:
-            cached = powers[k] = perms.power(getattr(self, which), k)
-        return cached
 
     def identity_value(self):
         e = self.base.identity_value()
@@ -465,12 +442,13 @@ class TwistedLexGroup(PoGroup):
         mul = self.base.mul_values
         return (m1 + m2, tuple([
             mul(xs[i], ys[j])
-            for i, j in zip(self._power("lam", -m2), self._power("rho", -m1))]))
+            for i, j in zip(perms.power(self.lam, -m2),
+                            perms.power(self.rho, -m1))]))
 
     def inv_value(self, x):
         m, xs = x
         inv = self.base.inv_value
-        return (-m, tuple([inv(xs[i]) for i in self._power("rho_lam", m)]))
+        return (-m, tuple([inv(xs[i]) for i in perms.power(self.rho_lam, m)]))
 
     def leq_values(self, x, y):
         m1, xs = x
@@ -548,28 +526,21 @@ _window_cache: dict[tuple, list] = {}
 
 
 def enumerate_window(group: PoGroup, w: Window) -> list[Elem]:
-    """All elements with norm <= height, sorted by (norm, value)."""
+    """All elements with norm <= height, sorted by (norm, value), capped."""
     key = (group.key, w.height)
     cached = _window_cache.get(key)
     if cached is None:
         elems = [Elem(group, v) for v in group.ball_values(w.height)]
         elems.sort(key=group.sort_key)
         cached = _window_cache[key] = elems
-    return list(cached)
-
-
-def window_sample(group: PoGroup, w: Window) -> list[Elem]:
-    """Window carrier, truncated to the cap (lowest-norm prefix) if set."""
-    elems = enumerate_window(group, w)
-    if w.cap is not None:
-        return elems[: w.cap]
-    return elems
+    return cached[: w.cap]
 
 
 def cone_window(group: PoGroup, w: Window) -> list[Elem]:
-    """Positive window elements (identity <= x), sorted."""
+    """Positive window elements (identity <= x), sorted, capped."""
     e, leq = group.e.value, group.leq_values
-    return [x for x in enumerate_window(group, w) if leq(e, x.value)]
+    return [x for x in enumerate_window(group, w.uncapped())
+            if leq(e, x.value)][: w.cap]
 
 
 def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
@@ -640,11 +611,11 @@ class PositiveCone:
         return x.serialized()
 
 
-def check_group_laws(group: PoGroup, w: Window, cap: int = 12) -> Verdict:
+def check_group_laws(group: PoGroup, w: Window) -> Verdict:
     """Associativity, identity, inverses, translation invariance, cone sanity.
 
-    Quantifies over the lowest-norm `cap` window elements for the triple and
-    quadruple laws and the whole window for the unary ones.
+    Quantifies over the capped window sample for the triple and quadruple
+    laws and over the whole window, w.uncapped(), for the unary ones.
 
     Works on raw values with the backend's value operations; witnesses are
     serialised with serialize_value, as Elem.serialized() would. One table
@@ -652,8 +623,8 @@ def check_group_laws(group: PoGroup, w: Window, cap: int = 12) -> Verdict:
     associativity left side and translation invariance, where (x a) y is
     left[x][a][y].
     """
-    full = [a.value for a in enumerate_window(group, w)]
-    sample = full[:cap]
+    full = [a.value for a in enumerate_window(group, w.uncapped())]
+    sample = full[: w.cap]
     mul, inv, leq = group.mul_values, group.inv_value, group.leq_values
     ser = group.serialize_value
     e = group.e.value

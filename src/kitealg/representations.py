@@ -78,7 +78,7 @@ def twisted_lex_group(n: int, lam, rho, base: PoGroup) -> TwistedLexGroup:
     small window at construction as a guard against bad parameters.
     """
     g = TwistedLexGroup(n, lam, rho, base)
-    laws = pg.check_group_laws(g, Window(1), cap=8)
+    laws = pg.check_group_laws(g, Window(1, 8))
     if laws.failed:
         raise UsageError(f"construction self-check failed: {laws.describe()}")
     return g
@@ -88,7 +88,7 @@ def check_strong_unit(group: PoGroup, u: Elem, w: Window, kmax: int = 8) -> Verd
     """Bounded evidence that u is a strong unit: every window x <= u^k."""
     group.own(u)
     t = Tally()
-    for x in pg.window_sample(group, w):
+    for x in pg.enumerate_window(group, w):
         power = group.e
         ok = False
         for _ in range(kmax):

@@ -15,7 +15,8 @@ asks the algebra's own sum whether everything below c12 commutes with
 everything below c21. Searches iterate candidates in descending enumeration
 order and take the first valid hit, so results are deterministic. Absence is
 conclusive only when the searched interval was exhaustive; otherwise the
-caller records a skip.
+caller records a skip. find_interpolant and find_refinement return the flag
+with what they found, as (witness or None, exhaustive).
 
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
@@ -87,8 +88,8 @@ RDP_ORDER = (RdpLevel.RIP, RdpLevel.RDP0, RdpLevel.RDP,
 class RefinementTable:
     """2x2 refinement: a1 = c11+c12, a2 = c21+c22, b1 = c11+c21, b2 = c12+c22.
 
-    For interpolation queries only c11 (the interpolant) is meaningful. side
-    carries the off-diagonal side-condition evidence for RDP1/RDP2 tables.
+    side carries the off-diagonal side-condition evidence for RDP1/RDP2
+    tables.
     """
 
     c11: Any
@@ -210,30 +211,21 @@ def _side_condition(ctx: Algebra, level: RdpLevel, c12, c21,
 
 
 def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
-                    w: Window) -> Optional[RefinementTable]:
-    """First valid table in descending c11 order, or None.
+                    w: Window) -> tuple[Optional[RefinementTable], bool]:
+    """First valid table in descending c11 order, or None; plus coverage,
+    the exhaustiveness of the [0, a1] candidate interval.
 
-    For RIP the result carries the interpolant in c11 and zeros elsewhere.
-    For RDP1 a candidate whose com side condition fails is discarded; one
-    whose condition is window-bounded is kept only as a fallback if no
-    candidate verifies exactly. RDP2 treats the meet condition the same way.
+    RIP and RDP0 search RDP tables (find_interpolant is the RIP search). For
+    RDP1 a candidate whose com side condition fails is discarded; one whose
+    condition is window-bounded is kept only as a fallback if no candidate
+    verifies exactly. RDP2 treats the meet condition the same way.
     """
     ctx = _cone(ctx)
-    if level is RdpLevel.RIP:
-        if not (ctx.leq(a1, b1) and ctx.leq(a1, b2)
-                and ctx.leq(a2, b1) and ctx.leq(a2, b2)):
-            raise UsageError("interpolation needs a1, a2 <= b1, b2")
-        c, _ = find_interpolant(ctx, a1, a2, b1, b2, w)
-        if c is None:
-            return None
-        z = ctx.zero
-        return RefinementTable(c, z, z, z, note="interpolant in c11")
-
     s1, s2 = ctx.add(a1, a2), ctx.add(b1, b2)
     if s1 is None or s2 is None or s1 != s2:
         raise UsageError("refinement needs a1 + a2 = b1 + b2, both defined")
 
-    cands, _ = ctx.interval(ctx.zero, a1, w)
+    cands, exhaustive = ctx.interval(ctx.zero, a1, w)
     fallback = None
     for c11 in reversed(cands):
         if not ctx.leq(c11, b1):
@@ -254,8 +246,8 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
                     fallback = RefinementTable(c11, c12, c21, c22, side=side,
                                                note="side condition bounded")
                 continue
-        return RefinementTable(c11, c12, c21, c22, side=side)
-    return fallback
+        return RefinementTable(c11, c12, c21, c22, side=side), exhaustive
+    return fallback, exhaustive
 
 
 # -- constructive kite witnesses ------------------------------------------------
@@ -319,7 +311,7 @@ def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, level: RdpLevel,
 def _base_refinement(base: PoGroup, args: tuple, lv: RdpLevel, w: Window):
     """find_refinement on the base cone for raw args, as an immutable
     (cells, side, note) tuple of raw values, or None (memoised)."""
-    t = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
+    t, _ = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
     if t is None:
         return None
     return tuple(c.value for c in t.cells()), t.side, t.note
@@ -592,14 +584,13 @@ def _check_tables(ctx: Algebra, level: RdpLevel, w: Window) -> Verdict:
                             tab.side is None or tab.side.ok):
                         t.hit()
                         continue
-                tab = find_refinement(ctx, a1, a2, b1, b2, level, w)
+                tab, exhaustive = find_refinement(ctx, a1, a2, b1, b2, level, w)
                 if tab is not None:
                     if tab.side is not None and not tab.side.ok:
                         t.skip("only side-condition-bounded table found")
                     else:
                         t.hit()
                     continue
-                _, exhaustive = ctx.interval(ctx.zero, a1, w)
                 if exhaustive:
                     return t.fail(
                         {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),

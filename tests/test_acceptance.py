@@ -204,8 +204,8 @@ def test_criterion_05_rdp_transfer():
                 if checked >= 240:
                     break
                 table = kite_refinement_constructive(kite, x1, x2, y1, y2)
-                found = find_refinement(kite, x1, x2, y1, y2,
-                                        RdpLevel.RDP, Window(2))
+                found, _ = find_refinement(kite, x1, x2, y1, y2,
+                                           RdpLevel.RDP, Window(2))
                 assert (table is None) == (found is None)
                 assert table is not None, (
                     kite.serialize(x1), kite.serialize(x2),

@@ -20,7 +20,6 @@ from kitealg.pogroup import (
     enumerate_window,
     integer_product,
     parse_group,
-    window_sample,
 )
 from kitealg.riesz import check_com
 from kitealg.verdict import Status, Tally
@@ -48,8 +47,10 @@ def test_integer_window_contents():
     vals = [x.value for x in enumerate_window(Z, Window(2))]
     # sorted by (|x|, x)
     assert vals == [0, -1, 1, -2, 2]
-    assert [x.value for x in window_sample(Z, Window(2, 3))] == [0, -1, 1]
+    assert [x.value for x in enumerate_window(Z, Window(2, 3))] == [0, -1, 1]
     assert [x.value for x in cone_window(Z, Window(2))] == [0, 1, 2]
+    # the cone is filtered from the whole window, then cut to the cap
+    assert [x.value for x in cone_window(Z, Window(2, 2))] == [0, 1]
 
 
 def test_product_window_is_full_grid():
@@ -114,6 +115,33 @@ def test_separately_parsed_equal_groups_combine():
     assert g2.leq(a, g1.make((1, 3)))
     assert g1.meet(a, b) == g2.make((1, -1))
     assert g2.join(a, b) == g1.make((3, 2))
+
+
+class RenamedIntegers(Integers):
+    kind = "RenamedIntegers"
+
+
+@pytest.mark.parametrize("build", [
+    Integers,
+    lambda: integer_product(2),
+    StrictCone2,
+    lambda: tl(2, (0, 1), (1, 0), StrictCone2()),
+], ids=["z", "z2", "strictcone2", "twistedlex"])
+def test_groups_from_equal_descriptors_are_equal(build):
+    g1, g2 = build(), build()
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    assert parse_group(g1.describe()) == g1
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (tl(2, (0, 1), (1, 0)), tl(2, (0, 1), (0, 1))),
+    (Product([Integers()]), Integers()),
+    (Product(()), Product([Product(())])),
+    (Integers(), RenamedIntegers()),
+], ids=["twist", "product-of-one", "nested-trivial", "kind"])
+def test_groups_differing_in_one_parameter_are_unequal(g1, g2):
+    assert g1 != g2 and g2 != g1
+    assert g1.describe() != g2.describe()
 
 
 # -- twisted lex multiplication -----------------------------------------------
@@ -198,7 +226,7 @@ LAW_GROUPS = [
 
 @pytest.mark.parametrize("group", LAW_GROUPS)
 def test_group_laws_hold(group):
-    v = check_group_laws(group, Window(2), cap=10)
+    v = check_group_laws(group, Window(2, 10))
     assert v.ok, v.describe()
 
 
@@ -301,7 +329,7 @@ class WrongJoin(Integers):
 @pytest.mark.parametrize("group", LAW_GROUPS)
 def test_value_level_law_check_matches_elem_reference(group):
     # Verdict equality compares status, checked, skipped, witness and reason
-    assert (check_group_laws(group, Window(2), cap=10)
+    assert (check_group_laws(group, Window(2, 10))
             == _reference_group_laws(group, Window(2), cap=10))
 
 
@@ -317,7 +345,7 @@ def test_value_level_law_check_matches_reference_on_twisted_lex(n, lam, rho):
         # the construction self-check's window and cap
         want = _reference_group_laws(g, Window(1), cap=8)
         assert want.ok
-        assert check_group_laws(g, Window(1), cap=8) == want
+        assert check_group_laws(g, Window(1, 8)) == want
 
 
 @pytest.mark.parametrize("broken, reason", [
@@ -328,7 +356,7 @@ def test_value_level_law_check_matches_reference_on_twisted_lex(n, lam, rho):
 def test_value_level_law_check_fails_like_reference(broken, reason):
     want = _reference_group_laws(broken, Window(2), cap=10)
     assert want.failed and want.reason == reason and want.witness
-    assert check_group_laws(broken, Window(2), cap=10) == want
+    assert check_group_laws(broken, Window(2, 10)) == want
 
 
 def test_directedness_search():

@@ -9,9 +9,9 @@ import pytest
 from kitealg import riesz
 from kitealg.cli import main as cli_main
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
-from kitealg.pogroup import (Elem, Integers, PoGroup, StrictCone2,
-                             TwistedLexGroup, UsageError, Window, cone_window,
-                             integer_product, parse_group)
+from kitealg.pogroup import (Elem, Integers, PoGroup, PositiveCone,
+                             StrictCone2, TwistedLexGroup, UsageError, Window,
+                             cone_window, integer_product, parse_group)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
@@ -79,14 +79,28 @@ def test_find_interpolant_takes_smallest():
 
 
 def test_refinement_table_golden():
-    tab = find_refinement(
-        Z, Z.make(2), Z.make(1), Z.make(1), Z.make(2), RdpLevel.RDP, Window(3))
+    args = (Z.make(2), Z.make(1), Z.make(1), Z.make(2))
+    tab, exhaustive = find_refinement(Z, *args, RdpLevel.RDP, Window(3))
     assert [c.value for c in tab.cells()] == [1, 1, 0, 1]
+    # the coverage flag is that of the [0, a1] candidate interval
+    assert exhaustive
+    assert exhaustive == PositiveCone(Z).interval(Z.e, args[0], Window(3))[1]
+    # RIP and RDP0 search plain RDP tables
+    for lv in (RdpLevel.RIP, RdpLevel.RDP0):
+        assert find_refinement(Z, *args, lv, Window(3)) == (tab, exhaustive)
+    # over the strict cone, [0, a1] for an upper a1 is not exhaustive
+    k = mk(1, (0,), (0,), SC)
+    tab, exhaustive = find_refinement(k, k.one, k.zero, k.zero, k.one,
+                                      RdpLevel.RDP, Window(1))
+    assert tab is not None
+    assert_table(k, tab, k.one, k.zero, k.zero, k.one)
+    assert not exhaustive
+    assert exhaustive == k.interval(k.zero, k.one, Window(1))[1]
 
 
 def test_refinement_side_conditions():
     one = Z.make(1)
-    tab = find_refinement(Z, one, one, one, one, RdpLevel.RDP2, Window(2))
+    tab, _ = find_refinement(Z, one, one, one, one, RdpLevel.RDP2, Window(2))
     assert [c.value for c in tab.cells()] == [1, 0, 0, 1]
     assert tab.side is not None and tab.side.ok
 
@@ -95,6 +109,14 @@ def test_integer_levels_all_hold():
     for lv in RDP_ORDER:
         v = check_rdp_level(Z, lv, Window(2))
         assert v.ok, (lv, v.describe())
+
+
+def test_positive_cone_sample_honours_the_cap():
+    assert [x.value for x in PositiveCone(Z).elements(Window(3, 2))] == [0, 1]
+    capped = check_rdp_level(Z, RdpLevel.RDP, Window(3, 2))
+    whole = check_rdp_level(Z, RdpLevel.RDP, Window(3))
+    assert capped.ok and whole.ok
+    assert (capped.checked, whole.checked) == (6, 44)
 
 
 @pytest.mark.parametrize("base", [
@@ -248,7 +270,8 @@ def test_search_agrees_with_constructive_builder():
             tab = kite_refinement_constructive(k, a1, a2, b1, b2)
             assert tab is not None
             assert_table(k, tab, a1, a2, b1, b2)
-            found = find_refinement(k, a1, a2, b1, b2, RdpLevel.RDP, Window(1))
+            found, _ = find_refinement(k, a1, a2, b1, b2, RdpLevel.RDP,
+                                       Window(1))
             if found is not None:
                 assert_table(k, found, a1, a2, b1, b2)
                 seen += 1
@@ -325,7 +348,7 @@ def test_rip_loop_matches_reference(obj, w, expect):
 
 def _ref_base_table(base, r1, r2, s1, s2, level, w):
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
-    t = find_refinement(base, *[Elem(base, v) for v in (r1, r2, s1, s2)], lv, w)
+    t, _ = find_refinement(base, *[Elem(base, v) for v in (r1, r2, s1, s2)], lv, w)
     if t is None:
         return None
     return RefinementTable(*[c.value for c in t.cells()], side=t.side,
