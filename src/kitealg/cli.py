@@ -97,19 +97,25 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     return cfg
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool (JSON true would pass isinstance int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate(cfg: RunConfig) -> None:
-    _expect(isinstance(cfg.height, int) and cfg.height >= 0,
-            "field 'height': must be a non-negative integer")
-    _expect(cfg.cap is None or (isinstance(cfg.cap, int) and cfg.cap >= 1),
+    for name, least in (("height", 0), ("nmax", 1), ("depth", 1),
+                        ("sweep_budget", 1), ("show_budget", 1)):
+        v = getattr(cfg, name)
+        _expect(_is_int(v) and v >= least,
+                f"field '{name}': must be an integer >= {least}")
+    _expect(cfg.cap is None or (_is_int(cfg.cap) and cfg.cap >= 1),
             "field 'cap': must be a positive integer or null")
-    _expect(isinstance(cfg.nmax, int) and cfg.nmax >= 1,
-            "field 'nmax': must be a positive integer")
-    _expect(isinstance(cfg.depth, int) and cfg.depth >= 1,
-            "field 'depth': must be a positive integer")
     _expect(cfg.format in ("json", "text"),
             "field 'format': must be 'json' or 'text'")
-    _expect(cfg.seed is None or isinstance(cfg.seed, int),
+    _expect(cfg.seed is None or _is_int(cfg.seed),
             "field 'seed': must be an integer or null")
+    _expect(cfg.out is None or isinstance(cfg.out, str),
+            "field 'out': must be a file name or null")
     checks = tuple(cfg.checks)
     for c in checks:
         _expect(c in CHECK_TOKENS,
@@ -157,7 +163,7 @@ def _perm_offset(name: str, default: int, fieldname: str) -> int:
 def build_kite(cfg: RunConfig) -> Kite:
     base = parse_group(cfg.group)
     shp = cfg.shape
-    _expect("n" in shp and isinstance(shp["n"], int) and shp["n"] >= 0,
+    _expect("n" in shp and _is_int(shp["n"]) and shp["n"] >= 0,
             "field 'shape.n': must be a non-negative integer")
     n = shp["n"]
     lam = _parse_perm(shp.get("lambda", shp.get("lam", "id")), n, "shape.lambda")
@@ -287,6 +293,8 @@ def _grid_cells(cfg: RunConfig):
     """(group, n, lam, rho, height) per sweep cell. The cells are counted,
     and refused over sweep_budget, before any permutation pair is built."""
     grid = cfg.grid or {}
+    extra = set(grid) - {"groups", "n", "heights", "perm_pairs"}
+    _expect(not extra, f"field 'grid': unrecognized keys {sorted(extra)}")
     groups = grid.get("groups", [cfg.group])
     ns = grid.get("n", [cfg.shape.get("n", 1)])
     heights = grid.get("heights", [cfg.height])
@@ -294,7 +302,7 @@ def _grid_cells(cfg: RunConfig):
     _expect(isinstance(groups, list), "field 'grid.groups': must be a list")
     for name, values in (("n", ns), ("heights", heights)):
         _expect(isinstance(values, list) and all(
-            isinstance(v, int) and v >= 0 for v in values),
+            _is_int(v) and v >= 0 for v in values),
             f"field 'grid.{name}': must be a list of non-negative integers")
     _expect(pair_spec == "all" or (isinstance(pair_spec, list) and all(
         isinstance(p, list) and len(p) == 2 for p in pair_spec)),
@@ -426,7 +434,11 @@ def _render_text(report: dict) -> str:
 def _emit(report: dict, cfg: RunConfig) -> None:
     rendered = json.dumps(report, indent=2, sort_keys=True)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
+        try:
+            fh = open(cfg.out, "w")
+        except OSError as exc:
+            raise UsageError(f"field 'out': {exc}")
+        with fh:
             fh.write(rendered + "\n")
     if cfg.format == "json":
         print(rendered)

@@ -27,6 +27,7 @@ from .axioms import Algebra
 from .kite import Kite, KiteShape, LOWER
 from .pogroup import (Integers, PoGroup, Product, StrictCone2, TwistedLexGroup,
                       UsageError, Window)
+from .representations import MapSpec
 from .riesz import RdpLevel, check_rdp_level
 from .verdict import Tally, Verdict, fails, holds, unknown
 
@@ -266,28 +267,21 @@ def least_o_ideal(group: PoGroup, w: Window):
 
 
 def _joint_orbits(lam, rho) -> tuple:
-    """Orbits of the group generated by the two permutations."""
-    n = len(lam)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for i in range(n):
-        union(i, lam[i])
-        union(i, rho[i])
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(v) for _, v in sorted(groups.items()))
+    """Orbits of the group generated by the two permutations, each sorted,
+    in the order of their smallest index: walk along lam and rho from each
+    index not yet seen."""
+    out: list = []
+    for i in range(len(lam)):
+        if any(i in orbit for orbit in out):
+            continue
+        orbit, todo = {i}, [i]
+        while todo:
+            j = todo.pop()
+            new = {lam[j], rho[j]} - orbit
+            orbit |= new
+            todo.extend(new)
+        out.append(tuple(sorted(orbit)))
+    return tuple(out)
 
 
 def _lower_component_ideal(kite: Kite, indices, w: Window,
@@ -359,8 +353,6 @@ def canonical_form(shape: KiteShape):
     and upper index maps: new lower coordinate i' reads old coordinate
     tau_lower[i'], and uppers read tau_upper. Raises on disconnected shapes.
     """
-    from .representations import MapSpec
-
     report = orbits(shape)
     if not report.connected:
         raise UsageError("canonical form needs a connected shape")
@@ -375,11 +367,7 @@ def canonical_form(shape: KiteShape):
     rho_new = perms.compose(alpha, perms.compose(pi, perms.inverse(alpha)))
     new_shape = KiteShape(n=n, lam=tuple(perms.identity(n)),
                           rho=tuple(rho_new), base=shape.base)
-    relabel = MapSpec(target="kite",
-                      tau_lower=tuple(perms.inverse(alpha)),
-                      tau_upper=tuple(perms.inverse(beta)),
-                      invert=False,
-                      label="cycle renumbering")
+    relabel = MapSpec(perms.inverse(alpha), perms.inverse(beta))
     return new_shape, relabel
 
 

@@ -22,8 +22,9 @@ read as y + x), where lam and rho trade places and the base product is
 reversed.
 
 With a lattice base the kite carries total MV operations; oplus truncates the
-case products at e and extends the partial addition, and odot is its
-definedness gauge: x + y is defined exactly when odot(x, y) = 0.
+case products at e and extends the partial addition; odot, derived from oplus
+and the two negations, gauges definedness: x + y is defined exactly when
+odot(x, y) = 0.
 """
 
 from __future__ import annotations
@@ -336,22 +337,10 @@ class Kite:
         return self._wrap(UPPER, [meet(v, e) for v in self._twisted(xtag, xs, ys)])
 
     def mv_odot(self, x: KiteElement, y: KiteElement) -> KiteElement:
-        """Total truncated product; odot(x, y) = 0 exactly when x + y is defined."""
-        self.own(x)
-        self.own(y)
-        self._need_lattice()
-        if x.tag == LOWER and y.tag == LOWER:
-            return self.zero
-        mul = self.base.mul_values
-        xs, ys = x.coords, y.coords
-        if x.tag == UPPER and y.tag == UPPER:
-            return self._wrap(UPPER, [mul(a, b) for a, b in zip(xs, ys)])
-        join, e = self.base.join_values, self._e
-        if x.tag == UPPER:
-            vals = [join(mul(xs[k], b), e) for k, b in zip(self.rho, ys)]
-        else:
-            vals = [join(mul(a, ys[k]), e) for a, k in zip(xs, self.lam)]
-        return self._wrap(LOWER, vals)
+        """axioms.derived_odot with its arguments swapped, so that
+        odot(x, y) = 0 exactly when x + y is defined."""
+        left = self.complement_left
+        return self.complement_right(self.mv_oplus(left(x), left(y)))
 
     def mv_add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
         """The partial addition induced by the MV layer (cross-check of add)."""

@@ -164,11 +164,17 @@ class PoGroup:
 
     # -- serialization / norms ----------------------------------------------
 
-    def serialize_value(self, value):
+    def value_key(self, value) -> tuple:
+        """The value as a flat integer tuple: its sort key and, as a list,
+        its serialization."""
         raise NotImplementedError
 
-    def value_key(self, value) -> tuple:
-        """The serialization flattened to an integer tuple, for sorting."""
+    def serialize_value(self, value):
+        """The JSON form of a value: its value_key as a list."""
+        return list(self.value_key(value))
+
+    def _read_key(self, ints: Iterator):
+        """The raw value whose value_key comes next in ints."""
         raise NotImplementedError
 
     def norm_value(self, value) -> int:
@@ -179,7 +185,15 @@ class PoGroup:
         return (self.norm_value(a.value),) + self.value_key(a.value)
 
     def deserialize(self, obj) -> Elem:
-        raise NotImplementedError
+        """Read back a serialize_value list: exactly one value_key."""
+        ints = iter(obj) if isinstance(obj, list) else iter(())
+        try:
+            x = self.make(self._read_key(ints))
+        except StopIteration:
+            raise UsageError(f"{self.kind}: {obj!r} is not one value_key list")
+        if list(ints):
+            raise UsageError(f"{self.kind}: {obj!r} has integers left over")
+        return x
 
     def describe(self) -> dict:
         return {"kind": self.kind, "params": self._params()}
@@ -198,14 +212,6 @@ class PoGroup:
         if self.order_convex_norm:
             return max(self.norm_value(lo), self.norm_value(hi)) <= w.height
         return False
-
-
-def _flatten(obj) -> Iterator[int]:
-    if isinstance(obj, int):
-        yield obj
-    else:
-        for part in obj:
-            yield from _flatten(part)
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +256,14 @@ class Integers(PoGroup):
     def meet(self, a, b):
         return self._lattice_op(self.meet_values, a, b)
 
-    def serialize_value(self, value):
-        return [value]
-
     def value_key(self, value) -> tuple:
         return (value,)
 
+    def _read_key(self, ints):
+        return next(ints)
+
     def norm_value(self, value) -> int:
         return abs(value)
-
-    def deserialize(self, obj):
-        if isinstance(obj, list):
-            (obj,) = obj
-        return self.make(obj)
 
     def ball_values(self, height):
         return iter(range(-height, height + 1))
@@ -315,12 +316,6 @@ class Product(PoGroup):
     def meet(self, a, b):
         return self._lattice_op(self.meet_values, a, b)
 
-    def serialize_value(self, value):
-        out = []
-        for c, v in zip(self.components, value):
-            out.extend(_flatten(c.serialize_value(v)))
-        return out
-
     def value_key(self, value) -> tuple:
         return tuple(itertools.chain.from_iterable(
             c.value_key(v) for c, v in zip(self.components, value)))
@@ -329,11 +324,9 @@ class Product(PoGroup):
         return max((c.norm_value(v) for c, v in zip(self.components, value)),
                    default=0)
 
-    def deserialize(self, obj):
-        if len(obj) != len(self.components):
-            raise UsageError("component count mismatch")
-        return self.make(tuple(
-            c.deserialize(v).value for c, v in zip(self.components, obj)))
+    def _read_key(self, ints):
+        # a list, not a generator: StopIteration must reach deserialize
+        return tuple([c._read_key(ints) for c in self.components])
 
     def ball_values(self, height):
         pools = [list(c.ball_values(height)) for c in self.components]
@@ -379,17 +372,14 @@ class StrictCone2(PoGroup):
     def leq_values(self, x, y):
         return self.in_cone((y[0] - x[0], y[1] - x[1]))
 
-    def serialize_value(self, value):
-        return [value[0], value[1]]
-
     def value_key(self, value) -> tuple:
         return value
 
+    def _read_key(self, ints):
+        return (next(ints), next(ints))
+
     def norm_value(self, value) -> int:
         return max(abs(value[0]), abs(value[1]))
-
-    def deserialize(self, obj):
-        return self.make((obj[0], obj[1]))
 
     def ball_values(self, height):
         rng = range(-height, height + 1)
@@ -478,6 +468,7 @@ class TwistedLexGroup(PoGroup):
         return self._lattice_op(self.meet_values, a, b)
 
     def serialize_value(self, value):
+        """Nested: [m, [base serialization per coordinate]]."""
         m, coords = value
         return [m, [self.base.serialize_value(c) for c in coords]]
 
@@ -490,6 +481,10 @@ class TwistedLexGroup(PoGroup):
         m, coords = value
         norm = self.base.norm_value
         return max(abs(m), max((norm(c) for c in coords), default=0))
+
+    def _read_key(self, ints):
+        m = next(ints)
+        return (m, tuple([self.base._read_key(ints) for _ in range(self.n)]))
 
     def deserialize(self, obj):
         m, coords = obj

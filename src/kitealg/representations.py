@@ -6,9 +6,9 @@ maps to leading integer 0 and an upper element to leading integer 1, with the
 coordinate tuple re-indexed through a stored permutation per tag and
 optionally inverted. Candidate permutations come from a small closed family
 (identity, the two twisting bijections and their inverses, powers of
-sigma = rho o lam^-1, and index reflections); a searched map that verifies is
-frozen into the bundled registry so later runs replay it instead of searching
-again.
+sigma = rho o lam^-1, and index reflections). The bundled registry,
+data/mapspecs.json, is a fixed file of known maps that stored_mapspec reads;
+a stored map is replayed instead of searching, and nothing writes the file.
 """
 
 from __future__ import annotations
@@ -111,19 +111,16 @@ class MapSpec:
     """Tagged re-indexing map from a kite to an interval algebra or a kite.
 
     Lower(f) goes to leading 0, Upper(u) to leading 1 (or to the same tags
-    for kite targets); new coordinate i reads old coordinate tau[i] for the
-    tag's tuple, inverted elementwise when invert is set.
+    when apply is given a Kite); new coordinate i reads old coordinate tau[i]
+    for the tag's tuple, inverted elementwise when invert is set. The fields
+    are exactly the JSON form, so equal JSON means equal maps.
     """
 
-    target: str
     tau_lower: tuple
     tau_upper: tuple
     invert: bool = False
-    label: str = ""
 
     def __post_init__(self) -> None:
-        if self.target not in ("interval", "kite"):
-            raise UsageError("target must be 'interval' or 'kite'")
         object.__setattr__(self, "tau_lower", tuple(self.tau_lower))
         object.__setattr__(self, "tau_upper", tuple(self.tau_upper))
         for tau in (self.tau_lower, self.tau_upper):
@@ -136,31 +133,25 @@ class MapSpec:
                 "invert": self.invert}
 
     @classmethod
-    def from_json(cls, obj: dict, target: str = "interval",
-                  label: str = "") -> "MapSpec":
-        return cls(target=target, tau_lower=tuple(obj["tauL"]),
-                   tau_upper=tuple(obj["tauU"]), invert=bool(obj["invert"]),
-                   label=label)
+    def from_json(cls, obj: dict) -> "MapSpec":
+        return cls(obj["tauL"], obj["tauU"], bool(obj["invert"]))
 
     def inverse(self) -> "MapSpec":
-        if self.target != "kite":
-            raise UsageError("only kite-to-kite maps invert to a MapSpec")
+        """The inverse of a kite-to-kite re-indexing."""
         if self.invert:
             raise UsageError("coordinate-inverting maps do not invert here")
-        return MapSpec(target="kite",
-                       tau_lower=tuple(perms.inverse(self.tau_lower)),
-                       tau_upper=tuple(perms.inverse(self.tau_upper)),
-                       invert=False,
-                       label=f"inverse of {self.label}" if self.label else "")
+        return MapSpec(perms.inverse(self.tau_lower),
+                       perms.inverse(self.tau_upper))
 
     def apply(self, x: KiteElement, target) -> Optional[Any]:
-        """Image of a kite element in the target; None when not representable."""
+        """Image of a kite element in the target, a Kite or an IntervalPEA;
+        None when not representable."""
         tau = self.tau_lower if x.tag == LOWER else self.tau_upper
         vals = tuple(x.coords[t] for t in tau)
         if self.invert:
             inv = x.shape.base.inv_value
             vals = tuple(inv(v) for v in vals)
-        if self.target == "kite":
+        if isinstance(target, Kite):
             return KiteElement(target.shape, x.tag, vals)
         group = target.group
         lead = 0 if x.tag == LOWER else 1
@@ -171,7 +162,7 @@ class MapSpec:
         return None
 
 
-def mapspec_family(shape: KiteShape, target: str = "interval") -> tuple:
+def mapspec_family(shape: KiteShape) -> tuple:
     """Closed candidate family, deterministic order, identity maps first."""
     n = shape.n
     ident = tuple(perms.identity(n))
@@ -184,15 +175,9 @@ def mapspec_family(shape: KiteShape, target: str = "interval") -> tuple:
         cands.append(power)
     for k in range(n):
         cands.append(tuple((k - i) % n for i in range(n)))
-    seen: list = []
-    for c in cands:
-        if c not in seen:
-            seen.append(c)
-    out = []
-    for tau_l, tau_u, inv in itertools.product(seen, seen, (False, True)):
-        out.append(MapSpec(target=target, tau_lower=tau_l, tau_upper=tau_u,
-                           invert=inv))
-    return tuple(out)
+    distinct = list(dict.fromkeys(cands))
+    return tuple(MapSpec(tau_l, tau_u, inv) for tau_l, tau_u, inv
+                 in itertools.product(distinct, distinct, (False, True)))
 
 
 def _registry() -> dict:
@@ -200,12 +185,12 @@ def _registry() -> dict:
     return json.loads(data.read_text())
 
 
-def stored_mapspec(key: str, target: str = "interval") -> Optional[MapSpec]:
+def stored_mapspec(key: str) -> Optional[MapSpec]:
     """Golden map from the bundled registry, or None."""
     entry = _registry().get(key)
     if entry is None:
         return None
-    return MapSpec.from_json(entry, target=target, label=key)
+    return MapSpec.from_json(entry)
 
 
 # -- window isomorphism verification -------------------------------------------
@@ -324,8 +309,6 @@ def scrimger_fixture(n: int):
     group = twisted_lex_group(n, dec, tuple(perms.identity(n)), base)
     spec = stored_mapspec(f"scrimger:{n}")
     if spec is None:
-        spec = MapSpec(target="interval",
-                       tau_lower=tuple((1 - i) % n for i in range(n)),
-                       tau_upper=tuple((-i) % n for i in range(n)),
-                       label=f"scrimger:{n}")
+        spec = MapSpec(tau_lower=tuple((1 - i) % n for i in range(n)),
+                       tau_upper=tuple((-i) % n for i in range(n)))
     return shape, group, spec

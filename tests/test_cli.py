@@ -129,12 +129,38 @@ MALFORMED_ARGV = {
                           '"rho":[0],"base":"z"}}'],
     "perm-entries": ["check", "--shape",
                      '{"n":2,"lambda":[0,"a"],"rho":"id"}'],
+    "grid-unknown-key": ["sweep", "--grid", '{"group":["strictcone2"]}'],
+    "out-unopenable": ["check", "--checks", "axioms",
+                       "--out", os.path.join(os.devnull, "report.json")],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV)
 def test_malformed_config_values_exit_64(capsys, argv):
     code, _, err = run(capsys, argv + ["--height", "1"])
+    assert code == 64
+    assert "config error" in err
+
+
+# fields with no flag, set through a config file for a one-cell sweep
+MALFORMED_CONFIG = {
+    "sweep-budget-string": {"sweep_budget": "x"},
+    "sweep-budget-null": {"sweep_budget": None},
+    "show-budget-zero": {"show_budget": 0},
+    "height-bool": {"height": True},
+    "cap-bool": {"cap": True},
+    # an int would be opened as a file descriptor
+    "out-int": {"out": 987654},
+    "grid-unknown-key": {"grid": {"group": ["strictcone2"], "n": [1]}},
+}
+
+
+@pytest.mark.parametrize("fields", MALFORMED_CONFIG.values(),
+                         ids=MALFORMED_CONFIG)
+def test_malformed_config_file_values_exit_64(capsys, tmp_path, fields):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"height": 1, "checks": "axioms", **fields}))
+    code, _, err = run(capsys, ["sweep", "--config", str(path)])
     assert code == 64
     assert "config error" in err
 

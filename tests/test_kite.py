@@ -210,6 +210,18 @@ def test_mv_odot_zero_set_matches_definedness():
             assert (k.mv_odot(x, y) == k.zero) == (k.add(x, y) is not None)
 
 
+def test_mv_odot_is_the_product_derived_from_oplus_and_negations():
+    # over a non-abelian base too, where a closed form written per tag case
+    # differs from the derived product on about half of the pairs
+    base = TwistedLexGroup(2, (0, 1), (1, 0), Z)
+    for k in (SWAP2, mk(2, (0, 1), (1, 0), base)):
+        left = k.complement_left
+        sample = k.elements(Window(1))
+        for x, y in itertools.product(sample, repeat=2):
+            assert k.mv_odot(x, y) == k.complement_right(
+                k.mv_oplus(left(x), left(y)))
+
+
 def test_mv_add_agrees_with_add():
     k = SWAP2
     sample = k.elements(Window(1))

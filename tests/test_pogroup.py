@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
-    _flatten,
     CapabilityError,
     Integers,
     Product,
@@ -383,18 +382,48 @@ def test_twisted_lex_interval_across_levels_not_exhaustive():
 
 TWISTED_LEX_SC2 = {"kind": "TwistedLex", "params": {
     "n": 2, "lam": [0, 1], "rho": [1, 0], "base": {"kind": "StrictCone2"}}}
+TWISTED_LEX_Z = {"kind": "TwistedLex", "params": {
+    "n": 1, "lam": [0], "rho": [0], "base": "z"}}
+
+
+def _product(*components):
+    return {"kind": "Product", "params": {"components": list(components)}}
+
+
+def _flatten(obj):
+    """The integers of a nested serialization, in order."""
+    if isinstance(obj, int):
+        yield obj
+    else:
+        for part in obj:
+            yield from _flatten(part)
 
 
 @pytest.mark.parametrize("name", [
     "z", "strictcone2", "z2", "z3", "trivial",
     pytest.param(TWISTED_LEX_SC2, id="twistedlex"),
+    # components wider than one integer
+    pytest.param(_product("strictcone2"), id="product-strictcone2"),
+    pytest.param(_product("z2", "z"), id="product-z2-z"),
+    pytest.param(_product(TWISTED_LEX_Z, "strictcone2"),
+                 id="product-twistedlex"),
 ])
 def test_direct_sort_keys_and_norms_match_the_flattened_form(name):
     g = parse_group(name)
     for v in g.ball_values(3):
-        flat = tuple(_flatten(g.serialize_value(v)))
+        ser = g.serialize_value(v)
+        flat = tuple(_flatten(ser))
         assert g.value_key(v) == flat
         assert g.norm_value(v) == max((abs(c) for c in flat), default=0)
+        assert g.deserialize(ser).value == v
+    if not isinstance(g, TwistedLexGroup):
+        # a flat serialization reads back whole or not at all
+        key = g.serialize_value(g.e.value)
+        with pytest.raises(UsageError):
+            g.deserialize(key + [0])
+        if key:
+            with pytest.raises(UsageError):
+                g.deserialize(key[:-1])
 
 
 # -- descriptors ----------------------------------------------------------------

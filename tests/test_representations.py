@@ -103,20 +103,21 @@ def test_strong_unit_check():
 
 
 def test_mapspec_json_roundtrip():
-    spec = MapSpec(target="interval", tau_lower=(1, 0), tau_upper=(0, 1),
-                   invert=False, label="x")
+    spec = MapSpec(tau_lower=(1, 0), tau_upper=(0, 1), invert=False)
     blob = json.dumps(spec.as_json())
-    back = MapSpec.from_json(json.loads(blob), target="interval", label="x")
+    back = MapSpec.from_json(json.loads(blob))
     assert back.tau_lower == spec.tau_lower
     assert back.tau_upper == spec.tau_upper
     assert back.invert == spec.invert
+    # a map is its JSON: equal JSON, equal maps
+    assert back == spec
+    for m in mapspec_family(KiteShape(3, (1, 2, 0), (0, 1, 2), Z)):
+        assert MapSpec.from_json(m.as_json()) == m
 
 
 def test_mapspec_validation():
     with pytest.raises(UsageError):
-        MapSpec(target="nowhere", tau_lower=(0,), tau_upper=(0,))
-    with pytest.raises(UsageError):
-        MapSpec(target="interval", tau_lower=(0, 0), tau_upper=(0, 1))
+        MapSpec(tau_lower=(0, 0), tau_upper=(0, 1))
 
 
 def test_mapspec_family_contains_standard_maps():
@@ -134,6 +135,9 @@ def test_stored_mapspec_registry():
     assert spec is not None
     assert spec.as_json() == {"tauL": [1, 0], "tauU": [0, 1], "invert": False}
     assert stored_mapspec("missing:99") is None
+    # the stored perfect map is the family's first candidate, the identity
+    swap = KiteShape(2, (1, 0), (1, 0), Z)
+    assert stored_mapspec("perfect:2:(0 1)") == mapspec_family(swap)[0]
 
 
 # -- isomorphism verification -----------------------------------------------------------
@@ -142,7 +146,7 @@ def test_stored_mapspec_registry():
 def test_trivial_kite_is_the_two_chain():
     k = mk(0, (), ())
     target = IntervalPEA(Z, Z.make(1))
-    spec = MapSpec(target="interval", tau_lower=(), tau_upper=())
+    spec = MapSpec(tau_lower=(), tau_upper=())
     v = verify_iso(k, target, spec, Window(2))
     assert v.ok, v.describe()
     assert v.skipped == 0
@@ -152,7 +156,7 @@ def test_one_coordinate_kite_matches_lex_interval():
     k = mk(1, (0,), (0,))
     g = twisted_lex_group(1, (0,), (0,), Z)
     target = IntervalPEA(g, g.strong_unit())
-    spec = MapSpec(target="interval", tau_lower=(0,), tau_upper=(0,))
+    spec = MapSpec(tau_lower=(0,), tau_upper=(0,))
     v = verify_iso(k, target, spec, Window(2))
     assert v.ok, v.describe()
     assert v.skipped == 0
@@ -163,7 +167,7 @@ def test_same_orientation_identity_map_verifies():
     k = Kite(shape)
     g = twisted_lex_group(2, (0, 1), (1, 0), Z)
     target = IntervalPEA(g, g.strong_unit())
-    spec = MapSpec(target="interval", tau_lower=(0, 1), tau_upper=(0, 1))
+    spec = MapSpec(tau_lower=(0, 1), tau_upper=(0, 1))
     v = verify_iso(k, target, spec, Window(1))
     assert v.ok, v.describe()
 
@@ -184,7 +188,7 @@ def test_cyclic_fixture_wrong_orientation_fails():
     shape, group, _ = scrimger_fixture(2)
     P = Kite(shape)
     Q = IntervalPEA(group, group.strong_unit())
-    bad = MapSpec(target="interval", tau_lower=(0, 1), tau_upper=(0, 1))
+    bad = MapSpec(tau_lower=(0, 1), tau_upper=(0, 1))
     v = verify_iso(P, Q, bad, Window(1))
     assert v.status is Status.FAILS
 
