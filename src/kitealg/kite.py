@@ -30,7 +30,7 @@ odot(x, y) = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import perms
@@ -68,22 +68,37 @@ class KiteShape:
 LOWER = "L"
 UPPER = "U"
 
-# marks a miss in Kite's add and difference memos, which store None for an
-# undefined result
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class KiteElement:
     """A tag (LOWER or UPPER) and n raw values of the shape's base group.
 
     The coordinates carry no group of their own: the shape names the base,
-    and equality and hashing compare (shape, tag, coords) directly.
+    and equality and hashing compare (shape, tag, coords) directly; the hash
+    is computed once, at construction. An element that a Kite interned also
+    carries that kite and its id there; neither takes part in equality,
+    hashing, repr or serialization.
     """
 
     shape: KiteShape
     tag: str
     coords: tuple
+    kite: Optional["Kite"] = field(default=None, compare=False)
+    id: int = field(default=-1, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.shape, self.tag, self.coords)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not KiteElement:
+            return NotImplemented
+        return ((self.tag, self.coords, self.shape)
+                == (other.tag, other.coords, other.shape))
 
     def serialized(self) -> dict:
         ser = self.shape.base.serialize_value
@@ -97,24 +112,30 @@ class KiteElement:
 class Kite:
     """Operations of the kite algebra for one shape.
 
-    Elements hold raw base values, so ownership is one shape check per
-    operand (identity first, then structural equality) and every operation
-    computes on the coordinates as they are. Coordinates are validated where
-    elements are built: lower and upper check each value with the base
-    group's check_value and then the cone.
+    Elements hold raw base values. Coordinates are validated where elements
+    are built: lower and upper check each value with the base group's
+    check_value and then the cone.
 
-    Window samples are memoised per Window on the instance: elements(w)
-    builds and sorts the carrier sample once and hands out a fresh list
-    copy on every call, so interval queries never rebuild it.
+    Each Kite interns its elements (hash-consing): one table maps
+    (tag, coords) to the single KiteElement it built, which carries this
+    kite and an id, 0, 1, 2, ... in order of interning. lower, upper, zero,
+    one, the window samples and every operation result come from the table.
+    An operand whose kite is this one is owned; any other operand has its
+    shape checked (identity first, then equality), raises UsageError on a
+    foreign shape and is re-interned otherwise. Two kites that share one
+    KiteShape still have separate tables and ids.
 
-    add, mv_oplus, complement_left, complement_right, ldiff and rdiff are
-    memoised per instance too, each in its own dict that lives as long as the
-    Kite. Every call first checks ownership of each operand, so a foreign
-    element raises even when an equal key is stored; only then is the key
-    built from the raw operands, (x.tag, x.coords) or (x.tag, x.coords,
-    y.tag, y.coords) in argument order (b before a for both differences), so
-    no KiteElement or KiteShape is hashed on the way. The add, ldiff and
-    rdiff memos store None for an undefined result.
+    Operations are memoised in rows indexed by id, filled on demand and
+    kept as long as the Kite: add, mv_oplus, ldiff and rdiff keep one dict
+    per id (of x, or of b for both differences) keyed on the other
+    operand's id, and the two complements and the norm keep one slot per id.
+    Ownership is settled before any row is read. The add, ldiff and rdiff
+    rows store None for an undefined result. Over an abelian base an add or
+    mv_oplus of two elements in one part is stored under both orders.
+
+    Window samples are memoised per Window: elements(w) builds and sorts
+    the carrier sample once and hands out a fresh list copy on every call,
+    so interval queries never rebuild it.
 
     A Kite is what the checkers in axioms, riesz, ideals and
     representations take: it has every member of axioms.Algebra.
@@ -129,16 +150,16 @@ class Kite:
         self.rho = list(shape.rho)
         self.lam_inv = perms.inverse(self.lam)
         self.rho_inv = perms.inverse(self.rho)
-        e = self._e = self.base.e.value
-        self.zero = KiteElement(shape, LOWER, (e,) * self.n)
-        self.one = KiteElement(shape, UPPER, (e,) * self.n)
         self._samples: dict[Window, list[KiteElement]] = {}
-        self._add_memo: dict[tuple, Optional[KiteElement]] = {}
-        self._oplus_memo: dict[tuple, KiteElement] = {}
-        self._left_memo: dict[tuple, KiteElement] = {}
-        self._right_memo: dict[tuple, KiteElement] = {}
-        self._ldiff_memo: dict[tuple, Optional[KiteElement]] = {}
-        self._rdiff_memo: dict[tuple, Optional[KiteElement]] = {}
+        self._table: dict[tuple, KiteElement] = {}
+        # indexed by id: dict rows for the binary operations, slots for the
+        # complements and the norm
+        rows = self._rows = ([], [], [], [])
+        self._add_rows, self._oplus_rows, self._ldiff_rows, self._rdiff_rows = rows
+        self._slots = self._left, self._right, self._norms = [], [], []
+        e = self._e = self.base.e.value
+        self.zero = self.intern(LOWER, (e,) * self.n)
+        self.one = self.intern(UPPER, (e,) * self.n)
 
     # -- constructors -------------------------------------------------------
 
@@ -160,20 +181,34 @@ class Kite:
                 raise UsageError(f"lower coordinate {c!r} is not positive")
             if tag == UPPER and not leq(c, e):
                 raise UsageError(f"upper coordinate {c!r} is not negative")
-        return KiteElement(self.shape, tag, coords)
+        return self.intern(tag, coords)
 
-    def own(self, x: KiteElement) -> None:
+    def intern(self, tag: str, coords) -> KiteElement:
+        """The one element with tag and coords, which are not checked."""
+        coords = tuple(coords)
+        x = self._table.get((tag, coords))
+        if x is None:
+            x = self._table[tag, coords] = KiteElement(
+                self.shape, tag, coords, self, len(self._table))
+            for rows in self._rows:
+                rows.append({})
+            for slots in self._slots:
+                slots.append(None)
+        return x
+
+    def own(self, x: KiteElement) -> KiteElement:
+        """x itself if this kite interned it, else its equal interned here."""
+        if x.kite is self:
+            return x
         if x.shape is not self.shape and x.shape != self.shape:
             raise UsageError("element belongs to a different kite shape")
-
-    def _wrap(self, tag: str, values) -> KiteElement:
-        return KiteElement(self.shape, tag, tuple(values))
+        return self.intern(x.tag, x.coords)
 
     # -- order ---------------------------------------------------------------
 
     def leq(self, x: KiteElement, y: KiteElement) -> bool:
-        self.own(x)
-        self.own(y)
+        x = x if x.kite is self else self.own(x)
+        y = y if y.kite is self else self.own(y)
         return self._leq(x, y)
 
     def _leq(self, x: KiteElement, y: KiteElement) -> bool:
@@ -185,14 +220,17 @@ class Kite:
     # -- partial addition ------------------------------------------------------
 
     def add(self, x: KiteElement, y: KiteElement) -> Optional[KiteElement]:
-        self.own(x)
-        self.own(y)
-        key = (x.tag, x.coords, y.tag, y.coords)
-        z = self._add_memo.get(key, _MISSING)
-        if z is _MISSING:
-            s = self._sum(*key)
-            z = self._add_memo[key] = None if s is None else self._wrap(*s)
-        return z
+        x = x if x.kite is self else self.own(x)
+        y = y if y.kite is self else self.own(y)
+        row = self._add_rows[x.id]
+        try:
+            return row[y.id]
+        except KeyError:
+            s = self._sum(x.tag, x.coords, y.tag, y.coords)
+            z = row[y.id] = None if s is None else self.intern(*s)
+            if x.tag == y.tag and self.base.is_abelian:
+                self._add_rows[y.id][x.id] = z  # same-part sums commute
+            return z
 
     def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through
@@ -220,32 +258,28 @@ class Kite:
 
     def complement_left(self, x: KiteElement) -> KiteElement:
         """The unique d with d + x = 1."""
-        return self._complement(x, self._left_memo, self.rho_inv, self.lam)
+        return self._complement(x, self._left, self.rho_inv, self.lam)
 
     def complement_right(self, x: KiteElement) -> KiteElement:
         """The unique d with x + d = 1."""
-        return self._complement(x, self._right_memo, self.lam_inv, self.rho)
-
-    def _complement(self, x: KiteElement, memo: dict, lower_perm,
-                    upper_perm) -> KiteElement:
-        """Inverted coordinates of x re-indexed through lower_perm (x lower,
-        the result is upper) or upper_perm (x upper, the result is lower)."""
-        self.own(x)
-        key = (x.tag, x.coords)
-        d = memo.get(key)
-        if d is None:
-            inv = self.base.inv_value
-            xs = x.coords
-            if x.tag == LOWER:
-                d = self._wrap(UPPER, [inv(xs[j]) for j in lower_perm])
-            else:
-                d = self._wrap(LOWER, [inv(xs[j]) for j in upper_perm])
-            memo[key] = d
-        return d
+        return self._complement(x, self._right, self.lam_inv, self.rho)
 
     def negations(self, x: KiteElement) -> tuple[KiteElement, KiteElement]:
         """(right complement, left complement): d with x+d=1, then d with d+x=1."""
         return (self.complement_right(x), self.complement_left(x))
+
+    def _complement(self, x: KiteElement, slots: list, lower_perm,
+                    upper_perm) -> KiteElement:
+        """Inverted coordinates of x re-indexed through lower_perm (x lower,
+        the result is upper) or upper_perm (x upper, the result is lower)."""
+        x = x if x.kite is self else self.own(x)
+        d = slots[x.id]
+        if d is None:
+            inv, xs = self.base.inv_value, x.coords
+            tag, perm = ((UPPER, lower_perm) if x.tag == LOWER
+                         else (LOWER, upper_perm))
+            d = slots[x.id] = self.intern(tag, [inv(xs[j]) for j in perm])
+        return d
 
     # -- differences -------------------------------------------------------------
 
@@ -261,14 +295,14 @@ class Kite:
               flip: bool) -> Optional[KiteElement]:
         """Memo lookup for ldiff (flip false) and rdiff (flip true); the
         solver runs on a miss."""
-        self.own(a)
-        self.own(b)
-        memo = self._rdiff_memo if flip else self._ldiff_memo
-        key = (b.tag, b.coords, a.tag, a.coords)
-        c = memo.get(key, _MISSING)
-        if c is _MISSING:
-            c = memo[key] = self._solve(b, a, flip)
-        return c
+        a = a if a.kite is self else self.own(a)
+        b = b if b.kite is self else self.own(b)
+        row = (self._rdiff_rows if flip else self._ldiff_rows)[b.id]
+        try:
+            return row[a.id]
+        except KeyError:
+            c = row[a.id] = self._solve(b, a, flip)
+            return c
 
     def _solve(self, b: KiteElement, a: KiteElement,
                flip: bool) -> Optional[KiteElement]:
@@ -291,7 +325,7 @@ class Kite:
             tag, vals = LOWER, [mul(bv[k], inv(av[k])) for k in lam]
         s = (self._sum(a.tag, av, tag, vals) if flip
              else self._sum(tag, vals, a.tag, av))
-        return self._wrap(tag, vals) if s == (b.tag, bv) else None
+        return self.intern(tag, vals) if s == (b.tag, bv) else None
 
     # -- lattice and MV layer --------------------------------------------------
 
@@ -309,22 +343,23 @@ class Kite:
                op) -> KiteElement:
         """join (top UPPER) or meet (top LOWER): across the two parts the
         element tagged top, within a part op coordinatewise."""
-        self.own(x)
-        self.own(y)
+        x, y = self.own(x), self.own(y)
         self._need_lattice()
         if x.tag != y.tag:
             return x if x.tag == top else y
-        return self._wrap(x.tag, [op(a, b) for a, b in zip(x.coords, y.coords)])
+        return self.intern(x.tag, [op(a, b) for a, b in zip(x.coords, y.coords)])
 
     def mv_oplus(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """Total truncated sum; equals x + (x~ and y) and extends add."""
-        self.own(x)
-        self.own(y)
-        self._need_lattice()
-        key = (x.tag, x.coords, y.tag, y.coords)
-        z = self._oplus_memo.get(key)
-        if z is None:
-            z = self._oplus_memo[key] = self._oplus(*key)
+        x = x if x.kite is self else self.own(x)
+        y = y if y.kite is self else self.own(y)
+        row = self._oplus_rows[x.id]
+        z = row.get(y.id)
+        if z is None:  # rows fill only over a lattice base
+            self._need_lattice()
+            z = row[y.id] = self._oplus(x.tag, x.coords, y.tag, y.coords)
+            if x.tag == y.tag and self.base.is_abelian:
+                self._oplus_rows[y.id][x.id] = z
         return z
 
     def _oplus(self, xtag: str, xs, ytag: str, ys) -> KiteElement:
@@ -332,9 +367,9 @@ class Kite:
             return self.one
         if xtag == LOWER and ytag == LOWER:
             mul = self.base.mul_values
-            return self._wrap(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
+            return self.intern(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
         meet, e = self.base.meet_values, self._e
-        return self._wrap(UPPER, [meet(v, e) for v in self._twisted(xtag, xs, ys)])
+        return self.intern(UPPER, [meet(v, e) for v in self._twisted(xtag, xs, ys)])
 
     def mv_odot(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """axioms.derived_odot with its arguments swapped, so that
@@ -359,12 +394,13 @@ class Kite:
         return tuple(i for i, c in enumerate(x.coords) if c != e)
 
     def norm(self, x: KiteElement) -> int:
-        self.own(x)
-        return self._norm(x)
-
-    def _norm(self, x: KiteElement) -> int:
-        norm = self.base.norm_value
-        return max((norm(c) for c in x.coords), default=0)
+        """Largest base norm of a coordinate, read once per id."""
+        x = x if x.kite is self else self.own(x)
+        h = self._norms[x.id]
+        if h is None:
+            norm = self.base.norm_value
+            h = self._norms[x.id] = max((norm(c) for c in x.coords), default=0)
+        return h
 
     def serialize(self, x: KiteElement) -> dict:
         return x.serialized()
@@ -373,7 +409,7 @@ class Kite:
         tag_rank = 0 if x.tag == LOWER else 1
         flat = tuple(itertools.chain.from_iterable(
             self.base.value_key(c) for c in x.coords))
-        return (self._norm(x), tag_rank) + flat
+        return (self.norm(x), tag_rank) + flat
 
     # -- enumeration -------------------------------------------------------------
 
@@ -403,11 +439,11 @@ class Kite:
             allowed = [c for c in pool if norm(c) <= s]
             for tag in (LOWER, UPPER):
                 vals = allowed if tag == LOWER else [inv(c) for c in allowed]
-                shell = [
-                    KiteElement(self.shape, tag, coords)
-                    for coords in itertools.product(vals, repeat=self.n)
-                    if max((norm(c) for c in coords), default=0) == s
-                ]
+                # tuples of a smaller norm were interned, and their norms
+                # read, by an earlier shell
+                shell = [x for x in map(self.intern, itertools.repeat(tag),
+                                        itertools.product(vals, repeat=self.n))
+                         if self.norm(x) == s]
                 shell.sort(key=self.sort_key)
                 out.extend(shell)
                 if w.cap is not None and len(out) >= w.cap:
@@ -417,11 +453,10 @@ class Kite:
     def interval(self, a: KiteElement, b: KiteElement,
                  w: Window) -> tuple[list[KiteElement], bool]:
         """Window elements between a and b, with an exhaustiveness flag."""
-        self.own(a)
-        self.own(b)
+        a, b = self.own(a), self.own(b)
         if a.tag == UPPER and b.tag == LOWER:
             return [], True
-        wide = Window(max(w.height, self._norm(a), self._norm(b)))
+        wide = Window(max(w.height, self.norm(a), self.norm(b)))
         out = [x for x in self.elements(wide)
                if self._leq(a, x) and self._leq(x, b)]
         if a.tag == LOWER and b.tag == UPPER:

@@ -355,7 +355,7 @@ class StrictCone2(PoGroup):
 
     def check_value(self, value):
         x, y = value
-        if not isinstance(x, int) or not isinstance(y, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (x, y)):
             raise UsageError("StrictCone2 values are integer pairs")
         return (x, y)
 
@@ -419,7 +419,7 @@ class TwistedLexGroup(PoGroup):
 
     def check_value(self, value):
         m, coords = value
-        if not isinstance(m, int):
+        if not isinstance(m, int) or isinstance(m, bool):
             raise UsageError("leading component must be int")
         coords = tuple(coords)
         if len(coords) != self.n:
@@ -719,7 +719,7 @@ def parse_group(desc) -> PoGroup:
         if missing:
             raise UsageError(f"TwistedLex params lack {', '.join(missing)}")
         n = params["n"]
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise UsageError("TwistedLex 'n' must be a non-negative integer")
         return TwistedLexGroup(n, params["lam"], params["rho"],
                                parse_group(params["base"]))

@@ -152,7 +152,7 @@ class MapSpec:
             inv = x.shape.base.inv_value
             vals = tuple(inv(v) for v in vals)
         if isinstance(target, Kite):
-            return KiteElement(target.shape, x.tag, vals)
+            return target.intern(x.tag, vals)
         group = target.group
         lead = 0 if x.tag == LOWER else 1
         if isinstance(group, TwistedLexGroup):

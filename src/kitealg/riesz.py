@@ -58,7 +58,7 @@ from typing import Any, Optional
 
 from . import pogroup as pg
 from .axioms import Algebra
-from .kite import Kite, KiteElement, LOWER, UPPER
+from .kite import Kite, LOWER, UPPER
 from .pogroup import Elem, PoGroup, PositiveCone, UsageError, Window
 from .verdict import Status, Tally, Verdict, fails, holds, merge, unknown
 
@@ -253,13 +253,8 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
 # -- constructive kite witnesses ------------------------------------------------
 
 
-def _wide(kite: Kite, parts) -> Window:
-    h = 2
-    norm = kite.base.norm_value
-    for coords in parts:
-        for c in coords:
-            h = max(h, norm(c))
-    return Window(h)
+def _wide(kite: Kite, elems) -> Window:
+    return Window(max([2] + [kite.norm(el) for el in elems]))
 
 
 @functools.cache
@@ -344,15 +339,14 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     sum equations before returning; None means a base-level ingredient was
     not found.
     """
-    for el in (x1, x2, y1, y2):
-        kite.own(el)
+    x1, x2, y1, y2 = (kite.own(el) for el in (x1, x2, y1, y2))
     s1, s2 = kite.add(x1, x2), kite.add(y1, y2)
     if s1 is None or s2 is None or s1 != s2:
         raise UsageError("refinement needs x1 + x2 = y1 + y2, both defined")
     base = kite.base
     inv = base.inv_value
     n = kite.n
-    w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
+    w = _wide(kite, (x1, x2, y1, y2))
     flip = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, LOWER, UPPER)
     swap = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, UPPER, LOWER)
     a1, a2, b1, b2 = ((x2, x1, y2, y1) if flip else (y1, y2, x1, x2) if swap
@@ -369,8 +363,7 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
             if bt is None:
                 return None
             per.append(bt)
-        cells = [KiteElement(kite.shape, LOWER,
-                             tuple(getattr(per[j], name) for j in range(n)))
+        cells = [kite.intern(LOWER, [getattr(per[j], name) for j in range(n)])
                  for name in ("c11", "c12", "c21", "c22")]
         table = RefinementTable(*cells, side=_merge_sides(per),
                                 note="coordinatewise base tables")
@@ -388,11 +381,9 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
                 return None
             ds.append(d_i)
             per.append(bt)
-        c11 = KiteElement(kite.shape, UPPER,
-                          tuple(mul(inv(ds[i]), per[i].c11) for i in range(n)))
-        low = lambda name: KiteElement(
-            kite.shape, LOWER,
-            tuple(getattr(per[rho[j]], name) for j in range(n)))
+        c11 = kite.intern(UPPER, [mul(inv(ds[i]), per[i].c11) for i in range(n)])
+        low = lambda name: kite.intern(
+            LOWER, [getattr(per[rho[j]], name) for j in range(n)])
         table = RefinementTable(c11, low("c12"), low("c21"), low("c22"),
                                 side=_merge_sides(per),
                                 note="directedness witnesses over the upper rows")
@@ -400,10 +391,9 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
             table = _anti(table)
 
     elif pattern == (UPPER, LOWER, LOWER, UPPER):
-        c = KiteElement(
-            kite.shape, UPPER,
-            tuple(base.mul_values(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
-                  for i in range(n)))
+        c = kite.intern(
+            UPPER, [base.mul_values(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
+                    for i in range(n)])
         cells = (b1, kite.zero, c, a2) if swap else (b1, c, kite.zero, a2)
         table = RefinementTable(*cells, note="crossed pattern, zero cell at "
                                 + ("c12" if swap else "c21"))
@@ -431,15 +421,14 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
     in the opposite kite for (x, z, y), read back swapped. None means a base
     split was not found.
     """
-    for el in (x, y, z):
-        kite.own(el)
+    x, y, z = (kite.own(el) for el in (x, y, z))
     s = kite.add(y, z)
     if s is None or not kite.leq(x, s):
         raise UsageError("split needs x <= y + z with y + z defined")
     base = kite.base
     n = kite.n
     inv = base.inv_value
-    w = _wide(kite, [el.coords for el in (x, y, z)])
+    w = _wide(kite, (x, y, z))
     tags = (x.tag, y.tag, z.tag)
 
     if tags == (LOWER, LOWER, LOWER):
@@ -450,8 +439,7 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
                 return None
             g1.append(pair[0])
             h1.append(pair[1])
-        out = (KiteElement(kite.shape, LOWER, tuple(g1)),
-               KiteElement(kite.shape, LOWER, tuple(h1)))
+        out = kite.intern(LOWER, g1), kite.intern(LOWER, h1)
     elif tags == (LOWER, UPPER, LOWER):
         out = (x, kite.zero)
     elif tags == (LOWER, LOWER, UPPER):
@@ -470,9 +458,8 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
             if pair is None:
                 return None
             f1.append(pair[1] if flip else pair[0])
-        u1 = KiteElement(kite.shape, UPPER,
-                         tuple(mul(x.coords[i], inv(f1[i])) for i in range(n)))
-        l1 = KiteElement(kite.shape, LOWER, tuple(f1[rho[j]] for j in range(n)))
+        u1 = kite.intern(UPPER, [mul(x.coords[i], inv(f1[i])) for i in range(n)])
+        l1 = kite.intern(LOWER, [f1[rho[j]] for j in range(n)])
         out = (l1, u1) if flip else (u1, l1)
     else:
         return None

@@ -130,6 +130,9 @@ MALFORMED_ARGV = {
     "perm-entries": ["check", "--shape",
                      '{"n":2,"lambda":[0,"a"],"rho":"id"}'],
     "grid-unknown-key": ["sweep", "--grid", '{"group":["strictcone2"]}'],
+    "twisted-lex-n-bool": ["check", "--group",
+                           '{"kind":"TwistedLex","params":{"n":true,"lam":[0],'
+                           '"rho":[0],"base":"z"}}'],
     "out-unopenable": ["check", "--checks", "axioms",
                        "--out", os.path.join(os.devnull, "report.json")],
 }
@@ -152,6 +155,8 @@ MALFORMED_CONFIG = {
     # an int would be opened as a file descriptor
     "out-int": {"out": 987654},
     "grid-unknown-key": {"grid": {"group": ["strictcone2"], "n": [1]}},
+    "twisted-lex-n-bool": {"group": {"kind": "TwistedLex", "params": {
+        "n": True, "lam": [0], "rho": [0], "base": "z"}}},
 }
 
 

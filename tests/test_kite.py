@@ -1,5 +1,6 @@
 """Kite algebra operations: order, partial addition, complements, MV layer."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -553,3 +554,107 @@ def test_memo_checks_ownership_before_lookup():
             with pytest.raises(UsageError):
                 op(*foreign)
         assert op(*(KiteElement(twin.shape, a.tag, a.coords) for a in args)) == want
+
+
+# -- interned elements --------------------------------------------------------------
+
+
+def test_equal_elements_are_one_object():
+    k = mk(2, (0, 1), (1, 0))
+    x, u = k.lower(1, 0), k.upper(-1, -2)
+    assert k.lower(1, 0) is x and k.upper(-1, -2) is u
+    assert k.lower(0, 0) is k.zero and k.upper(0, 0) is k.one
+    s = k.add(u, x)
+    assert s is k.upper(-1, -1)
+    assert k.add(x, x) is k.lower(2, 0) is k.mv_oplus(x, x)
+    assert k.mv_oplus(u, k.upper(-2, -2)) is k.one
+    assert k.complement_left(k.complement_right(x)) is x
+    assert k.complement_right(k.complement_left(u)) is u
+    assert k.ldiff(s, x) is u and k.rdiff(u, s) is x
+    sample = k.elements(Window(2))
+    for y, z in zip(sample, k.elements(Window(2, 9))):
+        assert y is z
+    for y in sample:
+        assert (k.lower if y.tag == LOWER else k.upper)(*y.coords) is y
+        assert y.kite is k
+
+
+def _interned_in(kite, r) -> bool:
+    """Every kite element in an operation's result belongs to kite."""
+    if isinstance(r, KiteElement):
+        return r.kite is kite
+    if isinstance(r, tuple):  # interval: (elements, exhaustive)
+        return all(_interned_in(kite, v) for v in r[0])
+    return True
+
+
+def test_kites_sharing_one_shape_keep_separate_tables():
+    shape = KiteShape(2, (0, 1), (1, 0), Z)
+    first, second = Kite(shape), Kite(shape)
+    w = Window(1)
+    # shift the second kite's ids, then warm every row it has
+    second.lower(3, 3)
+    second.upper(-4, 0)
+    own = second.elements(w)[::-1]
+    unary = ("complement_left", "complement_right", "norm", "dimension",
+             "own")
+    binary = ("add", "leq", "ldiff", "rdiff", "mv_oplus", "mv_odot",
+              "mv_add", "join", "meet")
+    for name in unary:
+        for y in own:
+            getattr(second, name)(y)
+    for name in binary:
+        for y, z in itertools.product(own, repeat=2):
+            getattr(second, name)(y, z)
+    ops = ([(name, 1) for name in unary] + [(name, 2) for name in binary]
+           + [("interval", 2)])
+    sample = first.elements(w)
+    assert [x.id for x in sample] != [second.own(x).id for x in sample]
+    for name, arity in ops:
+        for args in itertools.product(sample, repeat=arity):
+            extra = (w,) if name == "interval" else ()
+            want = getattr(first, name)(*args, *extra)
+            mine = tuple(second.lower(*a.coords) if a.tag == LOWER
+                         else second.upper(*a.coords) for a in args)
+            got = getattr(second, name)(*args, *extra)
+            assert got == want == getattr(second, name)(*mine, *extra), (
+                name, args)
+            assert _interned_in(second, got), (name, args)
+
+
+def test_owner_and_id_stay_out_of_equality_hash_repr_and_serialization():
+    shape = KiteShape(2, (0, 1), (1, 0), Z)
+    k1, k2 = Kite(shape), Kite(shape)
+    k2.lower(3, 3)
+    a, b = k1.lower(1, 2), k2.lower(1, 2)
+    bare = KiteElement(shape, LOWER, (1, 2))
+    assert (a.kite, b.kite, bare.kite) == (k1, k2, None)
+    assert a.id != b.id
+    for y in (b, bare):
+        assert a == y and y == a and hash(a) == hash(y)
+        assert repr(y) == repr(a) == "L([1],[2])"
+        assert y.serialized() == a.serialized()
+        assert len({a, y}) == 1
+    assert a != k1.lower(2, 1) and a != k1.upper(-1, -2)
+    compared = [f.name for f in dataclasses.fields(KiteElement) if f.compare]
+    assert compared == ["shape", "tag", "coords"]
+
+
+def test_boolean_base_values_are_refused():
+    sc = mk(1, (0,), (0,), StrictCone2())
+    for bad in ((True, True), (True, 1), (1, False)):
+        with pytest.raises(UsageError):
+            sc.lower(bad)
+    assert repr(sc.lower((1, 1))) == "L([1, 1])"
+    tl = TwistedLexGroup(1, (0,), (0,), Z)
+    k = mk(1, (0,), (0,), tl)
+    with pytest.raises(UsageError):
+        k.lower((True, (0,)))
+    with pytest.raises(UsageError):
+        tl.check_value((False, (0,)))
+    assert repr(k.lower((1, (0,)))) == repr(k.lower((1, [0])))
+    params = {"lam": [0], "rho": [0], "base": "z"}
+    with pytest.raises(UsageError):
+        parse_group({"kind": "TwistedLex", "params": {"n": True, **params}})
+    assert parse_group({"kind": "TwistedLex",
+                        "params": {"n": 1, **params}}) == tl

@@ -365,7 +365,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
     were merged, each case written out; the merged version must match it."""
     base = kite.base
     n = kite.n
-    w = _wide(kite, [el.coords for el in (x1, x2, y1, y2)])
+    w = _wide(kite, (x1, x2, y1, y2))
     pattern = (x1.tag, x2.tag, y1.tag, y2.tag)
     inv, mul = base.inv_value, base.mul_values
     table = None
@@ -460,7 +460,7 @@ def _split_reference(kite, x, y, z):
     base = kite.base
     n = kite.n
     inv, mul = base.inv_value, base.mul_values
-    w = _wide(kite, [el.coords for el in (x, y, z)])
+    w = _wide(kite, (x, y, z))
     tags = (x.tag, y.tag, z.tag)
     if tags == (LOWER, LOWER, LOWER):
         g1, h1 = [], []
