@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -329,26 +330,134 @@ def _grid_cells(cfg: RunConfig):
     return cells
 
 
+def _sweep_row(cfg: RunConfig, cell: tuple) -> dict:
+    """The report row of one sweep cell: the status of every check."""
+    gdesc, n, lam, rho, h = cell
+    cell_cfg = replace(cfg, group=gdesc, height=h,
+                       shape={"n": n, "lambda": list(lam), "rho": list(rho)})
+    kite = build_kite(cell_cfg)
+    statuses: dict = {}
+    classification: dict = {}
+    for token in cfg.checks:
+        verdicts, extras = run_check_token(token, kite, cell_cfg)
+        for k, v in verdicts.items():
+            statuses[f"{token}.{k}"] = v.status.value
+        for k, v in extras.get("classification", {}).items():
+            classification[k] = v["status"]
+    row = {"group": gdesc, "n": n, "lam": list(lam), "rho": list(rho),
+           "height": h, "statuses": statuses}
+    if classification:
+        row["classification"] = classification
+    return row
+
+
+def _share(fn, items: list, start: int, step: int) -> tuple[list, Any]:
+    """fn over items[start::step], stopping at the first item that raises:
+    (results, None), or (the results before it, (its index, the error))."""
+    out = []
+    for i in range(start, len(items), step):
+        try:
+            out.append(fn(items[i]))
+        except Exception as exc:
+            return out, (i, exc)
+    return out, None
+
+
+def _worker(fn, items: list, start: int, step: int, fd: int) -> None:
+    """Forked child: write its share as JSON to the pipe fd; never returns.
+
+    A failing item is sent as [index, error type, message]; an error other
+    than a usage error also prints its traceback here, as it would uncaught.
+    """
+    code = 1
+    try:
+        out, failure = _share(fn, items, start, step)
+        if failure is not None:
+            index, exc = failure
+            if not isinstance(exc, UsageError):
+                sys.excepthook(type(exc), exc, exc.__traceback__)
+            failure = [index, type(exc).__name__, str(exc)]
+        payload = json.dumps({"results": out, "failure": failure})
+        with open(fd, "w") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+_WORKER_ERRORS = {"UsageError": UsageError,
+                  "CapabilityError": CapabilityError}
+
+
+def _map_forked(fn, items: list) -> list:
+    """[fn(x) for x in items], in one forked process per usable CPU.
+
+    fn must return JSON values, which come back through a pipe, and change
+    no state but pure memos. With k processes, child i computes items i::k
+    and the parent items 0::k, so neighbouring (similar) items spread over
+    all of them. Each process stops at its first failing item; the failure
+    with the lowest index is raised, which is the one a serial loop raises.
+    Without os.fork or os.sched_getaffinity, or with one CPU or item, the
+    loop runs serially.
+    """
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        k = min(len(os.sched_getaffinity(0)), len(items))
+    if k < 2:
+        return [fn(x) for x in items]
+    pids, fds = [], []
+    try:
+        for start in range(1, k):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _worker(fn, items, start, k, w)
+            os.close(w)
+            pids.append(pid)
+            fds.append(r)
+        own, failure = _share(fn, items, 0, k)
+        shares, failures = [own], [failure] if failure else []
+        for start, fd in enumerate(fds, 1):
+            with open(fd, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if not payload:
+                raise RuntimeError(f"worker {start} of {k} exited without "
+                                   "sending its results")
+            sent = json.loads(payload)
+            shares.append(sent["results"])
+            if sent["failure"] is not None:
+                index, kind, message = sent["failure"]
+                cls = _WORKER_ERRORS.get(kind)
+                failures.append((index, cls(message) if cls else RuntimeError(
+                    f"item {index} failed in worker {start} of {k}: "
+                    f"{kind}: {message}")))
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out: list = [None] * len(items)
+    for start, share in enumerate(shares):
+        out[start::k] = share
+    return out
+
+
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
-    rows = []
-    for gdesc, n, lam, rho, h in _grid_cells(cfg):
-        cell_cfg = replace(cfg, group=gdesc, height=h,
-                           shape={"n": n, "lambda": list(lam),
-                                  "rho": list(rho)})
-        kite = build_kite(cell_cfg)
-        statuses: dict = {}
-        classification: dict = {}
-        for token in cfg.checks:
-            verdicts, extras = run_check_token(token, kite, cell_cfg)
-            for k, v in verdicts.items():
-                statuses[f"{token}.{k}"] = v.status.value
-            for k, v in extras.get("classification", {}).items():
-                classification[k] = v["status"]
-        row = {"group": gdesc, "n": n, "lam": list(lam), "rho": list(rho),
-               "height": h, "statuses": statuses}
-        if classification:
-            row["classification"] = classification
-        rows.append(row)
+    """Run cfg.checks on every cell of cfg.grid: one row of statuses per cell.
+
+    Cells share no state but pure memos, so when there are checks to run
+    they are computed in one forked process per usable CPU (_map_forked).
+    The report is the same as from one process; a set-up run without checks
+    never forks.
+    """
+    cells = _grid_cells(cfg)
+    if cfg.checks:
+        rows = _map_forked(lambda cell: _sweep_row(cfg, cell), cells)
+    else:
+        rows = [_sweep_row(cfg, cell) for cell in cells]
     code = _worst(s for row in rows for s in row["statuses"].values())
     report = {"schema": SCHEMA, "tool": TOOL, "command": "sweep",
               "config": cfg.echo(), "cells": rows, "exit_code": code}

@@ -497,24 +497,33 @@ def _check_rip(ctx: Algebra, w: Window) -> Verdict:
     computed once per call (n^2 tests for a sample of n): for each (a1, a2)
     the instances are the b1, b2 among the indices above both. Each [a1, b1]
     interval is computed once per (a1, b1) instead of once per
-    (a1, a2, b1, b2).
+    (a1, a2, b1, b2), with the sample index of each candidate (-1 outside
+    the sample); a candidate in the sample is tested against a2 and b2 from
+    the matrix, one outside it by leq.
     """
     pos = ctx.elements(w)
     up = [[ctx.leq(a, b) for b in pos] for a in pos]
+    index = {x: i for i, x in enumerate(pos)}
+    leq = ctx.leq
     t = Tally()
     for i, a1 in enumerate(pos):
         intervals: list = [None] * len(pos)  # [a1, b1] by b1's index in pos
         for k, a2 in enumerate(pos):
-            above = [j for j, (u1, u2) in enumerate(zip(up[i], up[k]))
+            above_a2 = up[k]
+            above = [j for j, (u1, u2) in enumerate(zip(up[i], above_a2))
                      if u1 and u2]
             for j in above:
                 b1 = pos[j]
                 if intervals[j] is None:
-                    intervals[j] = ctx.interval(a1, b1, w)
-                cands, exhaustive = intervals[j]
+                    cands, exhaustive = ctx.interval(a1, b1, w)
+                    intervals[j] = (cands, [index.get(c, -1) for c in cands],
+                                    exhaustive)
+                cands, where, exhaustive = intervals[j]
                 for m in above:
                     b2 = pos[m]
-                    if _first_between(ctx, cands, a2, b2) is not None:
+                    if any(above_a2[ci] and up[ci][m] if ci >= 0
+                           else leq(a2, c) and leq(c, b2)
+                           for c, ci in zip(cands, where)):
                         t.hit()
                     elif exhaustive:
                         return t.fail(

@@ -11,6 +11,7 @@ import pytest
 
 from kitealg import riesz
 from kitealg.cli import main
+from test_golden import SWEEP_ARGV, SWEEP_GOLDEN, masked_report
 
 SWAP_SHAPE = '{"n": 2, "lambda": "id", "rho": "swap"}'
 
@@ -283,6 +284,88 @@ def test_sweep_budget_refused_before_any_pair_is_built(capsys, monkeypatch):
     code, _, err = run(capsys, ["sweep", "--grid", grid])
     assert code == 64
     assert "sweep grid has 518400 cells" in err
+
+
+# -- sweep cells in forked processes -----------------------------------------------
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def refuse_fork():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    code, report = masked_report(SWEEP_ARGV)
+    assert code == 1
+    assert report == SWEEP_GOLDEN.read_text()
+    # one process per CPU, at most one per cell (the golden sweep has 12)
+    assert len(forks) == min(cpus, 12) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_worker_usage_error_exits_64_like_the_serial_loop(
+        capsys, monkeypatch):
+    # with two processes the parent checks cells 0 and 2 and the worker
+    # cell 1; both fail, and the lower cell's error is the serial one
+    argv = ["sweep", "--grid", '{"groups":["z","bogus","nonsense"]}',
+            "--height", "1", "--checks", "axioms"]
+    errors = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        code, out, err = run(capsys, argv)
+        assert code == 64 and out == ""
+        errors.append(err)
+    assert errors[0] == errors[1] == \
+        "config error: unknown group shortcut 'bogus'\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_worker_error_names_the_cell_and_prints_its_traceback(
+        capfd, monkeypatch):
+    def failing_row(cfg, cell):
+        if cell[0] == "z2":
+            raise ZeroDivisionError("cell broke")
+        return {"statuses": {}}
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr("kitealg.cli._sweep_row", failing_row)
+    grid = '{"groups":["z","z2"],"n":[1]}'
+    with pytest.raises(RuntimeError,
+                       match="item 1 failed in worker 1 of 2: "
+                             "ZeroDivisionError: cell broke"):
+        main(["sweep", "--grid", grid, "--checks", "axioms"])
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ZeroDivisionError: cell broke" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus,checks", [(2, ""), (1, "axioms")])
+def test_sweep_without_checks_or_with_one_cpu_never_forks(
+        capsys, monkeypatch, cpus, checks):
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    grid = '{"groups":["z","strictcone2"],"n":[0,1],"heights":[1]}'
+    _, report, _ = run_json(capsys, ["sweep", "--grid", grid,
+                                     "--checks", checks])
+    assert len(report["cells"]) == 4
 
 
 # -- show -------------------------------------------------------------------------

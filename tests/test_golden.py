@@ -2,8 +2,10 @@
 
 Each fixture is one `kitealg check` run over Z, Z^2 or the strict cone with
 n = 1..3 and the axioms, rdp, ideals, iso and state checks, plus one
-`kitealg show` table (Z, n = 2 swap), which pins the element labels. The stored
-reports have every `wall_ms` set to 0; everything else must match byte for
+`kitealg show` table (Z, n = 2 swap), which pins the element labels, and one
+`kitealg sweep` over Z and the strict cone (n = 0..2, every permutation pair),
+which pins the row order of a sweep whichever way its cells were split over
+processes. The stored reports have every `wall_ms` set to 0; everything else must match byte for
 byte, so a change that alters any verdict, witness, count or payload shows
 up here.
 
@@ -31,6 +33,10 @@ FIXTURES = [(group, n) for group in ("z", "z2", "strictcone2") for n in SHAPES]
 SHOW_ARGV = ["show", "--group", "z", "--shape", SHAPES[2], "--height", "1",
              "--format", "json"]
 SHOW_GOLDEN = GOLDEN / "z_n2_show.json"
+SWEEP_ARGV = ["sweep", "--grid", '{"groups":["z","strictcone2"],"n":[0,1,2],'
+              '"heights":[1],"perm_pairs":"all"}',
+              "--checks", "axioms,ideals,iso,state", "--format", "json"]
+SWEEP_GOLDEN = GOLDEN / "sweep_n0-2.json"
 
 _CLOCK = re.compile(r'"wall_ms": [0-9]+')
 
@@ -66,12 +72,19 @@ def test_show_report_matches_golden():
     assert report == SHOW_GOLDEN.read_text()
 
 
+def test_sweep_report_matches_golden():
+    code, report = masked_report(SWEEP_ARGV)
+    assert code == 1
+    assert report == SWEEP_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for group, n in FIXTURES:
         code, report = masked_report(fixture_argv(group, n))
         golden_path(group, n).write_text(report)
         print(f"{golden_path(group, n).name}: exit {code}", file=sys.stderr)
-    code, report = masked_report(SHOW_ARGV)
-    SHOW_GOLDEN.write_text(report)
-    print(f"{SHOW_GOLDEN.name}: exit {code}", file=sys.stderr)
+    for argv, path in ((SHOW_ARGV, SHOW_GOLDEN), (SWEEP_ARGV, SWEEP_GOLDEN)):
+        code, report = masked_report(argv)
+        path.write_text(report)
+        print(f"{path.name}: exit {code}", file=sys.stderr)
