@@ -19,11 +19,10 @@ Checks provided:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Optional, Protocol
 
 from .pogroup import UsageError, Window
+from .record import Frozen, Record, setfield
 from .verdict import Tally, Verdict, holds, unknown
 
 
@@ -58,21 +57,26 @@ class Algebra(Protocol):
     def mv_oplus(self, x, y) -> Any: ...
 
 
-@dataclass(frozen=True)
-class PerfectSplit:
+class PerfectSplit(Frozen):
     """Partition of a carrier sample into infinitesimals and their complements."""
 
-    e0: tuple
-    e1: tuple
+    _fields = ("e0", "e1")
+
+    def __init__(self, e0: tuple, e1: tuple) -> None:
+        setfield(self, "e0", e0)
+        setfield(self, "e1", e1)
 
 
-@dataclass
-class StateTable:
-    """Element-to-rational table of a state; values always lie in [0,1]."""
+class StateTable(Record):
+    """Element-to-value table of a two-valued state: each value is the
+    integer 0 or 1."""
 
-    values: dict = field(default_factory=dict)
+    _fields = ("values",)
 
-    def value(self, x) -> Optional[Fraction]:
+    def __init__(self, values: Optional[dict] = None) -> None:
+        self.values = {} if values is None else values
+
+    def value(self, x) -> Optional[int]:
         return self.values.get(x)
 
     def as_json(self, ser: Callable[[Any], Any]) -> list:
@@ -407,15 +411,15 @@ def unique_state(P: Algebra, split: PerfectSplit, w: Window,
         raise UsageError("split must place 0 in the zero class and 1 above")
     table = StateTable()
     for x in split.e0:
-        table.values[x] = Fraction(0)
+        table.values[x] = 0
     for x in split.e1:
-        table.values[x] = Fraction(1)
+        table.values[x] = 1
     t = Tally()
 
-    def value(x) -> Fraction:
+    def value(x) -> int:
         v = table.values.get(x)
         if v is None:
-            v = Fraction(0) if _bounded_infinitesimal(P, x, nmax) else Fraction(1)
+            v = 0 if _bounded_infinitesimal(P, x, nmax) else 1
             table.values[x] = v
         return v
 

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
 from . import perms
@@ -28,6 +27,7 @@ from .ideals import (IdealSet, canonical_form, is_normal, least_normal_ideal,
                      normal_ideal_generated, orbits)
 from .kite import Kite, KiteShape
 from .pogroup import (CapabilityError, UsageError, Window, parse_group)
+from .record import Record
 from .representations import perfect_representation, verify_iso
 from .riesz import RdpLevel, check_rdp_level
 from .verdict import Status, Verdict, fails, holds, unknown
@@ -38,34 +38,44 @@ TOOL = "kitealg 0.1.0"
 CHECK_TOKENS = ("axioms", "rdp", "rip", "rdp0", "rdp1", "rdp2",
                 "ideals", "iso", "state")
 DEFAULT_CHECKS = ("axioms", "rdp0", "ideals", "iso", "state")
+DEFAULT_SHAPE = {"n": 1, "lambda": "id", "rho": "id"}
 
 
-@dataclass
-class RunConfig:
-    group: Any = "z"
-    shape: dict = field(default_factory=lambda: {"n": 1, "lambda": "id",
-                                                 "rho": "id"})
-    height: int = 2
-    cap: Optional[int] = None
-    nmax: int = 8
-    depth: int = 4
-    checks: tuple = DEFAULT_CHECKS
-    out: Optional[str] = None
-    format: str = "text"
-    seed: Optional[int] = None
-    grid: Optional[dict] = None
-    sweep_budget: int = 400
-    show_budget: int = 64
+class RunConfig(Record):
+    # the field order is also the order of echo() and so of the report header
+    _fields = ("group", "shape", "height", "cap", "nmax", "depth", "checks",
+               "out", "format", "seed", "grid", "sweep_budget", "show_budget")
+
+    def __init__(self, group: Any = "z", shape: dict = DEFAULT_SHAPE,
+                 height: int = 2, cap: Optional[int] = None, nmax: int = 8,
+                 depth: int = 4, checks: tuple = DEFAULT_CHECKS,
+                 out: Optional[str] = None, format: str = "text",
+                 seed: Optional[int] = None, grid: Optional[dict] = None,
+                 sweep_budget: int = 400, show_budget: int = 64) -> None:
+        self.group = group
+        # a fresh dict per config, so no config edits the default
+        self.shape = dict(shape) if shape is DEFAULT_SHAPE else shape
+        self.height = height
+        self.cap = cap
+        self.nmax = nmax
+        self.depth = depth
+        self.checks = checks
+        self.out = out
+        self.format = format
+        self.seed = seed
+        self.grid = grid
+        self.sweep_budget = sweep_budget
+        self.show_budget = show_budget
+
+    def replace(self, **changes) -> "RunConfig":
+        """A copy with the named fields changed."""
+        return RunConfig(**dict(zip(self._fields, self._key()), **changes))
 
     def echo(self) -> dict:
         """Every field but out, for the report header."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "out"}
+        out = {f: getattr(self, f) for f in self._fields if f != "out"}
         out["checks"] = list(self.checks)
         return out
-
-
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _expect(cond: bool, what: str) -> None:
@@ -74,7 +84,6 @@ def _expect(cond: bool, what: str) -> None:
 
 
 def load_config(path: Optional[str], overrides: dict) -> RunConfig:
-    cfg = RunConfig()
     data: dict = {}
     if path is not None:
         try:
@@ -90,10 +99,10 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         if v is not None:
             merged[k] = v
     for k in merged:
-        _expect(k in _CONFIG_FIELDS, f"field {k!r} is not recognized")
+        _expect(k in RunConfig._fields, f"field {k!r} is not recognized")
     if "checks" in merged and isinstance(merged["checks"], str):
         merged["checks"] = [c for c in merged["checks"].split(",") if c]
-    cfg = replace(cfg, **merged)
+    cfg = RunConfig(**merged)
     _validate(cfg)
     return cfg
 
@@ -333,8 +342,8 @@ def _grid_cells(cfg: RunConfig):
 def _sweep_row(cfg: RunConfig, cell: tuple) -> dict:
     """The report row of one sweep cell: the status of every check."""
     gdesc, n, lam, rho, h = cell
-    cell_cfg = replace(cfg, group=gdesc, height=h,
-                       shape={"n": n, "lambda": list(lam), "rho": list(rho)})
+    cell_cfg = cfg.replace(group=gdesc, height=h,
+                           shape={"n": n, "lambda": list(lam), "rho": list(rho)})
     kite = build_kite(cell_cfg)
     statuses: dict = {}
     classification: dict = {}

@@ -18,7 +18,6 @@ normality twists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import perms
@@ -27,18 +26,22 @@ from .axioms import Algebra
 from .kite import Kite, KiteShape, LOWER
 from .pogroup import (Integers, PoGroup, Product, StrictCone2, TwistedLexGroup,
                       UsageError, Window)
+from .record import Frozen, Record, setfield
 from .representations import MapSpec
 from .riesz import RdpLevel, check_rdp_level
 from .verdict import Tally, Verdict, fails, holds, unknown
 
 
-@dataclass
-class IdealSet:
+class IdealSet(Record):
     """Window part of an ideal: the set, its generators, and closure flags."""
 
-    elements: tuple
-    generators: tuple
-    closed_flags: dict = field(default_factory=dict)
+    _fields = ("elements", "generators", "closed_flags")
+
+    def __init__(self, elements: tuple, generators: tuple,
+                 closed_flags: dict | None = None) -> None:
+        self.elements = elements
+        self.generators = generators
+        self.closed_flags = {} if closed_flags is None else closed_flags
 
     def __contains__(self, x) -> bool:
         return x in self._index
@@ -53,13 +56,15 @@ class IdealSet:
                 "flags": dict(self.closed_flags)}
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Frozen):
     """Cycle structure of sigma = rho o lam^-1 on the index set."""
 
-    sigma: tuple
-    cycles: tuple
-    connected: bool
+    _fields = ("sigma", "cycles", "connected")
+
+    def __init__(self, sigma: tuple, cycles: tuple, connected: bool) -> None:
+        setfield(self, "sigma", sigma)
+        setfield(self, "cycles", cycles)
+        setfield(self, "connected", connected)
 
     def as_json(self) -> dict:
         return {"sigma": list(self.sigma),

@@ -30,31 +30,38 @@ odot(x, y) = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import perms
 from .pogroup import CapabilityError, PoGroup, UsageError, Window, cone_window
+from .record import Frozen, setfield
 
 
-@dataclass(frozen=True)
-class KiteShape:
+class KiteShape(Frozen):
     """Index-set size, the two twisting bijections, and the base group."""
 
-    n: int
-    lam: tuple[int, ...]
-    rho: tuple[int, ...]
-    base: PoGroup
+    _fields = ("n", "lam", "rho", "base")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", tuple(perms.check_perm(self.lam, self.n)))
-        object.__setattr__(self, "rho", tuple(perms.check_perm(self.rho, self.n)))
+    def __init__(self, n: int, lam, rho, base: PoGroup) -> None:
+        lam = tuple(perms.check_perm(lam, n))
+        rho = tuple(perms.check_perm(rho, n))
+        setfield(self, "n", n)
+        setfield(self, "lam", lam)
+        setfield(self, "rho", rho)
+        setfield(self, "base", base)
         # every KiteElement hash hashes its shape, so hash the fields once
-        object.__setattr__(self, "_hash",
-                           hash((self.n, self.lam, self.rho, self.base)))
+        setfield(self, "_hash", hash((n, lam, rho, base)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not KiteShape:
+            return NotImplemented
+        return ((self.n, self.lam, self.rho, self.base)
+                == (other.n, other.lam, other.rho, other.base))
 
     def describe(self) -> dict:
         return {"n": self.n, "lambda": list(self.lam), "rho": list(self.rho),
@@ -69,8 +76,7 @@ LOWER = "L"
 UPPER = "U"
 
 
-@dataclass(frozen=True)
-class KiteElement:
+class KiteElement(Frozen):
     """A tag (LOWER or UPPER) and n raw values of the shape's base group.
 
     The coordinates carry no group of their own: the shape names the base,
@@ -80,14 +86,16 @@ class KiteElement:
     hashing, repr or serialization.
     """
 
-    shape: KiteShape
-    tag: str
-    coords: tuple
-    kite: Optional["Kite"] = field(default=None, compare=False)
-    id: int = field(default=-1, compare=False)
+    _fields = ("shape", "tag", "coords")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.shape, self.tag, self.coords)))
+    def __init__(self, shape: KiteShape, tag: str, coords: tuple,
+                 kite: Optional["Kite"] = None, id: int = -1) -> None:
+        setfield(self, "shape", shape)
+        setfield(self, "tag", tag)
+        setfield(self, "coords", coords)
+        setfield(self, "kite", kite)
+        setfield(self, "id", id)
+        setfield(self, "_hash", hash((shape, tag, coords)))
 
     def __hash__(self) -> int:
         return self._hash

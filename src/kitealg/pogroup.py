@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from . import perms
+from .record import Frozen, setfield
 from .verdict import Status, Tally, Verdict, unknown
 
 
@@ -35,8 +35,7 @@ class CapabilityError(UsageError):
     """Operation requires a capability the structure does not have."""
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """Enumeration bound.
 
     height bounds the coordinate norm; cap, when set, truncates every carrier
@@ -45,25 +44,44 @@ class Window:
     Checks report how many elements they actually quantified over.
     """
 
-    height: int
-    cap: int | None = None
+    _fields = ("height", "cap")
 
-    def __post_init__(self) -> None:
-        if self.height < 0:
+    def __init__(self, height: int, cap: int | None = None) -> None:
+        if height < 0:
             raise UsageError("window height must be >= 0")
-        if self.cap is not None and self.cap < 1:
+        if cap is not None and cap < 1:
             raise UsageError("window cap must be >= 1")
+        setfield(self, "height", height)
+        setfield(self, "cap", cap)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Window:
+            return NotImplemented
+        return self.height == other.height and self.cap == other.cap
+
+    def __hash__(self) -> int:
+        return hash((self.height, self.cap))
 
     def uncapped(self) -> "Window":
         return Window(self.height)
 
 
-@dataclass(frozen=True)
-class Elem:
+class Elem(Frozen):
     """A group element: opaque value owned by a specific group."""
 
-    group: "PoGroup"
-    value: Any
+    _fields = ("group", "value")
+
+    def __init__(self, group: "PoGroup", value: Any) -> None:
+        setfield(self, "group", group)
+        setfield(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Elem:
+            return NotImplemented
+        return self.group == other.group and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.value))
 
     def serialized(self):
         return self.group.serialize_value(self.value)
@@ -207,11 +225,9 @@ class PoGroup:
         """All values with norm <= height, any order, no duplicates."""
         raise NotImplementedError
 
-    def interval_exhaustive(self, lo, hi, w: Window) -> bool:
-        """True when [lo, hi] (raw values) is provably inside ball(w.height)."""
-        if self.order_convex_norm:
-            return max(self.norm_value(lo), self.norm_value(hi)) <= w.height
-        return False
+    def interval_exhaustive(self, lo, hi) -> bool:
+        """True when [lo, hi] (raw values) lies in the ball of both norms."""
+        return self.order_convex_norm
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +514,9 @@ class TwistedLexGroup(PoGroup):
                     yield (m, coords)
         return gen()
 
-    def interval_exhaustive(self, lo, hi, w):
+    def interval_exhaustive(self, lo, hi):
         # lex intervals across different leading integers are infinite
-        if lo[0] != hi[0]:
-            return False
-        return max(self.norm_value(lo), self.norm_value(hi)) <= w.height
+        return lo[0] == hi[0]
 
     def strong_unit(self) -> Elem:
         e = self.base.identity_value()
@@ -547,7 +561,7 @@ def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
     wide = Window(max(w.height, group.norm_value(lo), group.norm_value(hi)))
     out = [x for x in enumerate_window(group, wide)
            if leq(lo, x.value) and leq(x.value, hi)]
-    return out, group.interval_exhaustive(lo, hi, wide)
+    return out, group.interval_exhaustive(lo, hi)
 
 
 def check_directed(group: PoGroup, g1: Elem, g2: Elem, w: Window) -> Verdict:
@@ -563,17 +577,17 @@ def check_directed(group: PoGroup, g1: Elem, g2: Elem, w: Window) -> Verdict:
                    reason="no upper bound within window; not refutable by search")
 
 
-@dataclass(frozen=True)
-class PositiveCone:
+class PositiveCone(Frozen):
     """The positive cone of a po-group as a partial algebra for the Riesz
     checkers: the sum is the group product, differences are defined when they
     stay in the cone, and the window sample is cone_window."""
 
-    group: PoGroup
+    _fields = ("group",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "zero", self.group.e)
-        object.__setattr__(self, "is_lattice", self.group.is_lattice)
+    def __init__(self, group: PoGroup) -> None:
+        setfield(self, "group", group)
+        setfield(self, "zero", group.e)
+        setfield(self, "is_lattice", group.is_lattice)
 
     def elements(self, w: Window) -> list[Elem]:
         return cone_window(self.group, w)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable, Optional
 
@@ -25,10 +24,10 @@ from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER
 from .pogroup import (Elem, Integers, PoGroup, PositiveCone, TwistedLexGroup,
                       UsageError, Window)
+from .record import Frozen, setfield
 from .verdict import Tally, Verdict
 
 
-@dataclass(frozen=True)
 class IntervalPEA(PositiveCone):
     """The interval [0, u] of a po-group, with a + b defined iff a*b <= u:
     the positive cone cut at the unit, so order, differences, meet and
@@ -37,13 +36,13 @@ class IntervalPEA(PositiveCone):
     It has every member of axioms.Algebra, so the checkers take it directly.
     """
 
-    unit: Elem
+    _fields = ("group", "unit")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        g = self.group
-        g.own(self.unit)
-        if self.unit == self.zero or not g.leq(self.zero, self.unit):
+    def __init__(self, group: PoGroup, unit: Elem) -> None:
+        super().__init__(group)
+        setfield(self, "unit", unit)
+        group.own(unit)
+        if unit == self.zero or not group.leq(self.zero, unit):
             raise UsageError("unit must be strictly positive")
 
     @property
@@ -106,8 +105,7 @@ def check_strong_unit(group: PoGroup, u: Elem, w: Window, kmax: int = 8) -> Verd
 # -- piecewise window maps ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Frozen):
     """Tagged re-indexing map from a kite to an interval algebra or a kite.
 
     Lower(f) goes to leading 0, Upper(u) to leading 1 (or to the same tags
@@ -116,16 +114,16 @@ class MapSpec:
     are exactly the JSON form, so equal JSON means equal maps.
     """
 
-    tau_lower: tuple
-    tau_upper: tuple
-    invert: bool = False
+    _fields = ("tau_lower", "tau_upper", "invert")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau_lower", tuple(self.tau_lower))
-        object.__setattr__(self, "tau_upper", tuple(self.tau_upper))
-        for tau in (self.tau_lower, self.tau_upper):
+    def __init__(self, tau_lower, tau_upper, invert: bool = False) -> None:
+        tau_lower, tau_upper = tuple(tau_lower), tuple(tau_upper)
+        for tau in (tau_lower, tau_upper):
             if sorted(tau) != list(range(len(tau))):
                 raise UsageError("index tables must be permutations")
+        setfield(self, "tau_lower", tau_lower)
+        setfield(self, "tau_upper", tau_upper)
+        setfield(self, "invert", invert)
 
     def as_json(self) -> dict:
         return {"tauL": list(self.tau_lower),

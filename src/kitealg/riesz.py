@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Optional
 
@@ -60,6 +59,7 @@ from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, LOWER, UPPER
 from .pogroup import Elem, PoGroup, PositiveCone, UsageError, Window
+from .record import Record
 from .verdict import Status, Tally, Verdict, fails, holds, merge, unknown
 
 
@@ -84,20 +84,20 @@ RDP_ORDER = (RdpLevel.RIP, RdpLevel.RDP0, RdpLevel.RDP,
              RdpLevel.RDP1, RdpLevel.RDP2)
 
 
-@dataclass
-class RefinementTable:
+class RefinementTable(Record):
     """2x2 refinement: a1 = c11+c12, a2 = c21+c22, b1 = c11+c21, b2 = c12+c22.
 
     side carries the off-diagonal side-condition evidence for RDP1/RDP2
     tables.
     """
 
-    c11: Any
-    c12: Any
-    c21: Any
-    c22: Any
-    side: Optional[Verdict] = None
-    note: str = ""
+    _fields = ("c11", "c12", "c21", "c22", "side", "note")
+
+    def __init__(self, c11: Any, c12: Any, c21: Any, c22: Any,
+                 side: Optional[Verdict] = None, note: str = "") -> None:
+        self.c11, self.c12, self.c21, self.c22 = c11, c12, c21, c22
+        self.side = side
+        self.note = note
 
     def cells(self) -> tuple:
         return (self.c11, self.c12, self.c21, self.c22)

@@ -9,9 +9,10 @@ Witness payloads are plain (name, value) pairs so a failure can be replayed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
+
+from .record import Frozen, Record, setfield
 
 
 class Status(Enum):
@@ -23,18 +24,20 @@ class Status(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    checked: int = 0
-    skipped: int = 0
-    witness: tuple[tuple[str, Any], ...] = ()
-    reason: str = ""
+class Verdict(Frozen):
+    _fields = ("status", "checked", "skipped", "witness", "reason")
 
-    def __post_init__(self) -> None:
+    def __init__(self, status: Status, checked: int = 0, skipped: int = 0,
+                 witness: tuple[tuple[str, Any], ...] = (),
+                 reason: str = "") -> None:
         # a "holds" with skips would overstate coverage
-        if self.status is Status.HOLDS and self.skipped > 0:
-            object.__setattr__(self, "status", Status.UNKNOWN)
+        if status is Status.HOLDS and skipped > 0:
+            status = Status.UNKNOWN
+        setfield(self, "status", status)
+        setfield(self, "checked", checked)
+        setfield(self, "skipped", skipped)
+        setfield(self, "witness", witness)
+        setfield(self, "reason", reason)
 
     @property
     def ok(self) -> bool:
@@ -97,15 +100,18 @@ def merge(*verdicts: Verdict) -> Verdict:
                    witness=decisive.witness, reason=decisive.reason)
 
 
-@dataclass
-class Tally:
+class Tally(Record):
     """Mutable accumulator for loops that count instances and skips.
 
     Skips are counted per note, in first-seen order.
     """
-    checked: int = 0
-    skipped: int = 0
-    notes: dict[str, int] = field(default_factory=dict)
+    _fields = ("checked", "skipped", "notes")
+
+    def __init__(self, checked: int = 0, skipped: int = 0,
+                 notes: dict[str, int] | None = None) -> None:
+        self.checked = checked
+        self.skipped = skipped
+        self.notes = {} if notes is None else notes
 
     def hit(self) -> None:
         self.checked += 1

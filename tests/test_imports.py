@@ -6,9 +6,15 @@ the names the module's code reads (including annotations). `__init__.py`
 re-exports the public API, so it is exempt, as is `from __future__ import`.
 An import inside a function or a class hides a module dependency (and any
 import cycle) until the code runs.
+
+Start-up pulls in no stdlib module that the checker can do without: every
+command runs in a fresh process and pays for each import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +68,12 @@ def test_scan_flags_an_import_inside_a_function_or_class():
            "def f():\n    from os import path\n    return path\n"
            "class C:\n    import re\n")
     assert nested_imports(src) == [3, 6]
+
+
+def test_cli_start_up_imports_no_dataclasses_inspect_or_fractions():
+    code = ("import sys, kitealg.cli; print(sorted({'dataclasses', 'inspect', "
+            "'fractions'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

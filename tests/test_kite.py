@@ -1,6 +1,5 @@
 """Kite algebra operations: order, partial addition, complements, MV layer."""
 
-import dataclasses
 import functools
 import itertools
 
@@ -636,8 +635,12 @@ def test_owner_and_id_stay_out_of_equality_hash_repr_and_serialization():
         assert y.serialized() == a.serialized()
         assert len({a, y}) == 1
     assert a != k1.lower(2, 1) and a != k1.upper(-1, -2)
-    compared = [f.name for f in dataclasses.fields(KiteElement) if f.compare]
-    assert compared == ["shape", "tag", "coords"]
+    # shape, tag and coords decide equality; kite and id do not
+    assert bare != KiteElement(KiteShape(2, (1, 0), (0, 1), Z), LOWER, (1, 2))
+    assert bare != KiteElement(shape, UPPER, (1, 2))
+    assert bare != KiteElement(shape, LOWER, (2, 1))
+    moved = KiteElement(shape, LOWER, (1, 2), k2, 99)
+    assert moved == bare and hash(moved) == hash(bare)
 
 
 def test_boolean_base_values_are_refused():

@@ -105,6 +105,15 @@ def test_refinement_side_conditions():
     assert tab.side is not None and tab.side.ok
 
 
+def test_com_is_unknown_when_either_interval_is_incomplete():
+    # [0, L(1,0)] is exhaustive and [0, U(-1,0)] is not: every sampled pair
+    # commutes, but only a skip keeps the verdict from claiming all of them
+    k = Kite(KiteShape(2, (0, 1), (0, 1), Z))
+    v = check_com(k, k.lower(1, 0), k.upper(-1, 0), Window(1))
+    assert (v.status, v.checked, v.skipped) == (Status.UNKNOWN, 12, 1)
+    assert v.reason == "interval coverage incomplete (1)"
+
+
 def test_integer_levels_all_hold():
     for lv in RDP_ORDER:
         v = check_rdp_level(Z, lv, Window(2))
