@@ -20,13 +20,12 @@ from .ideals import (IdealSet, OrbitReport, canonical_form, ideal_closure,
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
 from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       PositiveCone, Product, StrictCone2, TwistedLexGroup,
-                      UsageError, Window, check_directed, check_group_laws,
-                      cone_window, enumerate_interval, enumerate_window,
-                      integer_product, parse_group)
-from .representations import (IntervalPEA, MapSpec, check_strong_unit,
-                              mapspec_family, perfect_representation,
-                              scrimger_fixture, stored_mapspec,
-                              twisted_lex_group, verify_iso)
+                      UsageError, Window, check_group_laws, cone_window,
+                      enumerate_interval, enumerate_window, integer_product,
+                      parse_group)
+from .representations import (IntervalPEA, MapSpec, mapspec_family,
+                              perfect_representation, scrimger_fixture,
+                              stored_mapspec, twisted_lex_group, verify_iso)
 from .riesz import (RdpLevel, RefinementTable, check_com, check_rdp_level,
                     find_interpolant, find_refinement,
                     kite_rdp0_split_constructive,
@@ -41,9 +40,9 @@ __all__ = [
     "OrbitReport", "PerfectSplit", "PoGroup", "PositiveCone", "Product",
     "RdpLevel", "RefinementTable", "StateTable", "Status", "StrictCone2",
     "Tally", "TwistedLexGroup", "UPPER", "UsageError", "Verdict", "Window",
-    "canonical_form", "check_com", "check_commutative", "check_directed",
+    "canonical_form", "check_com", "check_commutative",
     "check_group_laws", "check_pea_axioms", "check_pmv_axioms",
-    "check_rdp_level", "check_strong_unit", "check_symmetric",
+    "check_rdp_level", "check_symmetric",
     "cone_window", "enumerate_interval", "enumerate_window",
     "find_infinitesimals", "find_interpolant", "find_refinement",
     "ideal_closure", "integer_product", "is_normal",

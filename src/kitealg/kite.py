@@ -90,12 +90,8 @@ class KiteElement(Frozen):
 
     def __init__(self, shape: KiteShape, tag: str, coords: tuple,
                  kite: Optional["Kite"] = None, id: int = -1) -> None:
-        setfield(self, "shape", shape)
-        setfield(self, "tag", tag)
-        setfield(self, "coords", coords)
-        setfield(self, "kite", kite)
-        setfield(self, "id", id)
-        setfield(self, "_hash", hash((shape, tag, coords)))
+        vars(self).update(shape=shape, tag=tag, coords=coords, kite=kite,
+                          id=id, _hash=hash((shape, tag, coords)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -145,6 +141,13 @@ class Kite:
     the carrier sample once and hands out a fresh list copy on every call,
     so interval queries never rebuild it.
 
+    Order tests and sums work on whole coordinate tuples: a same-part order
+    test is one call of the base's leq_coords kernel, and a lower-lower or
+    mixed sum or oplus one call of mul_coords (after re-indexing through
+    lam or rho), then, for a mixed sum, one leq_coords call against the
+    all-e tuple. Over Integers these kernels are C-level maps; over Z^k
+    each coordinate's product or order test is one.
+
     A Kite is what the checkers in axioms, riesz, ideals and
     representations take: it has every member of axioms.Algebra.
     """
@@ -166,8 +169,9 @@ class Kite:
         self._add_rows, self._oplus_rows, self._ldiff_rows, self._rdiff_rows = rows
         self._slots = self._left, self._right, self._norms = [], [], []
         e = self._e = self.base.e.value
-        self.zero = self.intern(LOWER, (e,) * self.n)
-        self.one = self.intern(UPPER, (e,) * self.n)
+        es = self._es = (e,) * self.n
+        self.zero = self.intern(LOWER, es)
+        self.one = self.intern(UPPER, es)
 
     # -- constructors -------------------------------------------------------
 
@@ -221,8 +225,7 @@ class Kite:
 
     def _leq(self, x: KiteElement, y: KiteElement) -> bool:
         if x.tag == y.tag:
-            leq = self.base.leq_values
-            return all(leq(a, b) for a, b in zip(x.coords, y.coords))
+            return self.base.leq_coords(x.coords, y.coords)
         return x.tag == LOWER
 
     # -- partial addition ------------------------------------------------------
@@ -243,24 +246,18 @@ class Kite:
     def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through
         rho, a lower x threads itself through lam."""
-        mul = self.base.mul_values
         if xtag == UPPER:
-            return tuple([mul(a, ys[j]) for a, j in zip(xs, self.rho_inv)])
-        return tuple([mul(xs[j], b) for j, b in zip(self.lam_inv, ys)])
+            return self.base.mul_coords(xs, map(ys.__getitem__, self.rho_inv))
+        return self.base.mul_coords(map(xs.__getitem__, self.lam_inv), ys)
 
     def _sum(self, xtag: str, xs, ytag: str, ys):
         """(tag, coords) of x + y, or None when undefined."""
         if xtag == LOWER and ytag == LOWER:
-            mul = self.base.mul_values
-            return LOWER, tuple([mul(a, b) for a, b in zip(xs, ys)])
+            return LOWER, self.base.mul_coords(xs, ys)
         if xtag == UPPER and ytag == UPPER:
             return None
         vals = self._twisted(xtag, xs, ys)
-        leq, e = self.base.leq_values, self._e
-        for v in vals:
-            if not leq(v, e):
-                return None
-        return UPPER, vals
+        return (UPPER, vals) if self.base.leq_coords(vals, self._es) else None
 
     # -- complements ------------------------------------------------------------
 
@@ -374,10 +371,9 @@ class Kite:
         if xtag == UPPER and ytag == UPPER:
             return self.one
         if xtag == LOWER and ytag == LOWER:
-            mul = self.base.mul_values
-            return self.intern(LOWER, [mul(a, b) for a, b in zip(xs, ys)])
-        meet, e = self.base.meet_values, self._e
-        return self.intern(UPPER, [meet(v, e) for v in self._twisted(xtag, xs, ys)])
+            return self.intern(LOWER, self.base.mul_coords(xs, ys))
+        return self.intern(UPPER, map(self.base.meet_values,
+                                      self._twisted(xtag, xs, ys), self._es))
 
     def mv_odot(self, x: KiteElement, y: KiteElement) -> KiteElement:
         """axioms.derived_odot with its arguments swapped, so that

@@ -4,27 +4,31 @@ Groups are written multiplicatively in the API. Each backend stores whatever
 value representation is convenient (plain ints for the integers backend) and
 exposes the same value-level operations: mul_values, inv_value, leq_values,
 norm_value, serialization, and finite "window" enumeration bounded by a
-coordinate norm.
+coordinate norm. Two coordinate kernels act on whole tuples of values, as a
+kite's coordinates are: leq_coords (every coordinate below its partner) and
+mul_coords (the coordinatewise product). Integers runs both, and a product
+of Integers (Z^k) runs every value operation, in C-level maps.
 
 The window norm is the maximum absolute value of the integers appearing in the
 element's canonical serialization. Window enumeration is deterministic, sorted
 ascending by (norm, serialized value), contains the identity, and is closed
 under inversion; a cap keeps its lowest prefix. A group is identified by its
-descriptor: groups built apart from equal descriptors are equal.
+descriptor: groups built apart from equal descriptors are equal. A malformed
+value raises UsageError in every backend.
 
-Order queries never guess: incomparability is op_leq false in both directions,
-and the bounded directedness check returns a Verdict rather than a bool.
+Order queries never guess: incomparability is op_leq false in both directions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from typing import Any, Iterable, Iterator
 
 from . import perms
 from .record import Frozen, setfield
-from .verdict import Status, Tally, Verdict, unknown
+from .verdict import Tally, Verdict
 
 
 class UsageError(ValueError):
@@ -96,6 +100,11 @@ class PoGroup:
     Subclasses set their parameters before calling this constructor, which
     fixes the structural key, describe() as canonical JSON, and the identity
     element. Groups are immutable after construction.
+
+    leq_coords and mul_coords are the coordinate kernels: one call answers
+    for two equally long iterables of values, such as a kite's coordinates.
+    Here they map leq_values and mul_values over the coordinates; Integers
+    overrides them with C-level maps.
     """
 
     kind = "?"
@@ -146,6 +155,14 @@ class PoGroup:
 
     def leq_values(self, x, y) -> bool:
         raise NotImplementedError
+
+    def leq_coords(self, xs, ys) -> bool:
+        """True when xs[i] <= ys[i] for every i."""
+        return all(map(self.leq_values, xs, ys))
+
+    def mul_coords(self, xs, ys) -> tuple:
+        """The coordinatewise product (xs[i] ys[i])."""
+        return tuple(map(self.mul_values, xs, ys))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         self.own(a)
@@ -234,6 +251,38 @@ class PoGroup:
 # backends
 
 
+# the value operations of Z^k on whole value tuples
+def _zk_leq(x, y):
+    return all(map(operator.le, x, y))
+
+
+def _zk_mul(x, y):
+    return tuple(map(operator.add, x, y))
+
+
+def _zk_inv(x):
+    return tuple(map(operator.neg, x))
+
+
+def _zk_join(x, y):
+    return tuple(map(max, x, y))
+
+
+def _zk_meet(x, y):
+    return tuple(map(min, x, y))
+
+
+def _fixed(value, k: int, kind: str) -> tuple:
+    """value as a tuple of exactly k items; UsageError otherwise."""
+    try:
+        t = tuple(value)
+    except TypeError:
+        t = None
+    if t is None or len(t) != k:
+        raise UsageError(f"{kind} value must have {k} components, got {value!r}")
+    return t
+
+
 class Integers(PoGroup):
     """(Z, +) with the natural total order; norm is absolute value."""
 
@@ -257,6 +306,11 @@ class Integers(PoGroup):
 
     def leq_values(self, x, y):
         return x <= y
+
+    # the coordinate kernels in C-level maps; a Z^k product runs the same
+    # two functions as its leq_values and mul_values
+    leq_coords = staticmethod(_zk_leq)
+    mul_coords = staticmethod(_zk_mul)
 
     def join_values(self, x, y):
         return max(x, y)
@@ -289,6 +343,10 @@ class Product(PoGroup):
     """Direct product with the coordinatewise order.
 
     The empty product is the trivial group. Norm is the max component norm.
+    When every component is Integers (Z^k), mul, inv, leq, join and meet
+    act on whole value tuples with C-level maps; that choice is made here,
+    from the components, and any other product keeps the component-wise
+    methods below.
     """
 
     kind = "Product"
@@ -298,15 +356,17 @@ class Product(PoGroup):
         self.is_lattice = all(c.is_lattice for c in cs)
         self.is_abelian = all(c.is_abelian for c in cs)
         self.is_trivial = all(c.is_trivial for c in cs)
+        if all(type(c) is Integers for c in cs):
+            self.mul_values, self.inv_value = _zk_mul, _zk_inv
+            self.leq_values = _zk_leq
+            self.join_values, self.meet_values = _zk_join, _zk_meet
         super().__init__()
 
     def identity_value(self):
         return tuple(c.identity_value() for c in self.components)
 
     def check_value(self, value):
-        value = tuple(value)
-        if len(value) != len(self.components):
-            raise UsageError("component count mismatch")
+        value = _fixed(value, len(self.components), self.kind)
         return tuple(c.check_value(v) for c, v in zip(self.components, value))
 
     def mul_values(self, x, y):
@@ -370,7 +430,7 @@ class StrictCone2(PoGroup):
         return (0, 0)
 
     def check_value(self, value):
-        x, y = value
+        x, y = _fixed(value, 2, self.kind)
         if any(not isinstance(v, int) or isinstance(v, bool) for v in (x, y)):
             raise UsageError("StrictCone2 values are integer pairs")
         return (x, y)
@@ -434,12 +494,10 @@ class TwistedLexGroup(PoGroup):
         return (0, tuple(e for _ in range(self.n)))
 
     def check_value(self, value):
-        m, coords = value
+        m, coords = _fixed(value, 2, self.kind)
         if not isinstance(m, int) or isinstance(m, bool):
             raise UsageError("leading component must be int")
-        coords = tuple(coords)
-        if len(coords) != self.n:
-            raise UsageError(f"expected {self.n} coordinates")
+        coords = _fixed(coords, self.n, self.kind)
         return (m, tuple(self.base.check_value(c) for c in coords))
 
     def mul_values(self, x, y):
@@ -461,7 +519,7 @@ class TwistedLexGroup(PoGroup):
         m2, ys = y
         if m1 != m2:
             return m1 < m2
-        return all(self.base.leq_values(a, b) for a, b in zip(xs, ys))
+        return self.base.leq_coords(xs, ys)
 
     def join_values(self, x, y):
         if x[0] != y[0]:
@@ -503,6 +561,9 @@ class TwistedLexGroup(PoGroup):
         return (m, tuple([self.base._read_key(ints) for _ in range(self.n)]))
 
     def deserialize(self, obj):
+        if not (isinstance(obj, list) and len(obj) == 2
+                and isinstance(obj[1], list)):
+            raise UsageError(f"{self.kind}: {obj!r} is not [m, [coordinates]]")
         m, coords = obj
         return self.make((m, tuple(self.base.deserialize(c).value for c in coords)))
 
@@ -562,19 +623,6 @@ def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
     out = [x for x in enumerate_window(group, wide)
            if leq(lo, x.value) and leq(x.value, hi)]
     return out, group.interval_exhaustive(lo, hi)
-
-
-def check_directed(group: PoGroup, g1: Elem, g2: Elem, w: Window) -> Verdict:
-    """Search the window for a common upper bound of g1 and g2."""
-    t = Tally()
-    for x in enumerate_window(group, w):
-        t.hit()
-        if group.leq(g1, x) and group.leq(g2, x):
-            return Verdict(Status.HOLDS, checked=t.checked,
-                           witness=(("bound", x.serialized()),),
-                           reason="upper bound found")
-    return unknown(t.checked, skipped=1,
-                   reason="no upper bound within window; not refutable by search")
 
 
 class PositiveCone(Frozen):

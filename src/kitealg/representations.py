@@ -83,25 +83,6 @@ def twisted_lex_group(n: int, lam, rho, base: PoGroup) -> TwistedLexGroup:
     return g
 
 
-def check_strong_unit(group: PoGroup, u: Elem, w: Window, kmax: int = 8) -> Verdict:
-    """Bounded evidence that u is a strong unit: every window x <= u^k."""
-    group.own(u)
-    t = Tally()
-    for x in pg.enumerate_window(group, w):
-        power = group.e
-        ok = False
-        for _ in range(kmax):
-            power = group.mul(power, u)
-            if group.leq(x, power):
-                ok = True
-                break
-        if ok:
-            t.hit()
-        else:
-            t.skip("no bound within the power budget")
-    return t.done("every sampled element fell under a power of the unit")
-
-
 # -- piecewise window maps ----------------------------------------------------
 
 

@@ -70,14 +70,6 @@ class RdpLevel(Enum):
     RDP1 = "rdp1"
     RDP2 = "rdp2"
 
-    @classmethod
-    def parse(cls, name: str) -> "RdpLevel":
-        key = str(name).strip().lower().replace("_", "")
-        for lv in cls:
-            if lv.value == key:
-                return lv
-        raise UsageError(f"unknown Riesz level {name!r}")
-
 
 # weakest to strongest; RIP and RDP0 are equivalent on directed structures
 RDP_ORDER = (RdpLevel.RIP, RdpLevel.RDP0, RdpLevel.RDP,

@@ -16,7 +16,7 @@ from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (CapabilityError, Integers, StrictCone2,
                              TwistedLexGroup, Window, integer_product)
 from kitealg.representations import IntervalPEA
-from kitealg.verdict import Status
+from kitealg.verdict import Status, Tally
 from kitealg import perms
 
 Z = Integers()
@@ -97,6 +97,137 @@ def test_pea_axioms_catch_broken_addition():
 
     out = check_pea_axioms(BrokenAdd(k.shape), Window(1, 48))
     assert any(v.status is Status.FAILS for v in out.values())
+
+
+# -- associativity: whole rows against the triple loop ------------------------------
+
+
+def ser(P, v):
+    return None if v is None else P.serialize(v)
+
+
+def reference_pea_assoc(P, sample):
+    """PEA.i as a plain loop over every triple."""
+    t = Tally()
+    add = P.add
+    for x in sample:
+        for y in sample:
+            xy = add(x, y)
+            for z in sample:
+                lhs = add(xy, z) if xy is not None else None
+                yz = add(y, z)
+                rhs = add(x, yz) if yz is not None else None
+                if (lhs is None) != (rhs is None) or lhs != rhs:
+                    return t.fail({"x": ser(P, x), "y": ser(P, y),
+                                   "z": ser(P, z), "lhs": ser(P, lhs),
+                                   "rhs": ser(P, rhs)},
+                                  "associativity instance broken")
+                t.hit()
+    return t.done("both association orders agree on all sampled triples")
+
+
+def reference_pmv_a1(M, sample):
+    """PMV.A1 as a plain loop over every triple."""
+    t = Tally()
+    op = M.mv_oplus
+    for x in sample:
+        for y in sample:
+            xy = op(x, y)
+            for z in sample:
+                l = op(x, op(y, z))
+                r = op(xy, z)
+                if l != r:
+                    return t.fail({"x": ser(M, x), "y": ser(M, y),
+                                   "z": ser(M, z),
+                                   "values": [ser(M, l), ser(M, r)]},
+                                  "oplus not associative")
+                t.hit()
+    return t.done("oplus associative on sampled triples")
+
+
+class TableAlgebra:
+    """0..4 with the sum a + b, undefined (None) above 4, as both add and
+    mv_oplus; edits override single (a, b) entries. An undefined operand
+    gives an undefined result. Only associativity is meant to hold."""
+
+    zero, one, is_lattice = 0, 4, True
+
+    def __init__(self, edits=()):
+        self.table = {(a, b): a + b if a + b <= 4 else None
+                      for a in range(5) for b in range(5)}
+        self.table.update(edits)
+        self.complement_left = self.complement_right = {
+            a: 4 - a for a in range(5)}.get
+
+    def elements(self, w):
+        return list(range(5))
+
+    def add(self, x, y):
+        return self.table.get((x, y))
+
+    mv_oplus = add
+
+    def ldiff(self, b, a):
+        return None
+
+    rdiff = ldiff
+
+    def serialize(self, x):
+        return x
+
+
+@pytest.mark.parametrize("edits, first", [
+    # 1 + 2 = 4 breaks (1 + 1) + 1 = 3 against 1 + (1 + 1) = 4
+    pytest.param({(1, 2): 4}, (1, 1, 1), id="one-entry-wrong"),
+    # 1 + 2 undefined: (1 + 1) + 1 is defined, 1 + (1 + 1) is not
+    pytest.param({(1, 2): None}, (1, 1, 1), id="right-side-undefined"),
+    pytest.param({}, None, id="associative"),
+])
+def test_row_comparison_matches_the_triple_loop(edits, first):
+    P = TableAlgebra(edits)
+    sample = P.elements(Window(1))
+    want_pea = reference_pea_assoc(P, sample)
+    want_a1 = reference_pmv_a1(P, sample)
+    if first is None:
+        assert want_pea.ok and want_pea.checked == 125
+    else:
+        assert want_pea.failed and want_a1.failed
+        assert tuple(want_pea.witness_dict()[k] for k in "xyz") == first
+        assert tuple(want_a1.witness_dict()[k] for k in "xyz") == first
+    assert check_pea_axioms(P, Window(1))["PEA.i"] == want_pea
+    assert check_pmv_axioms(P, Window(1))["PMV.A1"] == want_a1
+
+
+def broken_add_kite():
+    """A Z kite whose lower + lower sum adds 1 more in each coordinate where
+    only the left summand is nonzero."""
+
+    class BrokenAdd(Kite):
+        def add(self, x, y):
+            z = Kite.add(self, x, y)
+            if x.tag == y.tag == "L":
+                return self.intern("L", [c + (a > 0 and b == 0) for a, b, c
+                                         in zip(x.coords, y.coords, z.coords)])
+            return z
+
+    return BrokenAdd(KiteShape(2, (0, 1), (1, 0), Z))
+
+
+@pytest.mark.parametrize("kite, broken", [
+    (mk(2, (0, 1), (1, 0)), False),
+    (mk(1, (0,), (0,), integer_product(2)), False),
+    (mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)), False),
+    pytest.param(broken_add_kite(), True, id="broken-add"),
+])
+def test_row_comparison_matches_the_triple_loop_on_kites(kite, broken):
+    w = Window(1, 16)
+    sample = kite.elements(w)
+    want = reference_pea_assoc(kite, sample)
+    assert want.failed == broken
+    assert check_pea_axioms(kite, w)["PEA.i"] == want
+    if kite.is_lattice:
+        assert (check_pmv_axioms(kite, w)["PMV.A1"]
+                == reference_pmv_a1(kite, sample))
 
 
 # -- MV axioms ---------------------------------------------------------------------

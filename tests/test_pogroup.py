@@ -1,5 +1,7 @@
 """Base group zoo: windows, orders, and bounded law checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,6 @@ from kitealg.pogroup import (
     TwistedLexGroup,
     UsageError,
     Window,
-    check_directed,
     check_group_laws,
     cone_window,
     enumerate_interval,
@@ -358,14 +359,6 @@ def test_value_level_law_check_fails_like_reference(broken, reason):
     assert check_group_laws(broken, Window(2, 10)) == want
 
 
-def test_directedness_search():
-    v = check_directed(SC, SC.make((1, 2)), SC.make((2, 1)), Window(3))
-    assert v.status is Status.HOLDS
-    # least common upper bound in this cone: both differences must land in
-    # the strict quadrant, so (3,3) is the first hit
-    assert v.witness_dict()["bound"] == [3, 3]
-
-
 def test_integer_interval_is_exact():
     elems, exhaustive = enumerate_interval(Z, Z.make(-1), Z.make(2), Window(1))
     assert [x.value for x in elems] == [0, -1, 1, 2]
@@ -424,6 +417,97 @@ def test_direct_sort_keys_and_norms_match_the_flattened_form(name):
         if key:
             with pytest.raises(UsageError):
                 g.deserialize(key[:-1])
+
+
+# -- coordinate kernels -----------------------------------------------------------
+
+
+KERNEL_GROUPS = [
+    pytest.param(Integers(), id="z"),
+    pytest.param(StrictCone2(), id="strictcone2"),
+    pytest.param(integer_product(2), id="z2"),
+    pytest.param(integer_product(3), id="z3"),
+    pytest.param(Product([Integers(), StrictCone2()]), id="z-x-strictcone2"),
+    pytest.param(tl(2, (0, 1), (1, 0)), id="twistedlex"),
+]
+
+
+def _coordinate_pairs(g, k, count=300):
+    """Pairs of k-tuples of window values: coordinatewise ordered pairs,
+    the same with one coordinate swapped, and arbitrary pairs."""
+    rng = random.Random(k)
+    vals = [x.value for x in enumerate_window(g, Window(1))]
+    ordered = [(a, b) for a in vals for b in vals if g.leq_values(a, b)]
+    out = []
+    for _ in range(count):
+        pick = [rng.choice(ordered) for _ in range(k)]
+        xs, ys = tuple(a for a, _ in pick), tuple(b for _, b in pick)
+        out.append((xs, ys))
+        if k:
+            out.append((ys[:1] + xs[1:], xs[:1] + ys[1:]))
+        out.append((tuple(rng.choice(vals) for _ in range(k)),
+                    tuple(rng.choice(vals) for _ in range(k))))
+    return out
+
+
+@pytest.mark.parametrize("g", KERNEL_GROUPS)
+def test_coordinate_kernels_match_the_per_coordinate_loop(g):
+    for k in (0, 1, 2, 3):
+        for xs, ys in _coordinate_pairs(g, k):
+            assert g.leq_coords(xs, ys) == all(
+                g.leq_values(a, b) for a, b in zip(xs, ys))
+            assert g.mul_coords(xs, ys) == tuple(
+                g.mul_values(a, b) for a, b in zip(xs, ys))
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(integer_product(2), id="z2"),
+    pytest.param(integer_product(3), id="z3"),
+    pytest.param(Product(()), id="trivial"),
+    pytest.param(Product([Integers(), StrictCone2()]), id="z-x-strictcone2"),
+])
+def test_product_value_operations_match_the_components(g):
+    # a Z^k product runs C-level maps over whole tuples; every other
+    # product keeps the component-wise methods
+    zk = all(type(c) is Integers for c in g.components)
+    assert ("mul_values" in vars(g)) == zk
+    cs = g.components
+    vals = [x.value for x in enumerate_window(g, Window(1))]
+    for x in vals:
+        assert g.inv_value(x) == tuple(c.inv_value(a) for c, a in zip(cs, x))
+        for y in vals:
+            assert g.mul_values(x, y) == tuple(
+                c.mul_values(a, b) for c, a, b in zip(cs, x, y))
+            assert g.leq_values(x, y) == all(
+                c.leq_values(a, b) for c, a, b in zip(cs, x, y))
+            if g.is_lattice:
+                assert g.join_values(x, y) == tuple(
+                    c.join_values(a, b) for c, a, b in zip(cs, x, y))
+                assert g.meet_values(x, y) == tuple(
+                    c.meet_values(a, b) for c, a, b in zip(cs, x, y))
+
+
+# -- malformed values ---------------------------------------------------------------
+
+
+TL1 = TwistedLexGroup(1, [0], [0], Integers())
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: StrictCone2().make(5), id="strictcone2-int"),
+    pytest.param(lambda: StrictCone2().make((1, 2, 3)), id="strictcone2-triple"),
+    pytest.param(lambda: integer_product(2).make(5), id="z2-int"),
+    pytest.param(lambda: TL1.make(5), id="twistedlex-int"),
+    pytest.param(lambda: TL1.make((0, 5)), id="twistedlex-int-coords"),
+    pytest.param(lambda: TL1.deserialize(5), id="twistedlex-de-int"),
+    pytest.param(lambda: TL1.deserialize([5]), id="twistedlex-de-short"),
+    pytest.param(lambda: TL1.deserialize("x"), id="twistedlex-de-str"),
+    pytest.param(lambda: TL1.deserialize([1, 2]), id="twistedlex-de-int-coords"),
+    pytest.param(lambda: TL1.deserialize([1, [[0], [0]]]), id="twistedlex-de-long"),
+])
+def test_malformed_values_raise_usage_error(call):
+    with pytest.raises(UsageError):
+        call()
 
 
 # -- descriptors ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from kitealg.pogroup import (
 from kitealg.representations import (
     IntervalPEA,
     MapSpec,
-    check_strong_unit,
     mapspec_family,
     perfect_representation,
     scrimger_fixture,
@@ -88,15 +87,6 @@ def test_twisted_lex_group_builder_validates():
     assert g.n == 2
     with pytest.raises(UsageError):
         twisted_lex_group(3, (1, 0, 2), (0, 2, 1), Z)
-
-
-def test_strong_unit_check():
-    g = twisted_lex_group(2, (0, 1), (1, 0), Z)
-    v = check_strong_unit(g, g.strong_unit(), Window(1))
-    assert not v.failed
-    # elements below any power of the unit exist at every level, so the
-    # bounded check can only report positive evidence
-    assert v.checked > 0
 
 
 # -- map specifications ----------------------------------------------------------------

@@ -710,10 +710,3 @@ def test_tally_unknown_reason_counts_each_skip_note():
     ok = Tally()
     ok.hit()
     assert ok.done("all found") == holds(1, reason="all found")
-
-
-def test_level_parse():
-    assert RdpLevel.parse("RDP_1") is RdpLevel.RDP1
-    assert RdpLevel.parse("rip") is RdpLevel.RIP
-    with pytest.raises(UsageError):
-        RdpLevel.parse("bogus")
