@@ -19,7 +19,7 @@ Checks provided:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 from .pogroup import UsageError, Window
 from .record import Frozen, Record, setfield
@@ -104,19 +104,19 @@ def check_pea_axioms(P: Algebra, w: Window) -> dict:
     }
 
 
-def _differing_rows(op, sample: list, t: Tally) -> Iterator[tuple]:
-    """The (x, y) pairs, in loop order, whose rows over z of x op (y op z)
-    and (x op y) op z differ; t gets len(sample) hits for each row that
-    agrees. None is an undefined value: op is never applied to it, and it
-    absorbs.
+def _first_difference(op, sample: list, t: Tally) -> Optional[tuple]:
+    """The first triple, in x, y, z loop order, at which x op (y op z) and
+    (x op y) op z differ, as (x, y, z, lhs, rhs) with lhs = (x op y) op z
+    and rhs = x op (y op z); None when every triple agrees. t gets one hit
+    per agreeing triple before it, as in the plain triple loop. None is an
+    undefined value: op is never applied to it, and it absorbs.
 
     y op z is computed once per pair, and for each x, x op v once per
-    distinct value v among those. The row of x op (y op z) is then read off
-    with map over an index list, and compared, as one list, with the row of
-    (x op y) op z, which is computed once per distinct left operand. The
-    caller re-runs each yielded row triple by triple, so the first
-    counterexample and the checked count are those of the plain triple
-    loop.
+    distinct value v among those. The row of x op (y op z) over z is then
+    read off with map over an index list, and compared, as one list, with
+    the row of (x op y) op z, which is computed once per distinct left
+    operand. An agreeing row adds len(sample) hits; in a differing row the
+    first differing position gives z and both values.
     """
     n = len(sample)
     index = {None: 0}  # value -> its position in values
@@ -133,33 +133,30 @@ def _differing_rows(op, sample: list, t: Tally) -> Iterator[tuple]:
             row = left.get(u)
             if row is None:
                 row = left[u] = list(map(op, itertools.repeat(u, n), sample))
-            if list(map(at, yrow)) == row:
-                t.checked += n
-            else:
-                yield x, y
+            got = list(map(at, yrow))
+            if got != row:
+                k = next(k for k in range(n) if got[k] != row[k])
+                t.checked += k
+                return x, y, sample[k], row[k], got[k]
+            t.checked += n
+    return None
 
 
 def _pea_assoc(P: Algebra, sample: list) -> Verdict:
     """(x+y)+z and x+(y+z): defined together and equal. Exact, no skips.
 
-    Whole rows over z are compared first (_differing_rows); a row that
-    differs is re-run triple by triple to find and report its first
-    counterexample.
+    Whole rows over z are compared (_first_difference); the first
+    position at which a row differs is the counterexample, so witness and
+    count are those of the plain triple loop.
     """
     t = Tally()
-    add = P.add
-    for x, y in _differing_rows(add, sample, t):
-        xy = add(x, y)
-        for z in sample:
-            lhs = add(xy, z) if xy is not None else None
-            yz = add(y, z)
-            rhs = add(x, yz) if yz is not None else None
-            if (lhs is None) != (rhs is None) or lhs != rhs:
-                return t.fail(
-                    {"x": _ser(P, x), "y": _ser(P, y), "z": _ser(P, z),
-                     "lhs": _ser(P, lhs), "rhs": _ser(P, rhs)},
-                    "associativity instance broken")
-            t.hit()
+    bad = _first_difference(P.add, sample, t)
+    if bad is not None:
+        x, y, z, lhs, rhs = bad
+        return t.fail(
+            {"x": _ser(P, x), "y": _ser(P, y), "z": _ser(P, z),
+             "lhs": _ser(P, lhs), "rhs": _ser(P, rhs)},
+            "associativity instance broken")
     return t.done("both association orders agree on all sampled triples")
 
 
@@ -237,9 +234,9 @@ def check_pmv_axioms(M: Algebra, w: Window) -> dict:
     """Per-axiom verdicts keyed PMV.A1 .. PMV.A8.
 
     Needs a lattice algebra: the first mv_oplus call raises CapabilityError
-    otherwise. A1, associativity, compares whole rows over z first
-    (_differing_rows) and re-runs a row that differs triple by triple, so
-    its first counterexample and count are those of the triple loop.
+    otherwise. A1, associativity, compares whole rows over z
+    (_first_difference); the first position at which a row differs is the
+    counterexample, so witness and count are those of the triple loop.
     """
     sample = M.elements(w)
     op, nl, nr = M.mv_oplus, M.complement_left, M.complement_right
@@ -268,17 +265,13 @@ def check_pmv_axioms(M: Algebra, w: Window) -> dict:
 
     def a1() -> Verdict:
         t = Tally()
-        for x, y in _differing_rows(op, sample, t):
-            xy = op(x, y)
-            for z in sample:
-                l = op(x, op(y, z))
-                r = op(xy, z)
-                if l != r:
-                    return t.fail(
-                        {"x": _ser(M, x), "y": _ser(M, y), "z": _ser(M, z),
-                         "values": [_ser(M, l), _ser(M, r)]},
-                        "oplus not associative")
-                t.hit()
+        bad = _first_difference(op, sample, t)
+        if bad is not None:
+            x, y, z, r, l = bad
+            return t.fail(
+                {"x": _ser(M, x), "y": _ser(M, y), "z": _ser(M, z),
+                 "values": [_ser(M, l), _ser(M, r)]},
+                "oplus not associative")
         return t.done("oplus associative on sampled triples")
 
     out = {"PMV.A1": a1()}

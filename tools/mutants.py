@@ -1,8 +1,6 @@
 """Mutation battery: every mutant in MUTANTS must fail the tests named for it.
 
-    python3 tools/mutants.py            # run every mutant
-    python3 tools/mutants.py NAME ...   # run the named mutants
-    python3 tools/mutants.py --list     # print the names
+    python3 tools/mutants.py
 
 Each mutant names a file of the repository, an exact old text, the new text
 that replaces it, and the tests (files or pytest node ids) that must fail
@@ -14,9 +12,8 @@ touched. First, every named test must pass on an unmutated copy.
 The exit code is 1 when a mutant survives (its tests pass), when its old
 text does not occur exactly once in its file, or when pytest does not run
 its tests to a verdict (a collection or usage error). So the list has to
-follow refactors of the code it mutates; it is 2 for an unknown mutant
-name. Standard library only; pytest does not collect this file, because its
-`testpaths` is `tests`.
+follow refactors of the code it mutates. Standard library only; pytest does
+not collect this file, because its `testpaths` is `tests`.
 """
 
 from __future__ import annotations
@@ -34,45 +31,50 @@ ROOT = Path(__file__).resolve().parent.parent
 
 class Mutant:
     def __init__(self, name: str, path: str, old: str, new: str,
-                 tests: tuple, why: str) -> None:
+                 tests: tuple) -> None:
         self.name, self.path, self.old, self.new = name, path, old, new
-        self.tests, self.why = tests, why
+        self.tests = tests
 
 
 MUTANTS = [
+    # associativity rows are counted without being compared
     Mutant("rows-differing-counted-as-agreeing", "src/kitealg/axioms.py",
-           "            if list(map(at, yrow)) == row:\n",
-           "            if True:\n",
-           ("tests/test_axioms.py",),
-           "associativity rows are counted without being compared"),
-    Mutant("rows-rerun-skipped", "src/kitealg/axioms.py",
-           "                yield x, y\n",
-           "                yield from ()\n",
-           ("tests/test_axioms.py",),
-           "a differing row is neither counted nor re-run triple by triple"),
+           "            if got != row:\n",
+           "            if False:\n",
+           ("tests/test_axioms.py",)),
+    # a differing row is passed over instead of reported
+    Mutant("differing-row-skipped", "src/kitealg/axioms.py",
+           "                return x, y, sample[k], row[k], got[k]\n",
+           "                continue\n",
+           ("tests/test_axioms.py",)),
+    # the agreeing triples before the first difference are not counted
+    Mutant("count-before-difference-dropped", "src/kitealg/axioms.py",
+           "                t.checked += k\n",
+           "                t.checked += 0\n",
+           ("tests/test_axioms.py",)),
+    # the Integers order kernel tests < instead of <=
     Mutant("integers-order-kernel-strict", "src/kitealg/pogroup.py",
            "    return all(map(operator.le, x, y))\n",
            "    return all(map(operator.lt, x, y))\n",
-           ("tests/test_pogroup.py",),
-           "the Integers order kernel tests < instead of <="),
+           ("tests/test_pogroup.py",)),
+    # a product with a non-Integers component takes the Z^k path
     Mutant("zk-path-for-mixed-product", "src/kitealg/pogroup.py",
            "        if all(type(c) is Integers for c in cs):\n",
            "        if any(type(c) is Integers for c in cs):\n",
-           ("tests/test_pogroup.py",),
-           "a product with a non-Integers component takes the Z^k path"),
-    # M1 of the mutation probe: check_com trusts one exhaustive interval
+           ("tests/test_pogroup.py",)),
+    # M1 of the mutation probe: commutation holds when only one interval
+    # is exhaustive
     Mutant("com-coverage-either-interval", "src/kitealg/riesz.py",
            "    if not (ea and eb):\n",
            "    if not (ea or eb):\n",
            ("tests/test_riesz.py::"
-            "test_com_is_unknown_when_either_interval_is_incomplete",),
-           "commutation holds when only one interval is exhaustive"),
-    # M5 of the mutation probe: a holds with one skip is not demoted
+            "test_com_is_unknown_when_either_interval_is_incomplete",)),
+    # M5 of the mutation probe: a holds verdict with one skip keeps its
+    # status
     Mutant("holds-with-one-skip", "src/kitealg/verdict.py",
            "        if status is Status.HOLDS and skipped > 0:\n",
            "        if status is Status.HOLDS and skipped > 1:\n",
-           ("tests/test_records.py",),
-           "a holds verdict with one skip keeps its status"),
+           ("tests/test_records.py",)),
 ]
 
 
@@ -108,34 +110,24 @@ def run(m: Mutant) -> tuple[str, str]:
     return {0: "survived", 1: "killed"}.get(code, "error"), detail
 
 
-def main(argv: list) -> int:
-    if argv == ["--list"]:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.why}")
-        return 0
-    names = {m.name for m in MUTANTS}
-    unknown = [a for a in argv if a not in names]
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     # a mutant only counts as killed by tests that pass without it
-    tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
     code, detail = pytest_copy(tests)
     print(f"{'baseline' if code == 0 else 'error':8} unmutated copy: {detail}",
           flush=True)
     if code != 0:
         return 1
     bad = 0
-    for m in chosen:
+    for m in MUTANTS:
         t0 = time.perf_counter()
         outcome, detail = run(m)
         bad += outcome != "killed"
         print(f"{outcome:8} {m.name} ({time.perf_counter() - t0:.1f} s) "
               f"{detail}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
