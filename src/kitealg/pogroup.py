@@ -57,6 +57,8 @@ class Window(Frozen):
             raise UsageError("window cap must be >= 1")
         setfield(self, "height", height)
         setfield(self, "cap", cap)
+        # windows key many memos, so hash the fields once
+        setfield(self, "_hash", hash((height, cap)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Window:
@@ -64,7 +66,7 @@ class Window(Frozen):
         return self.height == other.height and self.cap == other.cap
 
     def __hash__(self) -> int:
-        return hash((self.height, self.cap))
+        return self._hash
 
     def uncapped(self) -> "Window":
         return Window(self.height)

@@ -23,21 +23,23 @@ group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
 before being returned. Kite coordinates are raw base values, so these
 builders compute with the base's value operations; only a base table or
-split search wraps its arguments as Elems of the base, in _base_table and
-_base_split, and unwraps what it finds.
+split search wraps its arguments as Elems of the base, in _base_refinement
+and _base_split, and unwraps what it finds.
 
 The base searches are memoised with functools.cache, because a quantified
 check asks the same few again and again: the cap-14 RDP battery over a Z
-kite asks for 2,790 base tables and 1,266 base splits, on 57 and 23 keys.
-The key is raw values: the base, the arguments (for a table, in the order
-the search runs them, so after the opposite-group swap), the effective level
-(RDP1 and RDP2 keep theirs, every other level searches as RDP) and the
-window. What is stored is immutable, a (cells, side, note) tuple or a split
-pair, and each call builds a fresh RefinementTable from it, so a caller may
-set side on the table it gets. The common upper bounds (_upper_bound, a
-window scan on a non-lattice base) are memoised the same way. The memos live
-for the process; groups hash and compare by their structural key, so equal
-groups built apart share them.
+kite asks for 2,790 base tables on 84 keys (57 searches) and 1,266 base
+splits on 23. A table's key is the base, whether it is read in the opposite
+group, the raw arguments, the search level (RDP1 and RDP2 keep theirs, every
+other level searches as RDP) and the window. Its entry is (c11, c12, c21,
+c22, side), already read back anti-transposed for the opposite group; a
+table and its opposite share one search. Splits, common upper bounds
+(_upper_bound, a window scan on a non-lattice base), the merged sides of
+lifted tables and the builders' windows, one per height, are memoised too.
+Every caller of a key shares its entry, which is safe because an entry holds
+only raw values and frozen Verdicts; the builders copy cells into
+RefinementTables of their own. The memos live for the process; groups hash
+and compare by their structural key, so equal groups built apart share them.
 
 Each mirror-image case is written once. The opposite algebra of a kite
 (x + y read as y + x) is again a kite: lam and rho trade places and the base
@@ -245,8 +247,14 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
 # -- constructive kite witnesses ------------------------------------------------
 
 
+# one Window per height: the builders ask for a handful of heights thousands
+# of times, and a Window is immutable
+_window = functools.cache(Window)
+
+
 def _wide(kite: Kite, elems) -> Window:
-    return Window(max([2] + [kite.norm(el) for el in elems]))
+    """The window of height max(2, every operand's norm)."""
+    return _window(max(2, *map(kite.norm, elems)))
 
 
 @functools.cache
@@ -280,28 +288,36 @@ def _anti(t: Optional[RefinementTable]) -> Optional[RefinementTable]:
     return RefinementTable(t.c22, t.c21, t.c12, t.c11, side=t.side, note=t.note)
 
 
-def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, level: RdpLevel,
-                w: Window) -> Optional[RefinementTable]:
+@functools.cache
+def _base_table(base: PoGroup, flip: bool, r1, r2, s1, s2, lv: RdpLevel,
+                w: Window) -> Optional[tuple]:
     """Base table of r1 + r2 = s1 + s2 in raw values, in the opposite group
-    when flip; the search runs on the base's positive cone."""
-    lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
+    when flip, searched at level lv (RDP, RDP1 or RDP2): the immutable tuple
+    (c11, c12, c21, c22, side), or None (memoised)."""
     args = (r2, r1, s2, s1) if flip else (r1, r2, s1, s2)
     found = _base_refinement(base, args, lv, w)
-    if found is None:
-        return None
-    cells, side, note = found
-    t = RefinementTable(*cells, side=side, note=note)
-    return _anti(t) if flip else t
+    if found is None or not flip:
+        return found
+    # the opposite group's table is the real one read back anti-transposed
+    c11, c12, c21, c22, side = found
+    return c22, c21, c12, c11, side
+
+
+# one object per distinct side verdict of a base table, so that the keys of
+# the _merge_sides memo match by identity; a table's side never failed, so it
+# has no witness and hashes
+_shared_sides: dict = {}
 
 
 @functools.cache
 def _base_refinement(base: PoGroup, args: tuple, lv: RdpLevel, w: Window):
     """find_refinement on the base cone for raw args, as an immutable
-    (cells, side, note) tuple of raw values, or None (memoised)."""
+    (c11, c12, c21, c22, side) tuple of raw values, or None (memoised)."""
     t, _ = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
     if t is None:
         return None
-    return tuple(c.value for c in t.cells()), t.side, t.note
+    side = _shared_sides.setdefault(t.side, t.side)
+    return tuple(c.value for c in t.cells()) + (side,)
 
 
 @functools.cache
@@ -312,9 +328,12 @@ def _base_split(base: PoGroup, a, b, c, w: Window):
     return None if pair is None else (pair[0].value, pair[1].value)
 
 
-def _merge_sides(tables) -> Optional[Verdict]:
-    sides = [t.side for t in tables if t.side is not None]
-    return merge(*sides) if sides else None
+@functools.cache
+def _merge_sides(sides: tuple) -> Optional[Verdict]:
+    """merge of the side verdicts that are not None, or None if none is
+    (memoised; a Verdict is immutable)."""
+    present = [v for v in sides if v is not None]
+    return merge(*present) if present else None
 
 
 def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
@@ -331,36 +350,41 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     sum equations before returning; None means a base-level ingredient was
     not found.
     """
-    x1, x2, y1, y2 = (kite.own(el) for el in (x1, x2, y1, y2))
+    own = kite.own
+    x1, x2, y1, y2 = own(x1), own(x2), own(y1), own(y2)
+    # the kite interns its elements, so equal elements are the same object
     s1, s2 = kite.add(x1, x2), kite.add(y1, y2)
-    if s1 is None or s2 is None or s1 != s2:
+    if s1 is None or s1 is not s2:
         raise UsageError("refinement needs x1 + x2 = y1 + y2, both defined")
     base = kite.base
     inv = base.inv_value
     n = kite.n
+    # RDP1 and RDP2 search base tables at their own level, the rest as RDP
+    lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
     w = _wide(kite, (x1, x2, y1, y2))
-    flip = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, LOWER, UPPER)
-    swap = (x1.tag, x2.tag, y1.tag, y2.tag) == (LOWER, UPPER, UPPER, LOWER)
+    tags = (x1.tag, x2.tag, y1.tag, y2.tag)
+    flip = tags == (LOWER, UPPER, LOWER, UPPER)
+    swap = tags == (LOWER, UPPER, UPPER, LOWER)
     a1, a2, b1, b2 = ((x2, x1, y2, y1) if flip else (y1, y2, x1, x2) if swap
                       else (x1, x2, y1, y2))
     pattern = (a1.tag, a2.tag, b1.tag, b2.tag)
-    mul, rho, rho_inv = _opposite(kite, flip)
     table = None
 
     if pattern == (LOWER, LOWER, LOWER, LOWER):
         per = []
-        for j in range(n):
-            bt = _base_table(base, False, a1.coords[j], a2.coords[j],
-                             b1.coords[j], b2.coords[j], level, w)
+        for r1, r2, t1, t2 in zip(a1.coords, a2.coords, b1.coords, b2.coords):
+            bt = _base_table(base, False, r1, r2, t1, t2, lv, w)
             if bt is None:
                 return None
             per.append(bt)
-        cells = [kite.intern(LOWER, [getattr(per[j], name) for j in range(n)])
-                 for name in ("c11", "c12", "c21", "c22")]
-        table = RefinementTable(*cells, side=_merge_sides(per),
+        # columns: the four cells' coordinates, then the sides
+        cols = list(zip(*per)) or [()] * 5
+        table = RefinementTable(*[kite.intern(LOWER, c) for c in cols[:4]],
+                                side=_merge_sides(cols[4]),
                                 note="coordinatewise base tables")
 
     elif pattern == (UPPER, LOWER, UPPER, LOWER):
+        mul, rho, rho_inv = _opposite(kite, flip)
         ds, per = [], []
         for i in range(n):
             d_i = _upper_bound(base, inv(a1.coords[i]), inv(b1.coords[i]))
@@ -368,16 +392,15 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
                 return None
             bt = _base_table(base, flip, mul(d_i, a1.coords[i]),
                              a2.coords[rho_inv[i]], mul(d_i, b1.coords[i]),
-                             b2.coords[rho_inv[i]], level, w)
+                             b2.coords[rho_inv[i]], lv, w)
             if bt is None:
                 return None
             ds.append(d_i)
             per.append(bt)
-        c11 = kite.intern(UPPER, [mul(inv(ds[i]), per[i].c11) for i in range(n)])
-        low = lambda name: kite.intern(
-            LOWER, [getattr(per[rho[j]], name) for j in range(n)])
-        table = RefinementTable(c11, low("c12"), low("c21"), low("c22"),
-                                side=_merge_sides(per),
+        c11 = kite.intern(UPPER, [mul(inv(ds[i]), per[i][0]) for i in range(n)])
+        low = lambda k: kite.intern(LOWER, [per[rho[j]][k] for j in range(n)])
+        table = RefinementTable(c11, low(1), low(2), low(3),
+                                side=_merge_sides(tuple([t[4] for t in per])),
                                 note="directedness witnesses over the upper rows")
         if flip:
             table = _anti(table)
@@ -392,10 +415,11 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
 
     if table is None:
         return None
-    if (kite.add(table.c11, table.c12) != x1
-            or kite.add(table.c21, table.c22) != x2
-            or kite.add(table.c11, table.c21) != y1
-            or kite.add(table.c12, table.c22) != y2):
+    add = kite.add
+    if (add(table.c11, table.c12) is not x1
+            or add(table.c21, table.c22) is not x2
+            or add(table.c11, table.c21) is not y1
+            or add(table.c12, table.c22) is not y2):
         return None
     if table.side is None:
         table.side = _side_condition(kite, level, table.c12, table.c21, w)
@@ -413,7 +437,8 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
     in the opposite kite for (x, z, y), read back swapped. None means a base
     split was not found.
     """
-    x, y, z = (kite.own(el) for el in (x, y, z))
+    own = kite.own
+    x, y, z = own(x), own(y), own(z)
     s = kite.add(y, z)
     if s is None or not kite.leq(x, s):
         raise UsageError("split needs x <= y + z with y + z defined")
@@ -424,13 +449,13 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
     tags = (x.tag, y.tag, z.tag)
 
     if tags == (LOWER, LOWER, LOWER):
-        g1, h1 = [], []
-        for j in range(n):
-            pair = _base_split(base, x.coords[j], y.coords[j], z.coords[j], w)
+        pairs = []
+        for a, b, c in zip(x.coords, y.coords, z.coords):
+            pair = _base_split(base, a, b, c, w)
             if pair is None:
                 return None
-            g1.append(pair[0])
-            h1.append(pair[1])
+            pairs.append(pair)
+        g1, h1 = zip(*pairs) if pairs else ((), ())
         out = kite.intern(LOWER, g1), kite.intern(LOWER, h1)
     elif tags == (LOWER, UPPER, LOWER):
         out = (x, kite.zero)
@@ -458,7 +483,7 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
 
     y1, z1 = out
     if (not kite.leq(y1, y) or not kite.leq(z1, z)
-            or kite.add(y1, z1) != x):
+            or kite.add(y1, z1) is not x):
         return None
     return out
 

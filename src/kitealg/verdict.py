@@ -39,6 +39,14 @@ class Verdict(Frozen):
         setfield(self, "witness", witness)
         setfield(self, "reason", reason)
 
+    def __hash__(self) -> int:
+        # hashed once: memo keys hash the same verdicts again and again
+        try:
+            return self._hash
+        except AttributeError:
+            setfield(self, "_hash", hash(self._key()))
+            return self._hash
+
     @property
     def ok(self) -> bool:
         return self.status is Status.HOLDS

@@ -12,7 +12,7 @@ from kitealg.axioms import (
     perfect_split,
     unique_state,
 )
-from kitealg.kite import Kite, KiteShape
+from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
 from kitealg.pogroup import (CapabilityError, Integers, StrictCone2,
                              TwistedLexGroup, Window, integer_product)
 from kitealg.representations import IntervalPEA
@@ -78,15 +78,16 @@ def test_pea_axioms_catch_broken_complement():
 
 
 def test_pea_axioms_catch_broken_addition():
+    """The upper + lower sum re-indexed through rho instead of its inverse
+    keeps associativity on this sample; the complement law catches it."""
     k = mk(3, (0, 1, 2), (1, 2, 0))
 
     def bad_add(x, y):
-        if x.tag == "U" and y.tag == "L":
+        if x.tag == UPPER and y.tag == LOWER:
             # reindex through rho instead of its inverse
             coords = tuple(k.base.mul_values(x.coords[i], y.coords[k.rho[i]])
                            for i in range(k.n))
             if all(k.base.leq_values(c, k.base.e.value) for c in coords):
-                from kitealg.kite import KiteElement, UPPER
                 return KiteElement(k.shape, UPPER, coords)
             return None
         return k.add(x, y)
@@ -96,7 +97,31 @@ def test_pea_axioms_catch_broken_addition():
             return bad_add(x, y)
 
     out = check_pea_axioms(BrokenAdd(k.shape), Window(1, 48))
-    assert any(v.status is Status.FAILS for v in out.values())
+    assert [name for name, v in out.items() if v.failed] == ["PEA.ii"]
+    v = out["PEA.ii"]
+    assert (v.status, v.checked) == (Status.FAILS, 2)
+    assert v.witness_dict() == {"d": k.upper(-1, 0, 0).serialized(),
+                                "x": k.lower(0, 0, 1).serialized()}
+
+
+def test_pea_axioms_catch_broken_associativity():
+    """x + x = x for a nonzero lower x breaks (x + x) + y = x + (x + y) and
+    no other law on this sample: PEA.i reports the plain triple loop's first
+    broken triple and its count of agreeing triples before it."""
+
+    class BrokenAssoc(Kite):
+        def add(self, x, y):
+            if x is y and x.tag == LOWER and x is not self.zero:
+                return x
+            return Kite.add(self, x, y)
+
+    P = BrokenAssoc(KiteShape(3, (0, 1, 2), (1, 2, 0), Z))
+    w = Window(1, 48)
+    out = check_pea_axioms(P, w)
+    assert [name for name, v in out.items() if v.failed] == ["PEA.i"]
+    got, want = out["PEA.i"], reference_pea_assoc(P, P.elements(w))
+    assert got.failed and want.failed
+    assert (got.witness, got.checked) == (want.witness, want.checked)
 
 
 # -- associativity: whole rows against the triple loop ------------------------------

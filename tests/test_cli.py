@@ -193,8 +193,8 @@ def test_report_is_deterministic(capsys):
 def test_warm_base_memos_leave_the_report_unchanged(capsys):
     """The riesz benchmark command twice in one process: the first run fills
     the module-level base-search memos from cold, the second reads them."""
-    for memo in (riesz._base_refinement, riesz._base_split,
-                 riesz._upper_bound):
+    for memo in (riesz._base_table, riesz._base_refinement,
+                 riesz._base_split, riesz._upper_bound):
         memo.cache_clear()
     argv = ["check", "--group", "z", "--shape", SWAP_SHAPE, "--height", "2",
             "--cap", "14", "--checks", "rdp"]

@@ -460,6 +460,38 @@ def test_coordinate_kernels_match_the_per_coordinate_loop(g):
                 g.mul_values(a, b) for a, b in zip(xs, ys))
 
 
+def _twist(p, k, i):
+    """p^k(i), applying p (or its inverse, for k < 0) |k| times."""
+    step = p if k >= 0 else [p.index(j) for j in range(len(p))]
+    for _ in range(abs(k)):
+        i = step[i]
+    return i
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(tl(2, (0, 1), (1, 0)), id="z-id-swap"),
+    pytest.param(tl(3, (1, 2, 0), (2, 0, 1)), id="z-shift-unshift"),
+    pytest.param(tl(3, (1, 2, 0), (1, 2, 0)), id="z-shift-shift"),
+    pytest.param(tl(2, (1, 0), (1, 0), SC), id="strictcone2-swap-swap"),
+    pytest.param(tl(2, (1, 0), (1, 0), tl(2, (0, 1), (1, 0))),
+                 id="twistedlex-swap-swap"),
+])
+def test_twisted_products_match_the_per_coordinate_formula(g):
+    """(m1, x) * (m2, y) = (m1 + m2, < x[lam^-m2(i)] y[rho^-m1(i)] >), one
+    base product per coordinate, for leading integers m1, m2 in -3..3."""
+    rng = random.Random(g.n)
+    vals = [x.value for x in enumerate_window(g.base, Window(1))]
+    for _ in range(400):
+        m1, m2 = rng.randint(-3, 3), rng.randint(-3, 3)
+        xs = tuple(rng.choice(vals) for _ in range(g.n))
+        ys = tuple(rng.choice(vals) for _ in range(g.n))
+        want = (m1 + m2, tuple(
+            g.base.mul_values(xs[_twist(g.lam, -m2, i)],
+                              ys[_twist(g.rho, -m1, i)])
+            for i in range(g.n)))
+        assert g.mul_values((m1, xs), (m2, ys)) == want, (m1, xs, m2, ys)
+
+
 @pytest.mark.parametrize("g", [
     pytest.param(integer_product(2), id="z2"),
     pytest.param(integer_product(3), id="z3"),

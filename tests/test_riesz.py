@@ -207,6 +207,42 @@ def test_constructive_table_rejects_unequal_sums():
             k, k.lower(1, 0), k.lower(0, 1), k.lower(2, 0), k.lower(0, 2))
 
 
+@pytest.mark.parametrize("broken", [0, 1, 2, 3])
+def test_constructive_table_is_validated_against_each_sum_equation(
+        monkeypatch, broken):
+    """A base table that meets three of an instance's four sum equations but
+    not the one numbered broken is refused. The base is TwistedLex, where
+    A = (1, (0, 0)) and B = (0, (1, 0)) do not commute, so the fourth
+    equation does not follow from the other three and the equal sums."""
+    k = mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z))
+    e, a, b = (0, (0, 0)), (1, (0, 0)), (0, (1, 0))
+    # (x1, x2, y1, y2) against the table (e, A, B, e); equation 3 is
+    # c12 + c22 = y2 and equation 0 is c11 + c12 = x1
+    inst = ((a, b, b, (1, (-1, 1))) if broken in (1, 3)
+            else ((1, (1, -1)), b, b, a))
+    cells = (e, a, b, e)
+    if broken in (1, 2):  # the transposed instance and table
+        inst = inst[2:] + inst[:2]
+        cells = (e, b, a, e)
+    x1, x2, y1, y2 = (k.lower(v) for v in inst)
+    c11, c12, c21, c22 = (k.lower(v) for v in cells)
+    holds_eq = [k.add(c11, c12) is x1, k.add(c21, c22) is x2,
+                k.add(c11, c21) is y1, k.add(c12, c22) is y2]
+    assert holds_eq == [i != broken for i in range(4)]
+    monkeypatch.setattr(riesz, "_base_table", lambda *args: cells + (None,))
+    assert kite_refinement_constructive(k, x1, x2, y1, y2) is None
+
+
+def test_wide_window_covers_every_operand_norm():
+    k = mk(2, (0, 1), (1, 0))
+    small, big = k.lower(1, 0), k.upper(0, -3)
+    assert _wide(k, (small, k.zero, small)) == Window(2)
+    assert _wide(k, (small, big, k.zero)) == Window(3)
+    assert _wide(k, (k.lower(5, 1), big, small, k.one)) == Window(5)
+    # one Window object per height
+    assert _wide(k, (big, small, k.one)) is _wide(k, (small, big, k.zero))
+
+
 def test_constructive_split_cases():
     k = mk(2, (0, 1), (1, 0))
     cases = [
@@ -389,7 +425,8 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
         cells = [KiteElement(kite.shape, LOWER,
                              tuple(getattr(per[j], name) for j in range(n)))
                  for name in ("c11", "c12", "c21", "c22")]
-        table = RefinementTable(*cells, side=_merge_sides(per),
+        table = RefinementTable(*cells,
+                                side=_merge_sides(tuple(t.side for t in per)),
                                 note="coordinatewise base tables")
     elif pattern == (UPPER, LOWER, UPPER, LOWER):
         rho, rho_inv = kite.rho, kite.rho_inv
@@ -411,7 +448,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
             kite.shape, LOWER,
             tuple(getattr(per[rho[j]], name) for j in range(n)))
         table = RefinementTable(c11, low("c12"), low("c21"), low("c22"),
-                                side=_merge_sides(per),
+                                side=_merge_sides(tuple(t.side for t in per)),
                                 note="directedness witnesses over the upper rows")
     elif pattern == (LOWER, UPPER, LOWER, UPPER):
         lam, lam_inv = kite.lam, kite.lam_inv
@@ -433,7 +470,7 @@ def _refinement_reference(kite, x1, x2, y1, y2, level):
         c22 = KiteElement(kite.shape, UPPER,
                           tuple(mul(per[i].c22, inv(ds[i])) for i in range(n)))
         table = RefinementTable(low("c11"), low("c12"), low("c21"), c22,
-                                side=_merge_sides(per),
+                                side=_merge_sides(tuple(t.side for t in per)),
                                 note="directedness witnesses over the upper rows")
     elif pattern == (UPPER, LOWER, LOWER, UPPER):
         c12 = KiteElement(
@@ -573,7 +610,8 @@ TABLE_LEVELS = (RdpLevel.RDP, RdpLevel.RDP1, RdpLevel.RDP2)
 
 
 def _clear_base_memos():
-    for memo in (_base_refinement, _base_split, _upper_bound):
+    for memo in (_base_table, _base_refinement, _base_split, _upper_bound,
+                 _merge_sides):
         memo.cache_clear()
 
 
@@ -608,11 +646,9 @@ def _tlex_instances():
     return out
 
 
-def _base_view(tab):
-    if tab is None:
-        return None
-    return (tab.cells(), tab.note,
-            None if tab.side is None else tab.side.describe())
+def _raw(tab):
+    """A reference table in the memo's shape: (c11, c12, c21, c22, side)."""
+    return None if tab is None else tab.cells() + (tab.side,)
 
 
 def test_base_table_memo_keys_on_flip_level_and_window():
@@ -629,27 +665,48 @@ def test_base_table_memo_keys_on_flip_level_and_window():
                 want = _anti(want)
             else:
                 got = _base_table(TLEX, False, *args, lv, Window(h))
-            assert _base_view(got) == _base_view(want), (args, flip, lv, h)
+            assert got == _raw(want), (args, flip, lv, h)
     u = (1, (-1, -1))
     narrow = _base_table(TLEX, False, u, u, u, u, RdpLevel.RDP, Window(2))
     wide = _base_table(TLEX, False, u, u, u, u, RdpLevel.RDP, Window(3))
-    assert narrow.cells() != wide.cells()
+    assert narrow[:4] != wide[:4]
     split2 = _base_split(TLEX, u, u, u, Window(2))
     assert split2 == _ref_base_split(TLEX, u, u, u, Window(2))
     assert split2 != _base_split(TLEX, u, u, u, Window(3))
 
 
-def test_base_table_memo_hands_out_fresh_tables():
+def test_base_table_memo_hands_out_one_immutable_tuple():
+    """Every caller gets the same memo entry, so nothing in it may change:
+    a tuple of raw values and a frozen side verdict. A kite table built from
+    it is the caller's own."""
     _clear_base_memos()
-    args = (Z.make(2).value, Z.make(1).value, Z.make(1).value, Z.make(2).value)
-    first = _base_table(Z, False, *args, RdpLevel.RDP1, Window(2))
-    want = _base_view(first)
-    first.side = holds(99, reason="changed by the caller")
-    first.c11 = Z.make(7).value
-    again = _base_table(Z, False, *args, RdpLevel.RDP1, Window(2))
-    assert again is not first
-    assert _base_view(again) == want
+    r1, r2, s1, s2 = 2, 1, 1, 2
+    first = _base_table(Z, False, r1, r2, s1, s2, RdpLevel.RDP1, Window(2))
+    assert first.__class__ is tuple
+    assert first == _raw(_ref_base_table(Z, r1, r2, s1, s2, RdpLevel.RDP1,
+                                         Window(2)))
+    with pytest.raises(TypeError):
+        first[0] = 7
+    with pytest.raises(AttributeError):
+        first[4].checked = 99
+    assert _base_table(Z, False, r1, r2, s1, s2, RdpLevel.RDP1,
+                       Window(2)) is first
+    assert _base_table.cache_info().hits == 1
+    # the flipped key is its own entry but reuses the search
+    flipped = _base_table(Z, True, r2, r1, s2, s1, RdpLevel.RDP1, Window(2))
+    assert flipped == first[3::-1] + first[4:]
+    assert _base_refinement.cache_info().misses == 1
     assert _base_refinement.cache_info().hits == 1
+
+    k = mk(1, (0,), (0,))
+    args = (k.lower(r1), k.lower(r2), k.lower(s1), k.lower(s2), RdpLevel.RDP1)
+    tab = kite_refinement_constructive(k, *args)
+    want = _table_view(k, tab)
+    tab.side = holds(99, reason="changed by the caller")
+    tab.c11 = k.lower(7)
+    again = kite_refinement_constructive(k, *args)
+    assert again is not tab
+    assert _table_view(k, again) == want
 
 
 def test_base_searches_run_once_per_key(monkeypatch):
@@ -691,6 +748,8 @@ def test_base_searches_run_once_per_key(monkeypatch):
     assert len(cold["searches"]) == len(set(cold["searches"])) == 57
     assert len(cold["base_splits"]) == 23
     assert warm["searches"] == [] and warm["base_splits"] == []
+    # each distinct argument tuple missed the table memo once, in the cold run
+    assert base_table.cache_info().misses == 84
 
 
 def test_tally_unknown_reason_counts_each_skip_note():

@@ -75,6 +75,51 @@ MUTANTS = [
            "        if status is Status.HOLDS and skipped > 0:\n",
            "        if status is Status.HOLDS and skipped > 1:\n",
            ("tests/test_records.py",)),
+    # the base-table memo hands back a flipped table un-reversed
+    Mutant("flipped-base-table-not-reversed", "src/kitealg/riesz.py",
+           "    return c22, c21, c12, c11, side\n",
+           "    return c11, c12, c21, c22, side\n",
+           ("tests/test_riesz.py::"
+            "test_base_table_memo_keys_on_flip_level_and_window",)),
+    # RDP1 and RDP2 base tables are searched, and memoised, as RDP: the
+    # level drops out of the search and of the memo key
+    Mutant("base-tables-lose-the-level", "src/kitealg/riesz.py",
+           "    lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) "
+           "else RdpLevel.RDP\n",
+           "    lv = RdpLevel.RDP\n",
+           ("tests/test_riesz.py::"
+            "test_constructive_witnesses_match_mirror_reference",)),
+    # a constructed table is returned without its c12 + c22 = y2 check
+    Mutant("sum-equation-unchecked", "src/kitealg/riesz.py",
+           "            or add(table.c11, table.c21) is not y1\n"
+           "            or add(table.c12, table.c22) is not y2):\n",
+           "            or add(table.c11, table.c21) is not y1):\n",
+           ("tests/test_riesz.py::"
+            "test_constructive_table_is_validated_against_each_sum_equation",)),
+    # the witness window ignores the operands' norms
+    Mutant("wide-window-ignores-norms", "src/kitealg/riesz.py",
+           "    return _window(max(2, *map(kite.norm, elems)))\n",
+           "    return _window(2)\n",
+           ("tests/test_riesz.py::test_wide_window_covers_every_operand_norm",)),
+    # rdiff solves with the kite's own base product, not the reversed one
+    Mutant("solve-without-reversed-product", "src/kitealg/kite.py",
+           "            mul = lambda x, y, m=mul: m(y, x)"
+           "  # the reversed base product\n",
+           "            mul = lambda x, y, m=mul: m(x, y)"
+           "  # the reversed base product\n",
+           ("tests/test_axioms.py::test_pea_axioms_hold_on_kites",)),
+    # rdiff solves without trading lam and rho
+    Mutant("solve-without-twist-swap", "src/kitealg/kite.py",
+           "            rho_inv, lam = self.lam_inv, self.rho\n",
+           "            rho_inv, lam = self.rho_inv, self.lam\n",
+           ("tests/test_axioms.py::test_pea_axioms_hold_on_kites",)),
+    # a twisted product re-indexes the left factor through lam^m2, not
+    # lam^-m2
+    Mutant("twisted-product-wrong-power", "src/kitealg/pogroup.py",
+           "            for i, j in zip(perms.power(self.lam, -m2),\n",
+           "            for i, j in zip(perms.power(self.lam, m2),\n",
+           ("tests/test_pogroup.py::"
+            "test_twisted_products_match_the_per_coordinate_formula",)),
 ]
 
 
