@@ -5,8 +5,9 @@ with the members of the Algebra protocol below. Its operations are closed
 forms over the whole carrier, sampled through a window. A quantified law is
 checked on every sampled instance; evaluation is exact, so undefinedness of
 a partial sum is a definite fact, not a gap, and complements and shift
-witnesses come from the closed-form complements and differences. Holds with
-skips is demoted to Unknown by the verdict layer.
+witnesses come from the closed-form complements and differences. Bounded
+infinitesimality is the algebra's own multiples_defined. Holds with skips
+is demoted to Unknown by the verdict layer.
 
 Checks provided:
   * the four partial-addition axioms of a pseudo effect algebra,
@@ -29,15 +30,16 @@ from .verdict import Tally, Verdict, holds, unknown
 class Algebra(Protocol):
     """The operations the checkers use. Kite and IntervalPEA have them all.
     pogroup.PositiveCone, a po-group's cone for the Riesz checkers, has all
-    except `one`, the two complements and mv_oplus; IntervalPEA is that cone
-    cut at a unit, and adds those four and a bounded sum.
+    except `one`, the complements, mv_oplus and multiples_defined;
+    IntervalPEA is that cone cut at a unit, and adds those and a bounded sum.
 
     add returns None where the sum is undefined. complement_left(x) solves
     d + x = 1 and complement_right(x) solves x + d = 1. ldiff(b, a) solves
     c + a = b and rdiff(a, b) solves a + c = b; both return None when there
     is no solution. interval(a, b, w) returns the window elements between a
     and b with an exhaustiveness flag. meet and mv_oplus, the total truncated
-    sum, need is_lattice.
+    sum, need is_lattice. multiples_defined(x, k) tells, building no
+    element, whether x, 2x, ..., kx (each (j-1)x + x) are all defined.
     """
 
     zero: Any
@@ -55,6 +57,7 @@ class Algebra(Protocol):
     def serialize(self, x) -> Any: ...
     def meet(self, x, y) -> Any: ...
     def mv_oplus(self, x, y) -> Any: ...
+    def multiples_defined(self, x, k: int) -> bool: ...
 
 
 class PerfectSplit(Frozen):
@@ -355,16 +358,6 @@ def check_commutative(P: Algebra, w: Window) -> Verdict:
 # -- infinitesimals, perfectness, state ---------------------------------------
 
 
-def _bounded_infinitesimal(P: Algebra, x, nmax: int) -> bool:
-    """True when x, 2x, ..., nmax*x are all defined."""
-    acc = x
-    for _ in range(nmax - 1):
-        acc = P.add(acc, x)
-        if acc is None:
-            return False
-    return True
-
-
 def find_infinitesimals(P: Algebra, w: Window,
                         nmax: int = 8) -> tuple[list, Verdict]:
     """Elements whose n-fold sums are defined for all n <= nmax.
@@ -376,7 +369,7 @@ def find_infinitesimals(P: Algebra, w: Window,
     if nmax < 1:
         raise UsageError("nmax must be >= 1")
     sample = P.elements(w)
-    out = [x for x in sample if _bounded_infinitesimal(P, x, nmax)]
+    out = [x for x in sample if P.multiples_defined(x, nmax)]
     nontrivial = sum(1 for x in out if x != P.zero)
     if nontrivial:
         v = unknown(checked=len(sample), skipped=nontrivial,
@@ -401,7 +394,7 @@ def perfect_split(P: Algebra, w: Window,
 
     def level(x) -> int:
         if x not in cls:
-            cls[x] = 0 if _bounded_infinitesimal(P, x, nmax) else 1
+            cls[x] = 0 if P.multiples_defined(x, nmax) else 1
         return cls[x]
 
     e0 = tuple(x for x in sample if level(x) == 0)
@@ -452,13 +445,13 @@ def unique_state(P: Algebra, split: PerfectSplit, w: Window,
     def value(x) -> int:
         v = table.values.get(x)
         if v is None:
-            v = 0 if _bounded_infinitesimal(P, x, nmax) else 1
+            v = 0 if P.multiples_defined(x, nmax) else 1
             table.values[x] = v
         return v
 
     sample = list(table.values)
     for x in sample:
-        if table.values[x] == 0 and not _bounded_infinitesimal(P, x, nmax):
+        if table.values[x] == 0 and not P.multiples_defined(x, nmax):
             return table, t.fail({"x": _ser(P, x)},
                                  "zero-class element is not infinitesimal")
     for x in sample:

@@ -213,38 +213,39 @@ _RDP_TOKEN = {"rip": (RdpLevel.RIP,), "rdp0": (RdpLevel.RDP0,),
                       RdpLevel.RDP1, RdpLevel.RDP2)}
 
 
-def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]:
-    """(verdicts by label, extra JSON payloads) for one check token."""
+def run_check_token(token: str, kite: Kite, cfg: RunConfig,
+                    payloads: bool = True) -> tuple[dict, dict]:
+    """(verdicts by label, extra JSON payloads) for one check token; with
+    payloads false, only the classification, which a sweep row reads."""
     w = Window(cfg.height, cfg.cap)
     ser = kite.serialize
     verdicts: dict = {}
-    extras: dict = {}
+    extras: dict = {}  # payload name -> function that renders it
     if token == "axioms":
         verdicts.update(check_pea_axioms(kite, w))
         if kite.is_lattice:
             verdicts.update(check_pmv_axioms(kite, w))
         # descriptive classification, not pass/fail: an asymmetric or
         # noncommutative kite is a valid kite
-        extras["classification"] = {
-            "symmetry": vjson(check_symmetric(kite, w)),
-            "commutativity": vjson(check_commutative(kite, w))}
+        sym, com = check_symmetric(kite, w), check_commutative(kite, w)
+        extras["classification"] = lambda: {
+            "symmetry": vjson(sym), "commutativity": vjson(com)}
     elif token in _RDP_TOKEN:
         for level in _RDP_TOKEN[token]:
             verdicts[level.value] = check_rdp_level(kite, level, w)
     elif token == "ideals":
-        report = orbits(kite.shape)
-        extras["orbit_report"] = report.as_json()
+        extras["orbit_report"] = lambda: orbits(kite.shape).as_json()
         v, payload = least_normal_ideal(kite, w)
         verdicts["least_normal_ideal"] = v
         if isinstance(payload, IdealSet):
-            extras["least_ideal"] = payload.as_json(ser)
+            extras["least_ideal"] = lambda: payload.as_json(ser)
         elif isinstance(payload, list):
-            extras["witness_ideals"] = [p.as_json(ser) for p in payload]
+            extras["witness_ideals"] = lambda: [p.as_json(ser) for p in payload]
         gen = next((x for x in kite.elements(w)
                     if x.tag == "L" and kite.dimension(x) == 1), None)
         if gen is not None:
             ideal = normal_ideal_generated(kite, gen, w, depth=cfg.depth)
-            extras["generated_ideal"] = ideal.as_json(ser)
+            extras["generated_ideal"] = lambda: ideal.as_json(ser)
             verdicts["generated_ideal_normal"] = is_normal(kite, ideal, w)
     elif token == "iso":
         try:
@@ -252,16 +253,16 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
         except UsageError as exc:
             verdicts["canonical_roundtrip"] = unknown(reason=str(exc))
         else:
-            extras["canonical_shape"] = new_shape.describe()
-            extras["relabel"] = relabel.as_json()
+            extras["canonical_shape"] = new_shape.describe
+            extras["relabel"] = relabel.as_json
             verdicts["canonical_roundtrip"] = verify_iso(
                 kite, Kite(new_shape), relabel, w)
         if kite.shape.lam == kite.shape.rho and kite.base.is_lattice:
             target, spec, v = perfect_representation(kite, w)
             verdicts["perfect_representation"] = v
             if spec is not None:
-                extras["representation_map"] = spec.as_json()
-            extras["representation_target"] = target.name()
+                extras["representation_map"] = spec.as_json
+            extras["representation_target"] = target.name
     elif token == "state":
         split = perfect_split(kite, w, nmax=cfg.nmax)
         if split is None:
@@ -270,15 +271,17 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig) -> tuple[dict, dict]
         else:
             verdicts["perfect_split"] = holds(
                 checked=len(split.e0) + len(split.e1))
-            extras["split_sizes"] = {"e0": len(split.e0), "e1": len(split.e1)}
+            extras["split_sizes"] = lambda: {"e0": len(split.e0),
+                                             "e1": len(split.e1)}
             table, sv = unique_state(kite, split, w, nmax=cfg.nmax)
             verdicts["unique_state"] = sv
-            extras["state_table"] = table.as_json(ser)
+            extras["state_table"] = lambda: table.as_json(ser)
             kernel = IdealSet(elements=split.e0, generators=(),
                               closed_flags={"downward": True, "sums": True,
                                             "exhaustive": False})
             verdicts["state_kernel_normal"] = is_normal(kite, kernel, w)
-    return verdicts, extras
+    return verdicts, {k: render() for k, render in extras.items()
+                      if payloads or k == "classification"}
 
 
 def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
@@ -348,7 +351,7 @@ def _sweep_row(cfg: RunConfig, cell: tuple) -> dict:
     statuses: dict = {}
     classification: dict = {}
     for token in cfg.checks:
-        verdicts, extras = run_check_token(token, kite, cell_cfg)
+        verdicts, extras = run_check_token(token, kite, cell_cfg, payloads=False)
         for k, v in verdicts.items():
             statuses[f"{token}.{k}"] = v.status.value
         for k, v in extras.get("classification", {}).items():

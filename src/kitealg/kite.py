@@ -74,6 +74,7 @@ class KiteShape(Frozen):
 
 LOWER = "L"
 UPPER = "U"
+_MISSING = object()  # a memo miss; None is a stored undefined result
 
 
 class KiteElement(Frozen):
@@ -134,8 +135,11 @@ class Kite:
     per id (of x, or of b for both differences) keyed on the other
     operand's id, and the two complements and the norm keep one slot per id.
     Ownership is settled before any row is read. The add, ldiff and rdiff
-    rows store None for an undefined result. Over an abelian base an add or
-    mv_oplus of two elements in one part is stored under both orders.
+    rows store None for an undefined result, so a miss is told from it by
+    a sentinel default of dict.get, not by catching KeyError. Over an
+    abelian base an add or mv_oplus of two elements in one part is stored
+    under both orders. multiples_defined, the infinitesimality test, sums
+    raw (tag, coords) pairs with _sum and interns and memoises nothing.
 
     Window samples are memoised per Window: elements(w) builds and sorts
     the carrier sample once and hands out a fresh list copy on every call,
@@ -234,14 +238,25 @@ class Kite:
         x = x if x.kite is self else self.own(x)
         y = y if y.kite is self else self.own(y)
         row = self._add_rows[x.id]
-        try:
-            return row[y.id]
-        except KeyError:
+        z = row.get(y.id, _MISSING)
+        if z is _MISSING:
             s = self._sum(x.tag, x.coords, y.tag, y.coords)
             z = row[y.id] = None if s is None else self.intern(*s)
             if x.tag == y.tag and self.base.is_abelian:
                 self._add_rows[y.id][x.id] = z  # same-part sums commute
-            return z
+        return z
+
+    def multiples_defined(self, x: KiteElement, k: int) -> bool:
+        """True when x, 2x, ..., kx (each (j-1)x + x) are all defined. The
+        multiples are summed as raw (tag, coords); none is interned."""
+        x = x if x.kite is self else self.own(x)
+        tag, xs = x.tag, x.coords
+        s = (tag, xs)
+        for _ in range(k - 1):
+            s = self._sum(*s, tag, xs)
+            if s is None:
+                return False
+        return True
 
     def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through
@@ -303,11 +318,10 @@ class Kite:
         a = a if a.kite is self else self.own(a)
         b = b if b.kite is self else self.own(b)
         row = (self._rdiff_rows if flip else self._ldiff_rows)[b.id]
-        try:
-            return row[a.id]
-        except KeyError:
+        c = row.get(a.id, _MISSING)
+        if c is _MISSING:
             c = row[a.id] = self._solve(b, a, flip)
-            return c
+        return c
 
     def _solve(self, b: KiteElement, a: KiteElement,
                flip: bool) -> Optional[KiteElement]:

@@ -469,7 +469,8 @@ class TwistedLexGroup(PoGroup):
 
     (m1, x) * (m2, y) = (m1 + m2, < x[lam^-m2(i)] y[rho^-m1(i)] >), ordered
     lexicographically: strictly by the leading integer, coordinatewise at
-    equal leading integer. Requires lam and rho to commute.
+    equal leading integer. Requires lam and rho to commute. The index pairs
+    (lam^-m2(i), rho^-m1(i)) are built once per (m1, m2) and kept.
     """
 
     kind = "TwistedLex"
@@ -484,6 +485,7 @@ class TwistedLexGroup(PoGroup):
         if perms.compose(self.lam, self.rho) != perms.compose(self.rho, self.lam):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.rho_lam = tuple(perms.compose(self.rho, self.lam))
+        self._pairs: dict[tuple, list] = {}
         self.base = base
         self.is_lattice = base.is_lattice
         self.is_abelian = base.is_abelian and self.lam == self.rho
@@ -505,11 +507,12 @@ class TwistedLexGroup(PoGroup):
     def mul_values(self, x, y):
         m1, xs = x
         m2, ys = y
+        pairs = self._pairs.get((m1, m2))
+        if pairs is None:
+            pairs = self._pairs[m1, m2] = list(zip(perms.power(self.lam, -m2),
+                                                   perms.power(self.rho, -m1)))
         mul = self.base.mul_values
-        return (m1 + m2, tuple([
-            mul(xs[i], ys[j])
-            for i, j in zip(perms.power(self.lam, -m2),
-                            perms.power(self.rho, -m1))]))
+        return (m1 + m2, tuple([mul(xs[i], ys[j]) for i, j in pairs]))
 
     def inv_value(self, x):
         m, xs = x

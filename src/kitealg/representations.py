@@ -69,6 +69,17 @@ class IntervalPEA(PositiveCone):
     def mv_oplus(self, a: Elem, b: Elem) -> Elem:
         return self.group.meet(self.group.mul(a, b), self.unit)
 
+    def multiples_defined(self, x: Elem, k: int) -> bool:
+        """True when x, 2x, ..., kx are all below the unit, on raw values."""
+        g, u = self.group, self.unit.value
+        g.own(x)
+        s = xv = x.value
+        for _ in range(k - 1):
+            s = g.mul_values(s, xv)
+            if not g.leq_values(s, u):
+                return False
+        return True
+
 
 def twisted_lex_group(n: int, lam, rho, base: PoGroup) -> TwistedLexGroup:
     """Integer-led lexicographic group with coordinate twisting.

@@ -66,6 +66,10 @@ from .verdict import Status, Tally, Verdict, fails, holds, merge, unknown
 
 
 class RdpLevel(Enum):
+    # the members are singletons, so identity hashing is equality hashing;
+    # Enum's own __hash__ rehashes the name in Python on every memo lookup
+    __hash__ = object.__hash__
+
     RIP = "rip"
     RDP0 = "rdp0"
     RDP = "rdp"

@@ -328,6 +328,46 @@ def test_commutativity_iff_abelian_and_equal_bijections():
 # -- infinitesimals and perfectness ---------------------------------------------------
 
 
+def reference_multiples_defined(P, x, k):
+    """x, 2x, ..., kx all defined, each multiple summed as (j-1)x + x."""
+    acc = x
+    for _ in range(k - 1):
+        acc = P.add(acc, x)
+        if acc is None:
+            return False
+    return True
+
+
+LEX = TwistedLexGroup(1, (0,), (0,), Z)
+
+
+@pytest.mark.parametrize("P,w", [
+    pytest.param(mk(0, (), ()), Window(1), id="z-n0"),
+    pytest.param(mk(1, (0,), (0,)), Window(2), id="z-n1"),
+    pytest.param(mk(2, (0, 1), (1, 0)), Window(1), id="z-n2"),
+    pytest.param(mk(3, (1, 2, 0), (0, 2, 1)), Window(1, 40), id="z-n3"),
+    pytest.param(mk(2, (0, 1), (1, 0), integer_product(2)), Window(1, 40),
+                 id="z2-n2"),
+    pytest.param(mk(2, (1, 0), (1, 0), StrictCone2()), Window(1, 40),
+                 id="strictcone2-n2"),
+    pytest.param(mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)),
+                 Window(1, 40), id="twistedlex-n1"),
+    pytest.param(IntervalPEA(Z, Z.make(2)), Window(2), id="interval-z-2"),
+    pytest.param(IntervalPEA(Z, Z.make(7)), Window(7), id="interval-z-7"),
+    pytest.param(IntervalPEA(LEX, LEX.make((1, (0,)))), Window(2),
+                 id="interval-lex"),
+])
+def test_multiples_defined_matches_the_add_chain(P, w):
+    sample = P.elements(w)
+    for x in sample:
+        for k in range(1, 9):
+            interned = len(P._table) if isinstance(P, Kite) else None
+            got = P.multiples_defined(x, k)
+            # no multiple is interned
+            assert interned is None or len(P._table) == interned
+            assert got == reference_multiples_defined(P, x, k), (x, k)
+
+
 def test_integer_chain_has_no_infinitesimals():
     P = IntervalPEA(Z, Z.make(2))
     out, v = find_infinitesimals(P, Window(2))

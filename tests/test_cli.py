@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from kitealg import riesz
-from kitealg.cli import main
+from kitealg.cli import _grid_cells, _sweep_row, cmd_check, load_config, main
 from test_golden import SWEEP_ARGV, SWEEP_GOLDEN, masked_report
 
 SWAP_SHAPE = '{"n": 2, "lambda": "id", "rho": "swap"}'
@@ -284,6 +284,32 @@ def test_sweep_budget_refused_before_any_pair_is_built(capsys, monkeypatch):
     code, _, err = run(capsys, ["sweep", "--grid", grid])
     assert code == 64
     assert "sweep grid has 518400 cells" in err
+
+
+SWEEP_OPTS = dict(zip(SWEEP_ARGV[1::2], SWEEP_ARGV[2::2]))
+SWEEP_CFG = load_config(None, {"grid": json.loads(SWEEP_OPTS["--grid"]),
+                               "checks": SWEEP_OPTS["--checks"]})
+SWEEP_CELLS = _grid_cells(SWEEP_CFG)
+
+
+@pytest.mark.parametrize("cell", SWEEP_CELLS,
+                         ids=[f"{c[0]}-n{c[1]}-{c[2]}-{c[3]}"
+                              for c in SWEEP_CELLS])
+def test_sweep_row_matches_the_check_report_of_its_cell(cell):
+    # a sweep row renders no payload but the classification, so compare
+    # it with the full check report of the same cell
+    group, n, lam, rho, height = cell
+    row = _sweep_row(SWEEP_CFG, cell)
+    report, _ = cmd_check(SWEEP_CFG.replace(
+        group=group, height=height,
+        shape={"n": n, "lambda": list(lam), "rho": list(rho)}))
+    sections = report["checks"].items()
+    assert row["statuses"] == {f"{token}.{label}": v["status"]
+                               for token, section in sections
+                               for label, v in section["verdicts"].items()}
+    classification = report["checks"]["axioms"]["extras"]["classification"]
+    assert row["classification"] == {k: v["status"]
+                                     for k, v in classification.items()}
 
 
 # -- sweep cells in forked processes -----------------------------------------------

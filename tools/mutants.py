@@ -116,10 +116,72 @@ MUTANTS = [
     # a twisted product re-indexes the left factor through lam^m2, not
     # lam^-m2
     Mutant("twisted-product-wrong-power", "src/kitealg/pogroup.py",
-           "            for i, j in zip(perms.power(self.lam, -m2),\n",
-           "            for i, j in zip(perms.power(self.lam, m2),\n",
+           "pairs = self._pairs[m1, m2] = list(zip(perms.power(self.lam, -m2),",
+           "pairs = self._pairs[m1, m2] = list(zip(perms.power(self.lam, m2),",
            ("tests/test_pogroup.py::"
             "test_twisted_products_match_the_per_coordinate_formula",)),
+    # the index pairs of (m1, m2) are kept under (m2, m1), so the product
+    # of (m2, m1) later reads them
+    Mutant("twisted-pair-table-swapped-key", "src/kitealg/pogroup.py",
+           "pairs = self._pairs[m1, m2] = list(",
+           "pairs = self._pairs[m2, m1] = list(",
+           ("tests/test_pogroup.py::"
+            "test_twisted_products_match_the_per_coordinate_formula",)),
+    # a kite's multiples stop one step short: (k-1)x is the last one summed
+    Mutant("kite-multiples-one-short", "src/kitealg/kite.py",
+           "        for _ in range(k - 1):\n"
+           "            s = self._sum(*s, tag, xs)\n",
+           "        for _ in range(k - 2):\n"
+           "            s = self._sum(*s, tag, xs)\n",
+           ("tests/test_axioms.py::"
+            "test_multiples_defined_matches_the_add_chain",)),
+    # an undefined multiple is passed over and the chain goes on from the
+    # last defined one
+    Mutant("kite-multiples-skip-undefined", "src/kitealg/kite.py",
+           "            s = self._sum(*s, tag, xs)\n"
+           "            if s is None:\n"
+           "                return False\n",
+           "            s = self._sum(*s, tag, xs) or s\n",
+           ("tests/test_axioms.py::"
+            "test_multiples_defined_matches_the_add_chain",)),
+    # a sweep row renders no payload at all, the classification included
+    Mutant("sweep-row-drops-classification", "src/kitealg/cli.py",
+           '                      if payloads or k == "classification"}\n',
+           "                      if payloads}\n",
+           ("tests/test_cli.py::"
+            "test_sweep_row_matches_the_check_report_of_its_cell",)),
+    # the fork mapper raises the parent's failure before the workers',
+    # not the one of the lowest cell
+    Mutant("fork-parent-failure-first", "src/kitealg/cli.py",
+           "        raise min(failures, key=lambda f: f[0])[1]\n",
+           "        raise failures[0][1]\n",
+           ("tests/test_cli.py::"
+            "test_sweep_worker_usage_error_exits_64_like_the_serial_loop",)),
+    # the fork mapper joins the shares end to end instead of interleaving
+    # them back into cell order
+    Mutant("fork-rows-contiguous", "src/kitealg/cli.py",
+           "        out[start::k] = share\n    return out\n",
+           "        pass\n    return [r for share in shares for r in share]\n",
+           ("tests/test_cli.py::"
+            "test_sweep_report_is_the_same_for_any_cpu_count",)),
+    # a sweep without checks forks too
+    Mutant("fork-without-checks", "src/kitealg/cli.py",
+           "    if cfg.checks:\n        rows = _map_forked(",
+           "    if True:\n        rows = _map_forked(",
+           ("tests/test_cli.py::"
+            "test_sweep_without_checks_or_with_one_cpu_never_forks",)),
+    # the fork mapper leaves its children unreaped
+    Mutant("fork-without-waitpid", "src/kitealg/cli.py",
+           "            os.waitpid(pid, 0)\n",
+           "            pass\n",
+           ("tests/test_cli.py::"
+            "test_sweep_report_is_the_same_for_any_cpu_count",)),
+    # a worker's unexpected error no longer prints its traceback
+    Mutant("fork-worker-traceback-dropped", "src/kitealg/cli.py",
+           "                sys.excepthook(type(exc), exc, exc.__traceback__)\n",
+           "                pass\n",
+           ("tests/test_cli.py::"
+            "test_sweep_worker_error_names_the_cell_and_prints_its_traceback",)),
 ]
 
 
