@@ -397,20 +397,18 @@ def perfect_split(P: Algebra, w: Window,
             cls[x] = 0 if P.multiples_defined(x, nmax) else 1
         return cls[x]
 
-    e0 = tuple(x for x in sample if level(x) == 0)
-    e1 = tuple(x for x in sample if level(x) == 1)
-    if not e0 or not e1:
+    levels = [level(x) for x in sample]
+    e0 = tuple(x for x, i in zip(sample, levels) if i == 0)
+    e1 = tuple(x for x, i in zip(sample, levels) if i == 1)
+    if not (e0 and e1) or level(P.zero) != 0 or level(P.one) != 1:
         return None
-    if level(P.zero) != 0 or level(P.one) != 1:
-        return None
-    for x in sample:
-        if (level(P.complement_left(x)) == level(x)
-                or level(P.complement_right(x)) == level(x)):
+    for x, i in zip(sample, levels):
+        if (level(P.complement_left(x)) == i
+                or level(P.complement_right(x)) == i):
             return None
-    for x in sample:
-        for y in sample:
+    for x, i in zip(sample, levels):
+        for y, j in zip(sample, levels):
             z = P.add(x, y)
-            i, j = level(x), level(y)
             if z is None:
                 if i == 0 and j == 0:
                     return None

@@ -12,6 +12,7 @@ except for the wall_ms timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -213,6 +214,12 @@ _RDP_TOKEN = {"rip": (RdpLevel.RIP,), "rdp0": (RdpLevel.RDP0,),
                       RdpLevel.RDP1, RdpLevel.RDP2)}
 
 
+# the iso token's target kites, one per canonical shape: the connected cells
+# of one base and n share their canonical shape, so they share its sample and
+# memo rows; the bound caps what a long grid keeps alive
+_canonical_kite = functools.lru_cache(maxsize=8)(Kite)
+
+
 def run_check_token(token: str, kite: Kite, cfg: RunConfig,
                     payloads: bool = True) -> tuple[dict, dict]:
     """(verdicts by label, extra JSON payloads) for one check token; with
@@ -256,7 +263,7 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig,
             extras["canonical_shape"] = new_shape.describe
             extras["relabel"] = relabel.as_json
             verdicts["canonical_roundtrip"] = verify_iso(
-                kite, Kite(new_shape), relabel, w)
+                kite, _canonical_kite(new_shape), relabel, w)
         if kite.shape.lam == kite.shape.rho and kite.base.is_lattice:
             target, spec, v = perfect_representation(kite, w)
             verdicts["perfect_representation"] = v

@@ -167,6 +167,9 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
     and window elements t (plus both double complements), then take the
     plain ideal closure. The fixpoint flag records whether a round added
     nothing.
+
+    Rounds are semi-naive: a member's images do not depend on the round and
+    the closure keeps them, so each round solves only its new members.
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
@@ -176,10 +179,14 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
         raise UsageError("generator outside the window sample")
     current = ideal_closure(P, [a], w)
     fixpoint = False
+    members: set = set()
     for _ in range(depth):
-        members = set(current.elements)
+        # the last round solved its members; this one solves the rest
+        done, members = members, set(current.elements)
         new = set(members)
         for m in current.elements:
+            if m in done:
+                continue
             for t_el in sample:
                 for _, _, z in _companions(P, t_el, m):
                     if z is not None and z in universe:
@@ -192,8 +199,7 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
             fixpoint = True
             break
         current = ideal_closure(P, sorted(new, key=sample.index), w)
-    flags = dict(current.closed_flags)
-    flags["fixpoint"] = fixpoint
+    flags = dict(current.closed_flags, fixpoint=fixpoint)
     return IdealSet(elements=current.elements, generators=(a,),
                     closed_flags=flags)
 

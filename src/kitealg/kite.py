@@ -138,8 +138,8 @@ class Kite:
     rows store None for an undefined result, so a miss is told from it by
     a sentinel default of dict.get, not by catching KeyError. Over an
     abelian base an add or mv_oplus of two elements in one part is stored
-    under both orders. multiples_defined, the infinitesimality test, sums
-    raw (tag, coords) pairs with _sum and interns and memoises nothing.
+    under both orders. multiples_defined, the infinitesimality test, is a
+    closed form on the tag (k < 2 or x lower) and sums nothing.
 
     Window samples are memoised per Window: elements(w) builds and sorts
     the carrier sample once and hands out a fresh list copy on every call,
@@ -247,16 +247,10 @@ class Kite:
         return z
 
     def multiples_defined(self, x: KiteElement, k: int) -> bool:
-        """True when x, 2x, ..., kx (each (j-1)x + x) are all defined. The
-        multiples are summed as raw (tag, coords); none is interned."""
+        """True when x, 2x, ..., kx are all defined: always for k < 2, else
+        for a lower, as lower + lower is always defined, upper + upper never."""
         x = x if x.kite is self else self.own(x)
-        tag, xs = x.tag, x.coords
-        s = (tag, xs)
-        for _ in range(k - 1):
-            s = self._sum(*s, tag, xs)
-            if s is None:
-                return False
-        return True
+        return k < 2 or x.tag == LOWER
 
     def _twisted(self, xtag: str, xs, ys) -> tuple:
         """Coordinate products of a mixed pair: an upper x threads y through

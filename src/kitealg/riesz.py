@@ -3,8 +3,9 @@
 Five properties, ordered by strength: interpolation (RIP), splitting a
 element below a two-term sum (RDP0), full 2x2 refinement tables (RDP), the
 same with a commutation side condition on the off-diagonal cells (RDP1), and
-with off-diagonal meet zero (RDP2). For directed structures RDP0 and RIP
-coincide; both are implied by RDP.
+with off-diagonal meet zero (RDP2). On a whole directed structure RDP0 and
+RIP coincide and RDP implies both, but window verdicts can differ: over
+StrictCone2 at Window(2), RIP holds with 48 checked while RDP0 fails.
 
 All searches take the algebra itself: a Kite, an IntervalPEA or the positive
 cone of a po-group (pogroup.PositiveCone; the public entry points also take
@@ -77,7 +78,8 @@ class RdpLevel(Enum):
     RDP2 = "rdp2"
 
 
-# weakest to strongest; RIP and RDP0 are equivalent on directed structures
+# weakest to strongest; RIP and RDP0 are equivalent on a whole directed
+# structure, though their window verdicts can differ
 RDP_ORDER = (RdpLevel.RIP, RdpLevel.RDP0, RdpLevel.RDP,
              RdpLevel.RDP1, RdpLevel.RDP2)
 

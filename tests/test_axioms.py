@@ -14,7 +14,8 @@ from kitealg.axioms import (
 )
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
 from kitealg.pogroup import (CapabilityError, Integers, StrictCone2,
-                             TwistedLexGroup, Window, integer_product)
+                             TwistedLexGroup, Window, cone_window,
+                             integer_product)
 from kitealg.representations import IntervalPEA
 from kitealg.verdict import Status, Tally
 from kitealg import perms
@@ -338,6 +339,18 @@ def reference_multiples_defined(P, x, k):
     return True
 
 
+def far_elements(P):
+    """For a kite with n > 0, a lower and an upper of norm 5 for each of
+    the first two cone values of norm 5: outside every window sampled."""
+    if not isinstance(P, Kite) or P.n == 0:
+        return []
+    g = P.base
+    vals = [c.value for c in cone_window(g, Window(5))
+            if g.norm_value(c.value) == 5][:2]
+    return [x for v in vals
+            for x in (P.lower(*[v] * P.n), P.upper(*[g.inv_value(v)] * P.n))]
+
+
 LEX = TwistedLexGroup(1, (0,), (0,), Z)
 
 
@@ -358,9 +371,9 @@ LEX = TwistedLexGroup(1, (0,), (0,), Z)
                  id="interval-lex"),
 ])
 def test_multiples_defined_matches_the_add_chain(P, w):
-    sample = P.elements(w)
+    sample = P.elements(w) + far_elements(P)
     for x in sample:
-        for k in range(1, 9):
+        for k in range(0, 9):
             interned = len(P._table) if isinstance(P, Kite) else None
             got = P.multiples_defined(x, k)
             # no multiple is interned

@@ -7,10 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import itertools
+
 import pytest
 
-from kitealg import riesz
-from kitealg.cli import _grid_cells, _sweep_row, cmd_check, load_config, main
+from kitealg import cli, perms, riesz
+from kitealg.cli import (RunConfig, _grid_cells, _sweep_row, cmd_check,
+                         load_config, main)
+from kitealg.ideals import canonical_form, orbits
+from kitealg.kite import Kite, KiteShape
+from kitealg.pogroup import Window, parse_group
+from kitealg.representations import verify_iso
 from test_golden import SWEEP_ARGV, SWEEP_GOLDEN, masked_report
 
 SWAP_SHAPE = '{"n": 2, "lambda": "id", "rho": "swap"}'
@@ -310,6 +317,38 @@ def test_sweep_row_matches_the_check_report_of_its_cell(cell):
     classification = report["checks"]["axioms"]["extras"]["classification"]
     assert row["classification"] == {k: v["status"]
                                      for k, v in classification.items()}
+
+
+@pytest.mark.parametrize("group", ["z", "strictcone2"])
+def test_iso_token_shares_one_canonical_kite_per_shape(group):
+    # at the sweep's height 1, the roundtrip verdict against the memoised
+    # canonical kite is the one against a fresh kite, and a second cell of
+    # one canonical shape is a memo hit
+    cli._canonical_kite.cache_clear()
+    seen = set()
+    base = parse_group(group)
+    for n in range(4):
+        for lam, rho in itertools.product(perms.all_perms(n), repeat=2):
+            shape = KiteShape(n, tuple(lam), tuple(rho), base)
+            if not orbits(shape).connected:
+                continue
+            cfg = RunConfig(group=group, height=1, shape={
+                "n": n, "lambda": list(lam), "rho": list(rho)})
+            kite = Kite(shape)
+            before = cli._canonical_kite.cache_info()
+            verdicts, _ = cli.run_check_token("iso", kite, cfg)
+            after = cli._canonical_kite.cache_info()
+            new_shape, relabel = canonical_form(shape)
+            want = verify_iso(kite, Kite(new_shape), relabel, Window(1))
+            assert (cli.vjson(verdicts["canonical_roundtrip"])
+                    == cli.vjson(want)), shape.label()
+            hit = new_shape in seen
+            assert after.hits - before.hits == hit, shape.label()
+            assert after.misses - before.misses == (not hit), shape.label()
+            seen.add(new_shape)
+    # n = 1, 2 and 3 each have one canonical shape
+    assert len(seen) == 3
+    assert cli._canonical_kite.cache_info().hits > 0
 
 
 # -- sweep cells in forked processes -----------------------------------------------

@@ -93,6 +93,58 @@ def test_generated_ideal_stays_on_axis_without_twist():
     assert is_normal(k, ideal, Window(2)).ok
 
 
+def naive_normal_ideal_generated(P, a, w, depth):
+    """The generated normal ideal with every member solved in every round:
+    the plain loop that the semi-naive rounds must reproduce."""
+    sample = P.elements(w)
+    universe = set(sample)
+    current = ideal_closure(P, [a], w)
+    fixpoint = False
+    for _ in range(depth):
+        members = set(current.elements)
+        new = set(members)
+        for m in current.elements:
+            for t in sample:
+                # z + t = t + m and t + z = m + t, each solved when defined
+                s = P.add(t, m)
+                if s is not None:
+                    z = P.ldiff(s, t)
+                    if z is not None and z in universe:
+                        new.add(z)
+                s = P.add(m, t)
+                if s is not None:
+                    z = P.rdiff(t, s)
+                    if z is not None and z in universe:
+                        new.add(z)
+            for img in (P.complement_left(P.complement_left(m)),
+                        P.complement_right(P.complement_right(m))):
+                if img in universe:
+                    new.add(img)
+        if new == members:
+            fixpoint = True
+            break
+        current = ideal_closure(P, sorted(new, key=sample.index), w)
+    flags = dict(current.closed_flags, fixpoint=fixpoint)
+    return current.elements, (a,), flags
+
+
+@pytest.mark.parametrize("base", [Z, StrictCone2()], ids=["z", "strictcone2"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_semi_naive_rounds_match_the_naive_reference(base, n):
+    for lam, rho in itertools.product(perms.all_perms(n), repeat=2):
+        k = Kite(KiteShape(n, tuple(lam), tuple(rho), base))
+        for h in (1, 2):
+            w = Window(h)
+            # the ideals token's generator; zero on the two-element kite
+            a = next((x for x in k.elements(w)
+                      if x.tag == "L" and k.dimension(x) == 1), k.zero)
+            for depth in range(1, 5):
+                got = normal_ideal_generated(k, a, w, depth=depth)
+                want = naive_normal_ideal_generated(k, a, w, depth)
+                assert (got.elements, got.generators, got.closed_flags) \
+                    == want, (lam, rho, h, depth)
+
+
 def test_whole_lower_set_is_normal():
     k = mk(2, (0, 1), (1, 0))
     lowers = [x for x in k.elements(Window(1)) if x.tag == "L"]

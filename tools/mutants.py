@@ -127,23 +127,61 @@ MUTANTS = [
            "pairs = self._pairs[m2, m1] = list(",
            ("tests/test_pogroup.py::"
             "test_twisted_products_match_the_per_coordinate_formula",)),
-    # a kite's multiples stop one step short: (k-1)x is the last one summed
-    Mutant("kite-multiples-one-short", "src/kitealg/kite.py",
-           "        for _ in range(k - 1):\n"
-           "            s = self._sum(*s, tag, xs)\n",
-           "        for _ in range(k - 2):\n"
-           "            s = self._sum(*s, tag, xs)\n",
+    # a kite's infinitesimality test forgets that x alone (k < 2) is
+    # always defined, so an upper fails it at k = 1
+    Mutant("kite-multiples-without-small-k", "src/kitealg/kite.py",
+           "        return k < 2 or x.tag == LOWER\n",
+           "        return x.tag == LOWER\n",
            ("tests/test_axioms.py::"
             "test_multiples_defined_matches_the_add_chain",)),
-    # an undefined multiple is passed over and the chain goes on from the
-    # last defined one
-    Mutant("kite-multiples-skip-undefined", "src/kitealg/kite.py",
-           "            s = self._sum(*s, tag, xs)\n"
-           "            if s is None:\n"
-           "                return False\n",
-           "            s = self._sum(*s, tag, xs) or s\n",
+    # the uppers, not the lowers, are taken for the infinitesimals
+    Mutant("kite-multiples-upper-tag", "src/kitealg/kite.py",
+           "        return k < 2 or x.tag == LOWER\n",
+           "        return k < 2 or x.tag == UPPER\n",
            ("tests/test_axioms.py::"
             "test_multiples_defined_matches_the_add_chain",)),
+    # every member of a round is marked done before any is solved, so no
+    # round adjoins an image
+    Mutant("normal-ideal-round-marked-done-first", "src/kitealg/ideals.py",
+           "        done, members = members, set(current.elements)\n",
+           "        done = members = set(current.elements)\n",
+           ("tests/test_ideals.py::"
+            "test_semi_naive_rounds_match_the_naive_reference",)),
+    # join picks the lower of a lower and an upper
+    Mutant("kite-join-wrong-tag", "src/kitealg/kite.py",
+           "        return self._bound(x, y, UPPER, self.base.join_values)\n",
+           "        return self._bound(x, y, LOWER, self.base.join_values)\n",
+           ("tests/test_kite.py::test_meet_join_goldens",)),
+    # the positive cone is cut to the cap before it is filtered
+    Mutant("cone-cut-before-filtering", "src/kitealg/pogroup.py",
+           "    return [x for x in enumerate_window(group, w.uncapped())\n",
+           "    return [x for x in enumerate_window(group, w)\n",
+           ("tests/test_pogroup.py::test_integer_window_contents",)),
+    # the positive cone ignores the cap
+    Mutant("cone-ignores-cap", "src/kitealg/pogroup.py",
+           "            if leq(e, x.value)][: w.cap]\n",
+           "            if leq(e, x.value)]\n",
+           ("tests/test_riesz.py::"
+            "test_positive_cone_sample_honours_the_cap",)),
+    # a group's structural key is its kind, so groups of one kind that
+    # differ in a parameter compare equal
+    Mutant("group-key-is-kind", "src/kitealg/pogroup.py",
+           "        self.key = json.dumps(self.describe(), sort_keys=True)\n",
+           "        self.key = self.kind\n",
+           ("tests/test_pogroup.py::"
+            "test_groups_differing_in_one_parameter_are_unequal",)),
+    # a refinement search claims its candidate interval was exhaustive
+    Mutant("refinement-coverage-always-true", "src/kitealg/riesz.py",
+           "    cands, exhaustive = ctx.interval(ctx.zero, a1, w)\n",
+           "    cands, exhaustive = ctx.interval(ctx.zero, a1, w)[0], True\n",
+           ("tests/test_riesz.py::test_refinement_table_golden",)),
+    # own keeps any element of an equal shape, so a kite reads its rows at
+    # another kite's ids
+    Mutant("own-by-shape-not-kite", "src/kitealg/kite.py",
+           "        if x.kite is self:\n            return x\n",
+           "        if x.shape is self.shape:\n            return x\n",
+           ("tests/test_kite.py::"
+            "test_kites_sharing_one_shape_keep_separate_tables",)),
     # a sweep row renders no payload at all, the classification included
     Mutant("sweep-row-drops-classification", "src/kitealg/cli.py",
            '                      if payloads or k == "classification"}\n',
