@@ -13,10 +13,10 @@ algebras of twisted lexicographic groups.
 
 from .axioms import (Algebra, PerfectSplit, StateTable, check_commutative,
                      check_pea_axioms, check_pmv_axioms, check_symmetric,
-                     find_infinitesimals, perfect_split, unique_state)
+                     perfect_split, unique_state)
 from .ideals import (IdealSet, OrbitReport, canonical_form, ideal_closure,
                      is_normal, least_normal_ideal, least_o_ideal,
-                     normal_ideal_generated, orbits, phi_o_ideal)
+                     normal_ideal_generated, orbits)
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
 from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       PositiveCone, Product, StrictCone2, TwistedLexGroup,
@@ -44,12 +44,12 @@ __all__ = [
     "check_group_laws", "check_pea_axioms", "check_pmv_axioms",
     "check_rdp_level", "check_symmetric",
     "cone_window", "enumerate_interval", "enumerate_window",
-    "find_infinitesimals", "find_interpolant", "find_refinement",
+    "find_interpolant", "find_refinement",
     "ideal_closure", "integer_product", "is_normal",
     "kite_rdp0_split_constructive", "kite_refinement_constructive",
     "least_normal_ideal", "least_o_ideal", "mapspec_family",
     "normal_ideal_generated", "orbits", "parse_group",
-    "perfect_representation", "perfect_split", "phi_o_ideal", "rdp0_split",
+    "perfect_representation", "perfect_split", "rdp0_split",
     "scrimger_fixture", "stored_mapspec", "twisted_lex_group",
     "unique_state", "verify_iso",
 ]

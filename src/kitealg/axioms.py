@@ -13,8 +13,8 @@ Checks provided:
   * the four partial-addition axioms of a pseudo effect algebra,
   * the eight axioms of a pseudo MV-algebra (with the derived product),
   * symmetry (the two complements coincide) and commutativity,
-  * bounded infinitesimality, the perfect two-class split, and the induced
-    two-valued state.
+  * the perfect two-class split, whose zero class is the bounded
+    infinitesimals (multiples_defined), and the induced two-valued state.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Any, Callable, Optional, Protocol
 
 from .pogroup import UsageError, Window
 from .record import Frozen, Record, setfield
-from .verdict import Tally, Verdict, holds, unknown
+from .verdict import Tally, Verdict
 
 
 class Algebra(Protocol):
@@ -356,28 +356,6 @@ def check_commutative(P: Algebra, w: Window) -> Verdict:
 
 
 # -- infinitesimals, perfectness, state ---------------------------------------
-
-
-def find_infinitesimals(P: Algebra, w: Window,
-                        nmax: int = 8) -> tuple[list, Verdict]:
-    """Elements whose n-fold sums are defined for all n <= nmax.
-
-    The verdict grades the evidence: exclusions are exact, but a nonzero
-    candidate is only bounded evidence, so the verdict is Unknown whenever
-    any is reported.
-    """
-    if nmax < 1:
-        raise UsageError("nmax must be >= 1")
-    sample = P.elements(w)
-    out = [x for x in sample if P.multiples_defined(x, nmax)]
-    nontrivial = sum(1 for x in out if x != P.zero)
-    if nontrivial:
-        v = unknown(checked=len(sample), skipped=nontrivial,
-                    reason=f"candidates verified only up to n={nmax}")
-    else:
-        v = holds(checked=len(sample),
-                  reason="no nonzero bounded-infinitesimal elements")
-    return out, v
 
 
 def perfect_split(P: Algebra, w: Window,

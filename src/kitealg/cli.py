@@ -15,7 +15,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -82,6 +81,30 @@ class RunConfig(Record):
 def _expect(cond: bool, what: str) -> None:
     if not cond:
         raise UsageError(what)
+
+
+# Counts are exact up to this bound, or up to the budget if that is larger.
+# A count past it is neither finished nor printed: a refusal names the bound.
+_COUNT_BOUND = 10 ** 12
+
+
+def _capped_product(factors, budget: int) -> int:
+    """The product of the factors, or the first partial one past the bound."""
+    bound, out = max(budget, _COUNT_BOUND), 1
+    for f in factors:
+        out *= f
+        if out > bound:
+            break
+    return out
+
+
+def _refuse_over_budget(count: int, budget: int, text: str) -> None:
+    """Raise UsageError with text when count passes budget. text's {count}
+    reads "more than" the count bound when the count passes that too."""
+    if count > budget:
+        bound = max(budget, _COUNT_BOUND)
+        shown = count if count <= bound else f"more than {bound}"
+        raise UsageError(text.format(count=shown, budget=budget))
 
 
 def load_config(path: Optional[str], overrides: dict) -> RunConfig:
@@ -328,13 +351,14 @@ def _grid_cells(cfg: RunConfig):
         isinstance(p, list) and len(p) == 2 for p in pair_spec)),
         "field 'grid.perm_pairs': must be 'all' or a list of [lambda, rho] "
         "pairs")
-    per_n = [math.factorial(n) ** 2 if pair_spec == "all" else len(pair_spec)
-             for n in ns]
-    count = len(groups) * sum(per_n) * len(heights)
-    if count > cfg.sweep_budget:
-        raise UsageError(
-            f"sweep grid has {count} cells, over the budget of "
-            f"{cfg.sweep_budget}; shrink the grid or raise 'sweep_budget'")
+    # (n!)^2 pairs per n for "all"; a capped n! squared is still past the
+    # bound, and so is the count
+    per_n = sum(_capped_product(range(2, n + 1), cfg.sweep_budget) ** 2
+                if pair_spec == "all" else len(pair_spec) for n in ns)
+    _refuse_over_budget(
+        len(groups) * len(heights) * per_n, cfg.sweep_budget,
+        "sweep grid has {count} cells, over the budget of {budget}; shrink "
+        "the grid or raise 'sweep_budget'")
     cells = []
     for gdesc, n, h in itertools.product(groups, ns, heights):
         if pair_spec == "all":
@@ -486,11 +510,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 def cmd_show(cfg: RunConfig) -> tuple[dict, int]:
     kite = build_kite(cfg)
     w = Window(cfg.height, cfg.cap)
+    # refused by its size, before any element is built
+    _refuse_over_budget(
+        kite.carrier_size(w), cfg.show_budget,
+        "{count} elements is too many to tabulate; lower the height, set a "
+        "cap, or raise 'show_budget'")
     carrier = kite.elements(w)
-    if len(carrier) > cfg.show_budget:
-        raise UsageError(
-            f"{len(carrier)} elements is too many to tabulate; lower the "
-            f"height, set a cap, or raise 'show_budget'")
     labels = [repr(x) for x in carrier]
     add_rows = []
     for x in carrier:

@@ -1,5 +1,5 @@
 """Ideal machinery for kites: closures, normality, generated normal ideals,
-orbit connectivity, least normal ideals, and the o-ideal correspondence.
+orbit connectivity and least normal ideals.
 
 An ideal here is always a window-truncated finite set: downward closed and
 closed under defined sums that stay inside the window sample. Normality is
@@ -21,7 +21,6 @@ import itertools
 from functools import cached_property, lru_cache
 
 from . import perms
-from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, KiteShape, LOWER
 from .pogroup import (Integers, PoGroup, Product, StrictCone2, TwistedLexGroup,
@@ -217,7 +216,7 @@ def _support_orbit_components(shape: KiteShape) -> tuple:
     return tuple(tuple(c) for c in perms.cycles(pi))
 
 
-def least_o_ideal(group: PoGroup, w: Window):
+def least_o_ideal(group: PoGroup):
     """(Verdict, descriptor) for existence of a least non-trivial o-ideal.
 
     Builtin groups are answered analytically, with the reasoning recorded in
@@ -246,13 +245,13 @@ def least_o_ideal(group: PoGroup, w: Window):
                                  " only in the identity"),
                     {"kind": "product", "least": None,
                      "axes": [i, j]})
-        sub, desc = least_o_ideal(group.components[nontrivial[0]], w)
+        sub, desc = least_o_ideal(group.components[nontrivial[0]])
         desc = dict(desc)
         desc["kind"] = "product-single-axis"
         desc["axis"] = nontrivial[0]
         return sub, desc
     if isinstance(group, TwistedLexGroup):
-        base_v, base_desc = least_o_ideal(group.base, w)
+        base_v, base_desc = least_o_ideal(group.base)
         joint = _joint_orbits(group.lam, group.rho)
         if len(joint) > 1 and not group.base.is_trivial:
             return (fails(witness={"components": [list(c) for c in joint]},
@@ -335,7 +334,7 @@ def least_normal_ideal(kite: Kite, w: Window):
     if not base.is_lattice and not _base_has_rdp1(base):
         return (unknown(skipped=1, reason="base RDP1 not established"), None)
     report = orbits(kite.shape)
-    base_v, base_desc = least_o_ideal(base, w)
+    base_v, base_desc = least_o_ideal(base)
     if base_v.ok and report.connected:
         ideal = _lower_component_ideal(kite, range(kite.n), w,
                                        base_o_ideal=base_desc.get("least"))
@@ -380,64 +379,3 @@ def canonical_form(shape: KiteShape):
                           rho=tuple(rho_new), base=shape.base)
     relabel = MapSpec(perms.inverse(alpha), perms.inverse(beta))
     return new_shape, relabel
-
-
-def phi_o_ideal(ipea, ideal: IdealSet, w: Window):
-    """(window sample of the generated subgroup, Verdict) for Gamma ideals.
-
-    The subgroup generated by an interval ideal is closed, inside the window
-    ball, under products and inverses. The verdict bundles three window
-    facts: the subgroup piece is convex, its intersection with the interval
-    reproduces the ideal exactly when the ideal is normal, and conjugation
-    by window elements stays inside when the ideal is normal.
-    """
-    group = ipea.group
-    ball = pg.enumerate_window(group, Window(w.height))
-    inside = set(ball)
-    members = set()
-    for x in ideal.elements:
-        members.add(x)
-        members.add(group.inv(x))
-    members.add(group.e)
-    members &= inside
-    changed = True
-    boundary = False
-    while changed:
-        changed = False
-        for x, y in itertools.product(tuple(members), repeat=2):
-            z = group.mul(x, y)
-            if z in inside:
-                if z not in members:
-                    members.add(z)
-                    changed = True
-            else:
-                boundary = True
-    sample = [x for x in ball if x in members]
-    t = Tally()
-    for g in ball:
-        for m in sample:
-            if group.leq(group.e, g) and group.leq(g, m) and g not in members:
-                return sample, t.fail(
-                    {"inside": g.serialized(), "above": m.serialized()},
-                    "subgroup piece is not convex")
-            t.hit()
-    unit = ipea.unit
-    interval_part = {x for x in sample
-                     if group.leq(group.e, x) and group.leq(x, unit)}
-    if interval_part != set(ideal.elements):
-        extra = interval_part.symmetric_difference(set(ideal.elements))
-        wit = sorted(x.serialized() for x in extra)[0]
-        return sample, t.fail({"element": wit},
-                              "interval restriction differs from the ideal")
-    for g in ball:
-        gi = group.inv(g)
-        for m in sample:
-            z = group.mul(group.mul(g, m), gi)
-            if z in inside and z not in members:
-                return sample, t.fail(
-                    {"conjugator": g.serialized(), "member": m.serialized()},
-                    "conjugate escapes the subgroup piece")
-            t.hit()
-    if boundary:
-        t.skip("subgroup closure touched the window boundary")
-    return sample, t.done("convex, normal, and interval-consistent on the window")

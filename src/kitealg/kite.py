@@ -426,8 +426,9 @@ class Kite:
     # -- enumeration -------------------------------------------------------------
 
     def carrier_size(self, w: Window) -> int:
-        k = len(cone_window(self.base, Window(w.height)))
-        return 2 * k ** self.n
+        """len(self.elements(w)), building no element: 2 |cone|^n, capped."""
+        size = 2 * len(cone_window(self.base, Window(w.height))) ** self.n
+        return size if w.cap is None else min(size, w.cap)
 
     def elements(self, w: Window) -> list[KiteElement]:
         """Window carrier sample, sorted by (norm, tag, coords), capped if set.

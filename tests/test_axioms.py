@@ -8,7 +8,6 @@ from kitealg.axioms import (
     check_pea_axioms,
     check_pmv_axioms,
     check_symmetric,
-    find_infinitesimals,
     perfect_split,
     unique_state,
 )
@@ -379,22 +378,6 @@ def test_multiples_defined_matches_the_add_chain(P, w):
             # no multiple is interned
             assert interned is None or len(P._table) == interned
             assert got == reference_multiples_defined(P, x, k), (x, k)
-
-
-def test_integer_chain_has_no_infinitesimals():
-    P = IntervalPEA(Z, Z.make(2))
-    out, v = find_infinitesimals(P, Window(2))
-    assert out == [P.zero]
-    assert v.status is Status.HOLDS
-
-
-def test_lex_interval_infinitesimals_are_bounded_evidence():
-    g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = IntervalPEA(g, g.make((1, (0,))))
-    out, v = find_infinitesimals(P, Window(2))
-    assert g.make((0, (1,))) in out
-    assert g.make((1, (0,))) not in out
-    assert v.status is Status.UNKNOWN
 
 
 def test_kite_splits_into_lowers_and_uppers():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import itertools
@@ -293,6 +294,29 @@ def test_sweep_budget_refused_before_any_pair_is_built(capsys, monkeypatch):
     assert "sweep grid has 518400 cells" in err
 
 
+@pytest.mark.parametrize("n", [3000, 10 ** 6])
+def test_huge_sweep_grid_is_refused_at_once(capsys, n):
+    # (3000!)^2 has too many digits to print, and (10^6!)^2 takes seconds
+    # to compute: the count stops at the bound and the message names it
+    grid = json.dumps({"groups": ["z"], "n": [n], "heights": [1]})
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, ["sweep", "--grid", grid])
+    assert time.perf_counter() - t0 < 1
+    assert code == 64 and out == ""
+    assert err == ("config error: sweep grid has more than 1000000000000 "
+                   "cells, over the budget of 400; shrink the grid or raise "
+                   "'sweep_budget'\n")
+
+
+def test_count_stops_at_the_first_product_past_the_bound():
+    def factors():
+        yield from (10 ** 6, 10 ** 6, 10)
+        raise AssertionError("factor read past the bound")
+
+    assert cli._capped_product(factors(), 400) == 10 ** 13
+    assert cli._capped_product((10 ** 6,) * 3, 10 ** 18) == 10 ** 18
+
+
 SWEEP_OPTS = dict(zip(SWEEP_ARGV[1::2], SWEEP_ARGV[2::2]))
 SWEEP_CFG = load_config(None, {"grid": json.loads(SWEEP_OPTS["--grid"]),
                                "checks": SWEEP_OPTS["--checks"]})
@@ -450,6 +474,30 @@ def test_show_budget_refusal(capsys):
         "--shape", '{"n": 3, "lambda": "id", "rho": "id"}', "--height", "3"])
     assert code == 64
     assert "budget" in err
+
+
+def test_show_budget_refused_before_any_element_is_built(capsys, monkeypatch):
+    def no_elements(self, w):
+        raise AssertionError("carrier built before the budget check")
+
+    monkeypatch.setattr(Kite, "elements", no_elements)
+    code, out, err = run(capsys, [
+        "show", "--group", "z2",
+        "--shape", '{"n": 6, "lambda": "id", "rho": "id"}', "--height", "2"])
+    assert code == 64 and out == ""
+    assert err == ("config error: 1062882 elements is too many to tabulate; "
+                   "lower the height, set a cap, or raise 'show_budget'\n")
+
+
+def test_show_budget_counts_the_capped_carrier(capsys):
+    shape = '{"n": 4, "lambda": "id", "rho": "id"}'
+    code, _, _ = run(capsys, ["show", "--group", "z2", "--shape", shape,
+                              "--height", "2", "--cap", "64"])
+    assert code == 0
+    code, _, err = run(capsys, ["show", "--group", "z2", "--shape", shape,
+                                "--height", "2", "--cap", "65"])
+    assert code == 64
+    assert err.startswith("config error: 65 elements is too many")
 
 
 # -- wiring -----------------------------------------------------------------------

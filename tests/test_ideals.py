@@ -13,7 +13,6 @@ from kitealg.ideals import (
     least_o_ideal,
     normal_ideal_generated,
     orbits,
-    phi_o_ideal,
 )
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
@@ -24,7 +23,7 @@ from kitealg.pogroup import (
     Window,
     integer_product,
 )
-from kitealg.representations import IntervalPEA, verify_iso
+from kitealg.representations import verify_iso
 from kitealg.verdict import Status
 
 Z = Integers()
@@ -171,18 +170,17 @@ def test_orbit_report_two_transpositions():
 
 
 def test_least_o_ideal_table():
-    w = Window(2)
-    v, desc = least_o_ideal(Z, w)
+    v, desc = least_o_ideal(Z)
     assert v.ok and desc["least"] == "whole-group"
-    v, desc = least_o_ideal(StrictCone2(), w)
+    v, desc = least_o_ideal(StrictCone2())
     assert v.ok and desc["least"] == "whole-group"
-    v, desc = least_o_ideal(integer_product(2), w)
+    v, desc = least_o_ideal(integer_product(2))
     assert v.failed and desc["axes"] == [0, 1]
-    v, desc = least_o_ideal(integer_product(1), w)
+    v, desc = least_o_ideal(integer_product(1))
     assert v.ok and desc["kind"] == "product-single-axis"
-    v, _ = least_o_ideal(TwistedLexGroup(2, (0, 1), (1, 0), Z), w)
+    v, _ = least_o_ideal(TwistedLexGroup(2, (0, 1), (1, 0), Z))
     assert v.ok
-    v, desc = least_o_ideal(TwistedLexGroup(2, (0, 1), (0, 1), Z), w)
+    v, desc = least_o_ideal(TwistedLexGroup(2, (0, 1), (0, 1), Z))
     assert v.failed and desc["components"] == [[0], [1]]
 
 
@@ -260,17 +258,3 @@ def test_canonical_forms_agree_iff_isomorphic_relabel():
     ca, _ = canonical_form(a)
     cb, _ = canonical_form(b)
     assert ca.lam == cb.lam and ca.rho == cb.rho
-
-
-# -- interval ideals ------------------------------------------------------------------------
-
-
-def test_phi_of_lex_kernel():
-    g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = IntervalPEA(g, g.make((1, (0,))))
-    small = g.make((0, (1,)))
-    ideal = ideal_closure(P, [small], Window(2))
-    sample, v = phi_o_ideal(P, ideal, Window(2))
-    assert all(x.value[0] == 0 for x in sample)
-    assert not v.failed
-    assert v.skipped > 0

@@ -263,6 +263,15 @@ def test_elements_cap_is_prefix():
     assert k.one in full
 
 
+@pytest.mark.parametrize("w", [Window(0), Window(1), Window(2), Window(2, 7),
+                               Window(1, 100)])
+@pytest.mark.parametrize("base", ["z", "z2", "strictcone2"])
+def test_carrier_size_is_the_sample_length(base, w):
+    for n in range(3):
+        k = mk(n, range(n), range(n), parse_group(base))
+        assert k.carrier_size(w) == len(k.elements(w)), (n, w)
+
+
 def test_interval_exhaustiveness():
     k = ID2
     box, exhaustive = k.interval(k.zero, k.lower(2, 2), Window(1))

@@ -220,6 +220,23 @@ MUTANTS = [
            "                pass\n",
            ("tests/test_cli.py::"
             "test_sweep_worker_error_names_the_cell_and_prints_its_traceback",)),
+    # show builds its carrier before it checks the budget
+    Mutant("show-budget-after-carrier", "src/kitealg/cli.py",
+           "    # refused by its size, before any element is built\n",
+           "    kite.elements(w)\n",
+           ("tests/test_cli.py::"
+            "test_show_budget_refused_before_any_element_is_built",)),
+    # a refusal prints a count past the bound as if it were exact
+    Mutant("refusal-prints-the-raw-count", "src/kitealg/cli.py",
+           '        shown = count if count <= bound else f"more than {bound}"\n',
+           "        shown = count\n",
+           ("tests/test_cli.py::test_huge_sweep_grid_is_refused_at_once",)),
+    # a count goes on past the bound
+    Mutant("count-past-the-bound", "src/kitealg/cli.py",
+           "        if out > bound:\n            break\n",
+           "        if out > bound:\n            pass\n",
+           ("tests/test_cli.py::"
+            "test_count_stops_at_the_first_product_past_the_bound",)),
 ]
 
 
