@@ -26,7 +26,7 @@ from .axioms import (check_commutative, check_pea_axioms, check_pmv_axioms,
 from .ideals import (IdealSet, canonical_form, is_normal, least_normal_ideal,
                      normal_ideal_generated, orbits)
 from .kite import Kite, KiteShape
-from .pogroup import (CapabilityError, UsageError, Window, parse_group)
+from .pogroup import UsageError, Window, cone_window, parse_group
 from .record import Record
 from .representations import perfect_representation, verify_iso
 from .riesz import RdpLevel, check_rdp_level
@@ -113,10 +113,10 @@ def load_config(path: Optional[str], overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"config file: {exc}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file line {exc.lineno}: {exc.msg}")
+        except (OSError, ValueError) as exc:  # ValueError: an over-long int
+            raise UsageError(f"config file: {exc}")
         _expect(isinstance(data, dict), "config file must hold an object")
     merged = dict(data)
     for k, v in overrides.items():
@@ -394,42 +394,15 @@ def _sweep_row(cfg: RunConfig, cell: tuple) -> dict:
     return row
 
 
-def _share(fn, items: list, start: int, step: int) -> tuple[list, Any]:
-    """fn over items[start::step], stopping at the first item that raises:
-    (results, None), or (the results before it, (its index, the error))."""
+def _share(fn, items: list, start: int, step: int) -> list:
+    """fn over items[start::step], up to the first item that raises."""
     out = []
-    for i in range(start, len(items), step):
+    for x in items[start::step]:
         try:
-            out.append(fn(items[i]))
-        except Exception as exc:
-            return out, (i, exc)
-    return out, None
-
-
-def _worker(fn, items: list, start: int, step: int, fd: int) -> None:
-    """Forked child: write its share as JSON to the pipe fd; never returns.
-
-    A failing item is sent as [index, error type, message]; an error other
-    than a usage error also prints its traceback here, as it would uncaught.
-    """
-    code = 1
-    try:
-        out, failure = _share(fn, items, start, step)
-        if failure is not None:
-            index, exc = failure
-            if not isinstance(exc, UsageError):
-                sys.excepthook(type(exc), exc, exc.__traceback__)
-            failure = [index, type(exc).__name__, str(exc)]
-        payload = json.dumps({"results": out, "failure": failure})
-        with open(fd, "w") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-_WORKER_ERRORS = {"UsageError": UsageError,
-                  "CapabilityError": CapabilityError}
+            out.append(fn(x))
+        except Exception:
+            break
+    return out
 
 
 def _map_forked(fn, items: list) -> list:
@@ -438,10 +411,11 @@ def _map_forked(fn, items: list) -> list:
     fn must return JSON values, which come back through a pipe, and change
     no state but pure memos. With k processes, child i computes items i::k
     and the parent items 0::k, so neighbouring (similar) items spread over
-    all of them. Each process stops at its first failing item; the failure
-    with the lowest index is raised, which is the one a serial loop raises.
-    Without os.fork or os.sched_getaffinity, or with one CPU or item, the
-    loop runs serially.
+    all of them. Every process stops at its first failing item. The parent
+    then computes, in item order, each item that did not come back: a
+    failing item raises here what a serial loop raises, and the items of a
+    child that died or sent nothing are computed again. Without os.fork or
+    os.sched_getaffinity, or with one CPU or item, the loop runs serially.
     """
     k = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
@@ -453,39 +427,33 @@ def _map_forked(fn, items: list) -> list:
         for start in range(1, k):
             r, w = os.pipe()
             pid = os.fork()
-            if pid == 0:
-                os.close(r)
-                _worker(fn, items, start, k, w)
+            if pid == 0:  # the child sends its share and exits at once
+                try:
+                    os.close(r)
+                    with open(w, "w") as fh:
+                        fh.write(json.dumps(_share(fn, items, start, k)))
+                finally:
+                    os._exit(0)
             os.close(w)
             pids.append(pid)
             fds.append(r)
-        own, failure = _share(fn, items, 0, k)
-        shares, failures = [own], [failure] if failure else []
-        for start, fd in enumerate(fds, 1):
+        shares = [_share(fn, items, 0, k)]
+        for fd in fds:
             with open(fd, "rb", closefd=False) as fh:
-                payload = fh.read()
-            if not payload:
-                raise RuntimeError(f"worker {start} of {k} exited without "
-                                   "sending its results")
-            sent = json.loads(payload)
-            shares.append(sent["results"])
-            if sent["failure"] is not None:
-                index, kind, message = sent["failure"]
-                cls = _WORKER_ERRORS.get(kind)
-                failures.append((index, cls(message) if cls else RuntimeError(
-                    f"item {index} failed in worker {start} of {k}: "
-                    f"{kind}: {message}")))
+                try:
+                    shares.append(json.loads(fh.read()))
+                except ValueError:  # nothing sent, or cut off
+                    shares.append([])
     finally:
         for fd in fds:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    out: list = [None] * len(items)
+    missing = object()
+    out: list = [missing] * len(items)
     for start, share in enumerate(shares):
-        out[start::k] = share
-    return out
+        out[start:start + k * len(share):k] = share
+    return [fn(x) if r is missing else r for x, r in zip(items, out)]
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
@@ -508,13 +476,18 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_show(cfg: RunConfig) -> tuple[dict, int]:
+    # refused by its size, 2 |cone|^n capped, before the kite is built; an n
+    # that is not a count is build_kite's to refuse
+    n = cfg.shape.get("n")
+    if _is_int(n) and n >= 0:
+        cone = len(cone_window(parse_group(cfg.group), Window(cfg.height)))
+        size = 2 * _capped_product(itertools.repeat(cone, n), cfg.show_budget)
+        _refuse_over_budget(
+            min(size, cfg.cap or size), cfg.show_budget,
+            "{count} elements is too many to tabulate; lower the height, set "
+            "a cap, or raise 'show_budget'")
     kite = build_kite(cfg)
     w = Window(cfg.height, cfg.cap)
-    # refused by its size, before any element is built
-    _refuse_over_budget(
-        kite.carrier_size(w), cfg.show_budget,
-        "{count} elements is too many to tabulate; lower the height, set a "
-        "cap, or raise 'show_budget'")
     carrier = kite.elements(w)
     labels = [repr(x) for x in carrier]
     add_rows = []
@@ -632,6 +605,8 @@ def _overrides(args: argparse.Namespace) -> dict:
                 out[name] = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"--{name}: {exc.msg}")
+            except ValueError as exc:  # an integer too long to convert
+                raise UsageError(f"--{name}: {exc}")
     return out
 
 
@@ -655,7 +630,7 @@ def main(argv=None) -> int:
         report, code = runner(cfg)
         _emit(report, cfg)
         return code
-    except (UsageError, CapabilityError) as exc:
+    except UsageError as exc:  # CapabilityError included
         print(f"config error: {exc}", file=sys.stderr)
         return 64
 

@@ -216,7 +216,7 @@ class PoGroup:
 
     def norm_value(self, value) -> int:
         """The largest absolute integer in the serialization."""
-        raise NotImplementedError
+        return max(map(abs, self.value_key(value)), default=0)
 
     def sort_key(self, a: Elem) -> tuple:
         return (self.norm_value(a.value),) + self.value_key(a.value)
@@ -334,9 +334,6 @@ class Integers(PoGroup):
     def _read_key(self, ints):
         return next(ints)
 
-    def norm_value(self, value) -> int:
-        return abs(value)
-
     def ball_values(self, height):
         return iter(range(-height, height + 1))
 
@@ -398,10 +395,6 @@ class Product(PoGroup):
         return tuple(itertools.chain.from_iterable(
             c.value_key(v) for c, v in zip(self.components, value)))
 
-    def norm_value(self, value) -> int:
-        return max((c.norm_value(v) for c, v in zip(self.components, value)),
-                   default=0)
-
     def _read_key(self, ints):
         # a list, not a generator: StopIteration must reach deserialize
         return tuple([c._read_key(ints) for c in self.components])
@@ -455,9 +448,6 @@ class StrictCone2(PoGroup):
 
     def _read_key(self, ints):
         return (next(ints), next(ints))
-
-    def norm_value(self, value) -> int:
-        return max(abs(value[0]), abs(value[1]))
 
     def ball_values(self, height):
         rng = range(-height, height + 1)
@@ -555,11 +545,6 @@ class TwistedLexGroup(PoGroup):
         m, coords = value
         return (m,) + tuple(itertools.chain.from_iterable(
             self.base.value_key(c) for c in coords))
-
-    def norm_value(self, value) -> int:
-        m, coords = value
-        norm = self.base.norm_value
-        return max(abs(m), max((norm(c) for c in coords), default=0))
 
     def _read_key(self, ints):
         m = next(ints)

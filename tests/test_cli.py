@@ -117,6 +117,9 @@ def test_bad_inline_json_is_a_usage_error(capsys):
         assert "config error" in err
 
 
+# 5,001 digits: past the length that int() converts from a string by default
+HUGE_INT = "1" + "0" * 5000
+
 MALFORMED_ARGV = {
     "shift-offset": ["check", "--shape",
                      '{"n":2,"lambda":"shift:x","rho":"id"}'],
@@ -144,6 +147,10 @@ MALFORMED_ARGV = {
                            '"rho":[0],"base":"z"}}'],
     "out-unopenable": ["check", "--checks", "axioms",
                        "--out", os.path.join(os.devnull, "report.json")],
+    "grid-over-long-int": ["sweep", "--grid", '{"n":[%s]}' % HUGE_INT],
+    "shape-over-long-int": ["check", "--shape", '{"n":%s}' % HUGE_INT],
+    "group-over-long-int": ["check", "--group",
+                            '{"kind":"Integers","n":%s}' % HUGE_INT],
 }
 
 
@@ -177,6 +184,15 @@ def test_malformed_config_file_values_exit_64(capsys, tmp_path, fields):
     code, _, err = run(capsys, ["sweep", "--config", str(path)])
     assert code == 64
     assert "config error" in err
+
+
+def test_over_long_integer_in_a_config_file_exits_64(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"sweep_budget": %s}' % HUGE_INT)
+    code, out, err = run(capsys, ["sweep", "--config", str(path)])
+    assert code == 64 and out == ""
+    assert err.startswith("config error: config file: ")
+    assert err.count("\n") == 1
 
 
 def test_state_check_answers_on_kite(capsys):
@@ -426,22 +442,52 @@ def test_sweep_worker_usage_error_exits_64_like_the_serial_loop(
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_sweep_worker_error_names_the_cell_and_prints_its_traceback(
-        capfd, monkeypatch):
-    def failing_row(cfg, cell):
-        if cell[0] == "z2":
-            raise ZeroDivisionError("cell broke")
-        return {"statuses": {}}
+# a sweep of three cells whose second (z2) cell raises; argv[1] is the
+# number of usable CPUs
+FAILING_SWEEP = """
+import os, sys
+from kitealg import cli
+os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))
+def failing_row(cfg, cell):
+    if cell[0] == "z2":
+        raise ZeroDivisionError("cell broke")
+    return {"statuses": {}}
+cli._sweep_row = failing_row
+cli.main(["sweep", "--grid", '{"groups":["z","z2","z3"],"n":[1]}',
+          "--checks", "axioms"])
+"""
 
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("kitealg.cli._sweep_row", failing_row)
-    grid = '{"groups":["z","z2"],"n":[1]}'
-    with pytest.raises(RuntimeError,
-                       match="item 1 failed in worker 1 of 2: "
-                             "ZeroDivisionError: cell broke"):
-        main(["sweep", "--grid", grid, "--checks", "axioms"])
-    err = capfd.readouterr().err
-    assert "Traceback" in err and "ZeroDivisionError: cell broke" in err
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_cell_error_is_the_serial_error_for_any_cpu_count(cpus):
+    # the failing cell is a worker's with 2 or 3 CPUs; the parent computes
+    # it again and raises the serial error, and no worker prints anything
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAILING_SWEEP, str(cpus)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("Traceback") == 1
+    assert proc.stderr.endswith("\nZeroDivisionError: cell broke\n")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_sweep_cells_of_a_worker_that_sends_nothing_are_computed_again(
+        monkeypatch, cpus):
+    use_cpus(monkeypatch, 1)
+    expected = masked_report(SWEEP_ARGV)
+    parent, calls = os.getpid(), []
+
+    def dying_row(cfg, cell):
+        calls.append(cell)
+        if os.getpid() != parent and len(calls) > 1:
+            os._exit(3)  # a worker dies at its second cell, unsent
+        return _sweep_row(cfg, cell)
+
+    use_cpus(monkeypatch, cpus)
+    monkeypatch.setattr("kitealg.cli._sweep_row", dying_row)
+    assert masked_report(SWEEP_ARGV) == expected
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -487,6 +533,25 @@ def test_show_budget_refused_before_any_element_is_built(capsys, monkeypatch):
     assert code == 64 and out == ""
     assert err == ("config error: 1062882 elements is too many to tabulate; "
                    "lower the height, set a cap, or raise 'show_budget'\n")
+
+
+def test_huge_show_shape_is_refused_before_the_kite_is_built(
+        capsys, monkeypatch):
+    # 2 * 9^(10^6) elements: the count stops at the bound, and neither
+    # permutation of a million points is checked
+    def no_kite(cfg):
+        raise AssertionError("kite built before the budget check")
+
+    monkeypatch.setattr(cli, "build_kite", no_kite)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, [
+        "show", "--group", "z2",
+        "--shape", '{"n":1000000,"lambda":"id","rho":"id"}', "--height", "2"])
+    assert time.perf_counter() - t0 < 0.3
+    assert code == 64 and out == ""
+    assert err == ("config error: more than 1000000000000 elements is too "
+                   "many to tabulate; lower the height, set a cap, or raise "
+                   "'show_budget'\n")
 
 
 def test_show_budget_counts_the_capped_carrier(capsys):

@@ -188,20 +188,37 @@ MUTANTS = [
            "                      if payloads}\n",
            ("tests/test_cli.py::"
             "test_sweep_row_matches_the_check_report_of_its_cell",)),
-    # the fork mapper raises the parent's failure before the workers',
-    # not the one of the lowest cell
-    Mutant("fork-parent-failure-first", "src/kitealg/cli.py",
-           "        raise min(failures, key=lambda f: f[0])[1]\n",
-           "        raise failures[0][1]\n",
+    # the parent raises the first failure of its own share, not the one of
+    # the lowest cell
+    Mutant("fork-parent-share-raises", "src/kitealg/cli.py",
+           "        except Exception:\n            break\n",
+           "        except Exception:\n            raise\n",
            ("tests/test_cli.py::"
             "test_sweep_worker_usage_error_exits_64_like_the_serial_loop",)),
     # the fork mapper joins the shares end to end instead of interleaving
     # them back into cell order
     Mutant("fork-rows-contiguous", "src/kitealg/cli.py",
-           "        out[start::k] = share\n    return out\n",
-           "        pass\n    return [r for share in shares for r in share]\n",
+           "    for start, share in enumerate(shares):\n"
+           "        out[start:start + k * len(share):k] = share\n",
+           "    out = [r for share in shares for r in share]\n",
            ("tests/test_cli.py::"
             "test_sweep_report_is_the_same_for_any_cpu_count",)),
+    # the cells that did not come back are left out instead of computed
+    # again by the parent
+    Mutant("fork-missing-cells-kept", "src/kitealg/cli.py",
+           "    return [fn(x) if r is missing else r "
+           "for x, r in zip(items, out)]\n",
+           "    return out\n",
+           ("tests/test_cli.py::"
+            "test_sweep_cells_of_a_worker_that_sends_nothing_are_computed_again",)),
+    # a worker that sends nothing fails the sweep
+    Mutant("fork-silent-worker-fails", "src/kitealg/cli.py",
+           "                except ValueError:  # nothing sent, or cut off\n"
+           "                    shares.append([])\n",
+           "                except ValueError:  # nothing sent, or cut off\n"
+           "                    raise\n",
+           ("tests/test_cli.py::"
+            "test_sweep_cells_of_a_worker_that_sends_nothing_are_computed_again",)),
     # a sweep without checks forks too
     Mutant("fork-without-checks", "src/kitealg/cli.py",
            "    if cfg.checks:\n        rows = _map_forked(",
@@ -214,18 +231,18 @@ MUTANTS = [
            "            pass\n",
            ("tests/test_cli.py::"
             "test_sweep_report_is_the_same_for_any_cpu_count",)),
-    # a worker's unexpected error no longer prints its traceback
-    Mutant("fork-worker-traceback-dropped", "src/kitealg/cli.py",
-           "                sys.excepthook(type(exc), exc, exc.__traceback__)\n",
-           "                pass\n",
-           ("tests/test_cli.py::"
-            "test_sweep_worker_error_names_the_cell_and_prints_its_traceback",)),
-    # show builds its carrier before it checks the budget
+    # show builds its kite and carrier before it checks the budget
     Mutant("show-budget-after-carrier", "src/kitealg/cli.py",
-           "    # refused by its size, before any element is built\n",
-           "    kite.elements(w)\n",
+           '    n = cfg.shape.get("n")\n',
+           "    build_kite(cfg).elements(Window(cfg.height, cfg.cap))\n"
+           '    n = cfg.shape.get("n")\n',
            ("tests/test_cli.py::"
             "test_show_budget_refused_before_any_element_is_built",)),
+    # show counts its carrier without the cap
+    Mutant("show-count-ignores-cap", "src/kitealg/cli.py",
+           "            min(size, cfg.cap or size), cfg.show_budget,\n",
+           "            size, cfg.show_budget,\n",
+           ("tests/test_cli.py::test_show_budget_counts_the_capped_carrier",)),
     # a refusal prints a count past the bound as if it were exact
     Mutant("refusal-prints-the-raw-count", "src/kitealg/cli.py",
            '        shown = count if count <= bound else f"more than {bound}"\n',
