@@ -107,16 +107,33 @@ def _refuse_over_budget(count: int, budget: int, text: str) -> None:
         raise UsageError(text.format(count=shown, budget=budget))
 
 
+def _json_loads(text: str, where: str):
+    """json.loads, refusing an integer longer than int() converts from a
+    string (sys.get_int_max_str_digits) with a message that names where."""
+    # 0 is no limit, as on Python before 3.10.7, which lacks the function
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+    def parse_int(digits: str) -> int:
+        if limit and len(digits.lstrip("-")) > limit:
+            raise UsageError(f"{where}: an integer has more than {limit} "
+                             "digits")
+        return int(digits)
+
+    return json.loads(text, parse_int=parse_int)
+
+
 def load_config(path: Optional[str], overrides: dict) -> RunConfig:
     data: dict = {}
     if path is not None:
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                text = fh.read()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            raise UsageError(f"config file: {exc}")
+        try:
+            data = _json_loads(text, "config file")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file line {exc.lineno}: {exc.msg}")
-        except (OSError, ValueError) as exc:  # ValueError: an over-long int
-            raise UsageError(f"config file: {exc}")
         _expect(isinstance(data, dict), "config file must hold an object")
     merged = dict(data)
     for k, v in overrides.items():
@@ -476,16 +493,23 @@ def cmd_sweep(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_show(cfg: RunConfig) -> tuple[dict, int]:
-    # refused by its size, 2 |cone|^n capped, before the kite is built; an n
-    # that is not a count is build_kite's to refuse
+    # refused by its size, 2 |cone|^n capped, and then by n, the length of
+    # every printed element, before the kite is built; an n that is not a
+    # count is build_kite's to refuse
     n = cfg.shape.get("n")
     if _is_int(n) and n >= 0:
         cone = len(cone_window(parse_group(cfg.group), Window(cfg.height)))
-        size = 2 * _capped_product(itertools.repeat(cone, n), cfg.show_budget)
+        # a cone of one value (a trivial base, or height 0) has 2 elements
+        size = 2 * _capped_product(itertools.repeat(cone, n if cone > 1 else 0),
+                                   cfg.show_budget)
         _refuse_over_budget(
             min(size, cfg.cap or size), cfg.show_budget,
             "{count} elements is too many to tabulate; lower the height, set "
             "a cap, or raise 'show_budget'")
+        _refuse_over_budget(
+            n, cfg.show_budget,
+            "shape n is {count}, over the budget of {budget} coordinates; "
+            "lower n or raise 'show_budget'")
     kite = build_kite(cfg)
     w = Window(cfg.height, cfg.cap)
     carrier = kite.elements(w)
@@ -602,11 +626,9 @@ def _overrides(args: argparse.Namespace) -> dict:
                        ("group", args.group if group_json else None)):
         if text is not None:
             try:
-                out[name] = json.loads(text)
+                out[name] = _json_loads(text, f"--{name}")
             except json.JSONDecodeError as exc:
                 raise UsageError(f"--{name}: {exc.msg}")
-            except ValueError as exc:  # an integer too long to convert
-                raise UsageError(f"--{name}: {exc}")
     return out
 
 

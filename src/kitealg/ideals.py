@@ -8,6 +8,13 @@ z + x = x + y and x + z = y + x; the solution is unique in a pseudo effect
 algebra, so a solution found inside the window but outside the ideal is a
 definite failure, while a solution outside the window only counts as a skip.
 
+On a kite over an abelian base a lower member y = lower(g) has closed-form
+solutions that depend only on x's tag: z = y for a lower x, and for an upper
+x z = lower(g[rho^-1(lam(j))]) on the left and lower(g[lam^-1(rho(j))]) on
+the right (cancel u_i in the mixed sums of kite.py), which are y's two
+double complements. Only the definedness of x + y and y + x still depends on
+x. Upper members, and any other algebra or base, are solved per instance.
+
 Connectivity of the two twisting bijections drives everything in the second
 half: sigma = rho o lam^-1 is reported per shape, while element-level orbit
 component ideals are built along lam^-1 o rho, which is conjugate to sigma
@@ -112,15 +119,30 @@ def ideal_closure(P: Algebra, gens, w: Window) -> IdealSet:
                       "exhaustive": not boundary})
 
 
-def _companions(P: Algebra, x, y):
+def _closed_form(P: Algebra) -> bool:
+    """Are lower members' companions closed forms here: is P a kite over an
+    abelian base?"""
+    return isinstance(P, Kite) and P.base.is_abelian
+
+
+def _lower_conjugates(kite: Kite, y) -> tuple:
+    """(left, right) closed-form z of a lower member y against an upper x:
+    y's coordinates re-indexed through rho^-1 o lam and lam^-1 o rho."""
+    g = y.coords
+    return (kite.intern(LOWER, [g[kite.rho_inv[i]] for i in kite.lam]),
+            kite.intern(LOWER, [g[kite.lam_inv[i]] for i in kite.rho]))
+
+
+def _companions(P: Algebra, x, y, zs=None):
     """(side, s, z) for each defined s, left first: left s = x + y and
-    z + x = s, right s = y + x and x + z = s; z is None if unsolvable."""
+    z + x = s, right s = y + x and x + z = s; z is None if unsolvable.
+    zs, when given, is y's (left, right) pair of closed-form z."""
     s = P.add(x, y)
     if s is not None:
-        yield "left", s, P.ldiff(s, x)
+        yield "left", s, P.ldiff(s, x) if zs is None else zs[0]
     s = P.add(y, x)
     if s is not None:
-        yield "right", s, P.rdiff(x, s)
+        yield "right", s, P.rdiff(x, s) if zs is None else zs[1]
 
 
 def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
@@ -132,6 +154,16 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     the window the instance is skipped. The right half is the mirror image:
     x + z = y + x solved by the right difference. _companions runs both
     halves, left before right for each (x, y).
+
+    On a kite over an abelian base a lower member's z are the closed forms
+    of the module docstring, computed once per member: a lower x is two
+    hits with no sum taken, and an upper x takes its sums from the add memo
+    and no difference. Order, counts and witnesses are those of the
+    per-instance solve. Where the base norm is order-convex such a z is
+    never outside the window: it permutes y's coordinates, so it lies in
+    y's norm shell; a defined sum forces norm(x) >= norm(y); and the
+    sample, a prefix in (norm, tag) order, holds an upper x only after
+    every lower of the shells up to x's.
     """
     sample = P.elements(w)
     universe = set(sample)
@@ -139,9 +171,17 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     index = set(members)
     t = Tally()
     ser = P.serialize
+    conjugates = {}
+    if _closed_form(P):
+        conjugates = {y: _lower_conjugates(P, y)
+                      for y in members if y.tag == LOWER}
     for x in sample:
         for y in members:
-            for side, s, z in _companions(P, x, y):
+            zs = conjugates.get(y)
+            if zs is not None and x.tag == LOWER:
+                t.checked += 2  # both sums defined, both z are y itself
+                continue
+            for side, s, z in _companions(P, x, y, zs):
                 if z is None:
                     return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
                                   f"sum has no {side} companion at all")
@@ -169,6 +209,12 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
 
     Rounds are semi-naive: a member's images do not depend on the round and
     the closure keeps them, so each round solves only its new members.
+
+    On a kite over an abelian base a lower member is not solved against any
+    t: by the closed forms of the module docstring its images are m itself
+    (t lower) and its two double complements (t upper, where a sum is
+    defined), and the double complements are adjoined whenever they are in
+    the window, so the solves could add nothing more.
     """
     if depth < 1:
         raise UsageError("depth must be >= 1")
@@ -177,6 +223,7 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
     if a not in universe:
         raise UsageError("generator outside the window sample")
     current = ideal_closure(P, [a], w)
+    closed_form = _closed_form(P)
     fixpoint = False
     members: set = set()
     for _ in range(depth):
@@ -186,10 +233,11 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
         for m in current.elements:
             if m in done:
                 continue
-            for t_el in sample:
-                for _, _, z in _companions(P, t_el, m):
-                    if z is not None and z in universe:
-                        new.add(z)
+            if not (closed_form and m.tag == LOWER):
+                for t_el in sample:
+                    for _, _, z in _companions(P, t_el, m):
+                        if z is not None and z in universe:
+                            new.add(z)
             for img in (P.complement_left(P.complement_left(m)),
                         P.complement_right(P.complement_right(m))):
                 if img in universe:

@@ -193,6 +193,17 @@ def test_over_long_integer_in_a_config_file_exits_64(capsys, tmp_path):
     assert code == 64 and out == ""
     assert err.startswith("config error: config file: ")
     assert err.count("\n") == 1
+    assert err == ("config error: config file: an integer has more than "
+                   "4300 digits\n")
+
+
+@pytest.mark.parametrize("flag", ["grid", "shape", "group"])
+def test_over_long_integer_message_names_the_flag(capsys, flag):
+    code, out, err = run(capsys, MALFORMED_ARGV[f"{flag}-over-long-int"]
+                         + ["--height", "1"])
+    assert code == 64 and out == ""
+    assert err == (f"config error: --{flag}: an integer has more than 4300 "
+                   "digits\n")
 
 
 def test_state_check_answers_on_kite(capsys):
@@ -552,6 +563,33 @@ def test_huge_show_shape_is_refused_before_the_kite_is_built(
     assert err == ("config error: more than 1000000000000 elements is too "
                    "many to tabulate; lower the height, set a cap, or raise "
                    "'show_budget'\n")
+
+
+def test_show_refuses_an_n_over_the_budget_before_the_kite_is_built(
+        capsys, monkeypatch):
+    # a trivial base has 2 elements at any n, but each prints n coordinates
+    def no_kite(cfg):
+        raise AssertionError("kite built before the budget check")
+
+    monkeypatch.setattr(cli, "build_kite", no_kite)
+    for n, shown in ((65, "65"), (10 ** 6, "1000000"),
+                     (10 ** 20, "more than 1000000000000")):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, [
+            "show", "--group", "trivial", "--height", "2", "--shape",
+            '{"n":%d,"lambda":"id","rho":"id"}' % n])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 64 and out == ""
+        assert err == (f"config error: shape n is {shown}, over the budget of "
+                       "64 coordinates; lower n or raise 'show_budget'\n")
+
+
+def test_show_admits_n_at_the_budget(capsys):
+    code, out, _ = run(capsys, [
+        "show", "--group", "trivial", "--height", "2",
+        "--shape", '{"n":64,"lambda":"id","rho":"id"}'])
+    assert code == 0
+    assert out.count("L(") > 0
 
 
 def test_show_budget_counts_the_capped_carrier(capsys):

@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from kitealg import perms
+from kitealg.axioms import perfect_split
 from kitealg.ideals import (
+    IdealSet,
     canonical_form,
     ideal_closure,
     is_normal,
@@ -24,7 +26,7 @@ from kitealg.pogroup import (
     integer_product,
 )
 from kitealg.representations import verify_iso
-from kitealg.verdict import Status
+from kitealg.verdict import Status, Tally
 
 Z = Integers()
 
@@ -127,21 +129,115 @@ def naive_normal_ideal_generated(P, a, w, depth):
     return current.elements, (a,), flags
 
 
-@pytest.mark.parametrize("base", [Z, StrictCone2()], ids=["z", "strictcone2"])
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_semi_naive_rounds_match_the_naive_reference(base, n):
+# a base that is not abelian: lam != rho
+TWISTED = TwistedLexGroup(2, (0, 1), (1, 0), Z)
+
+
+def kites(base, n):
+    """A kite of every shape over base at n."""
     for lam, rho in itertools.product(perms.all_perms(n), repeat=2):
-        k = Kite(KiteShape(n, tuple(lam), tuple(rho), base))
-        for h in (1, 2):
-            w = Window(h)
-            # the ideals token's generator; zero on the two-element kite
-            a = next((x for x in k.elements(w)
-                      if x.tag == "L" and k.dimension(x) == 1), k.zero)
+        yield Kite(KiteShape(n, tuple(lam), tuple(rho), base))
+
+
+def generator(k, w):
+    """The ideals token's generator; zero on the two-element kite."""
+    return next((x for x in k.elements(w)
+                 if x.tag == "L" and k.dimension(x) == 1), k.zero)
+
+
+def assert_semi_naive_matches(base, n, windows):
+    for k in kites(base, n):
+        for w in windows:
+            a = generator(k, w)
             for depth in range(1, 5):
                 got = normal_ideal_generated(k, a, w, depth=depth)
                 want = naive_normal_ideal_generated(k, a, w, depth)
                 assert (got.elements, got.generators, got.closed_flags) \
-                    == want, (lam, rho, h, depth)
+                    == want, (k.shape.label(), w, depth)
+
+
+@pytest.mark.parametrize("base", [Z, StrictCone2()], ids=["z", "strictcone2"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_semi_naive_rounds_match_the_naive_reference(base, n):
+    # with a cap, a member's double complements can fall outside the sample
+    assert_semi_naive_matches(base, n, (Window(1), Window(2), Window(1, 5),
+                                        Window(2, 10)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_semi_naive_rounds_match_the_naive_reference_off_abelian_bases(n):
+    # every member is solved against every t here: no closed form applies
+    assert_semi_naive_matches(TWISTED, n, (Window(1, 10), Window(2, 30)))
+
+
+def per_instance_is_normal(P, ideal, w):
+    """is_normal with both companions of every (x, y) solved by ldiff and
+    rdiff: the per-instance loop that the closed forms must reproduce."""
+    sample = P.elements(w)
+    universe = set(sample)
+    index = set(ideal.elements)
+    t = Tally()
+    ser = P.serialize
+    for x in sample:
+        for y in ideal.elements:
+            for side, s in (("left", P.add(x, y)), ("right", P.add(y, x))):
+                if s is None:
+                    continue
+                z = P.ldiff(s, x) if side == "left" else P.rdiff(x, s)
+                if z is None:
+                    return t.fail({"x": ser(x), "y": ser(y), "sum": ser(s)},
+                                  f"sum has no {side} companion at all")
+                if z in index:
+                    t.hit()
+                elif z in universe:
+                    return t.fail(
+                        {"x": ser(x), "y": ser(y), "sum": ser(s),
+                         "missing": ser(z)},
+                        f"{side} companion lies in the window but not the ideal")
+                else:
+                    t.skip(f"{side} companion outside the window")
+    return t.done("both translates agree on every sampled element")
+
+
+def ideals_to_check(k, w):
+    """The generated ideal of the ideals token, and the state kernel, which
+    on a kite is the set of all lowers of the window."""
+    lowers = tuple(x for x in k.elements(w) if x.tag == "L")
+    split = perfect_split(k, w)
+    assert split is not None and split.e0 == lowers
+    yield "generated", normal_ideal_generated(k, generator(k, w), w)
+    yield "kernel", IdealSet(lowers, ())
+
+
+NORMALITY_WINDOWS = tuple(Window(h, cap) for h in (1, 2)
+                          for cap in (None, 5, 10))
+
+
+@pytest.mark.parametrize("base,n", [
+    (base, n) for base in (Z, StrictCone2(), integer_product(2))
+    for n in range(4)] + [(TWISTED, 1), (TWISTED, 2)],
+    ids=lambda v: v if isinstance(v, int) else v.kind)
+def test_closed_form_normality_matches_the_per_instance_solve(base, n):
+    for k in kites(base, n):
+        for w in NORMALITY_WINDOWS:
+            if k.carrier_size(w) > 130:
+                continue  # the capped windows cover these at h = 2
+            for name, ideal in ideals_to_check(k, w):
+                assert is_normal(k, ideal, w) \
+                    == per_instance_is_normal(k, ideal, w), \
+                    (k.shape.label(), w, name)
+
+
+def test_companion_outside_the_window_is_a_skip():
+    # off an abelian base the companion of a lower member against an upper
+    # x conjugates it by x's coordinates and can leave the capped sample
+    k = Kite(KiteShape(1, (0,), (0,), TWISTED))
+    w = Window(1, 10)
+    lowers = IdealSet(tuple(x for x in k.elements(w) if x.tag == "L"), ())
+    v = is_normal(k, lowers, w)
+    assert (v.status, v.checked, v.skipped, v.reason) == (
+        Status.UNKNOWN, 128, 36, "left companion outside the window (18); "
+        "right companion outside the window (18)")
 
 
 def test_whole_lower_set_is_normal():

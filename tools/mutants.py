@@ -147,6 +147,36 @@ MUTANTS = [
            "        done = members = set(current.elements)\n",
            ("tests/test_ideals.py::"
             "test_semi_naive_rounds_match_the_naive_reference",)),
+    # the closed-form companions are used off abelian bases too
+    Mutant("closed-form-without-abelian-guard", "src/kitealg/ideals.py",
+           "    return isinstance(P, Kite) and P.base.is_abelian\n",
+           "    return isinstance(P, Kite)\n",
+           ("tests/test_ideals.py::"
+            "test_closed_form_normality_matches_the_per_instance_solve"
+            "[TwistedLex-1]",)),
+    # a lower x against a lower member counts one hit, not two
+    Mutant("closed-form-lower-x-one-hit", "src/kitealg/ideals.py",
+           "                t.checked += 2  # both sums defined, both z are "
+           "y itself\n",
+           "                t.checked += 1  # both sums defined, both z are "
+           "y itself\n",
+           ("tests/test_ideals.py::"
+            "test_closed_form_normality_matches_the_per_instance_solve"
+            "[Integers-1]",)),
+    # only the left double complement is adjoined, so a lower member's
+    # right closed-form image is lost
+    Mutant("generated-ideal-left-double-complement-only",
+           "src/kitealg/ideals.py",
+           "            for img in (P.complement_left(P.complement_left(m)),\n"
+           "                        P.complement_right(P.complement_right(m))):\n",
+           "            for img in (P.complement_left(P.complement_left(m)),):\n",
+           ("tests/test_ideals.py::"
+            "test_semi_naive_rounds_match_the_naive_reference",)),
+    # a companion outside the window counts as a hit, not a skip
+    Mutant("normality-skip-counted-as-hit", "src/kitealg/ideals.py",
+           '                    t.skip(f"{side} companion outside the window")\n',
+           "                    t.hit()\n",
+           ("tests/test_ideals.py::test_companion_outside_the_window_is_a_skip",)),
     # join picks the lower of a lower and an upper
     Mutant("kite-join-wrong-tag", "src/kitealg/kite.py",
            "        return self._bound(x, y, UPPER, self.base.join_values)\n",
@@ -238,6 +268,12 @@ MUTANTS = [
            '    n = cfg.shape.get("n")\n',
            ("tests/test_cli.py::"
             "test_show_budget_refused_before_any_element_is_built",)),
+    # show admits any n whose carrier is small
+    Mutant("show-ignores-n", "src/kitealg/cli.py",
+           "            n, cfg.show_budget,\n",
+           "            0, cfg.show_budget,\n",
+           ("tests/test_cli.py::"
+            "test_show_refuses_an_n_over_the_budget_before_the_kite_is_built",)),
     # show counts its carrier without the cap
     Mutant("show-count-ignores-cap", "src/kitealg/cli.py",
            "            min(size, cfg.cap or size), cfg.show_budget,\n",
