@@ -172,7 +172,7 @@ class Kite:
         rows = self._rows = ([], [], [], [])
         self._add_rows, self._oplus_rows, self._ldiff_rows, self._rdiff_rows = rows
         self._slots = self._left, self._right, self._norms = [], [], []
-        e = self._e = self.base.e.value
+        e = self._e = self.base.identity_value()
         es = self._es = (e,) * self.n
         self.zero = self.intern(LOWER, es)
         self.one = self.intern(UPPER, es)
@@ -446,7 +446,7 @@ class Kite:
         # Elements in one shell share norm and tag, so the concatenation is
         # in sort_key order.
         norm, inv = self.base.norm_value, self.base.inv_value
-        pool = [c.value for c in cone_window(self.base, Window(w.height))]
+        pool = cone_window(self.base, Window(w.height))
         out = []
         for s in range(w.height + 1):
             allowed = [c for c in pool if norm(c) <= s]

@@ -12,9 +12,11 @@ of Integers (Z^k) runs every value operation, in C-level maps.
 The window norm is the maximum absolute value of the integers appearing in the
 element's canonical serialization. Window enumeration is deterministic, sorted
 ascending by (norm, serialized value), contains the identity, and is closed
-under inversion; a cap keeps its lowest prefix. A group is identified by its
-descriptor: groups built apart from equal descriptors are equal. A malformed
-value raises UsageError in every backend.
+under inversion; a cap keeps its lowest prefix. Windows, intervals and the
+positive cone hold raw values. An Elem, a value with its group, is the type
+of the values that come in from outside: make, deserialize, e. A group is
+identified by its descriptor: groups built apart from equal descriptors are
+equal. A malformed value raises UsageError in every backend.
 
 Order queries never guess: incomparability is op_leq false in both directions.
 """
@@ -88,9 +90,6 @@ class Elem(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.group, self.value))
-
-    def serialized(self):
-        return self.group.serialize_value(self.value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.group.kind}:{self.group.serialize_value(self.value)}"
@@ -218,8 +217,9 @@ class PoGroup:
         """The largest absolute integer in the serialization."""
         return max(map(abs, self.value_key(value)), default=0)
 
-    def sort_key(self, a: Elem) -> tuple:
-        return (self.norm_value(a.value),) + self.value_key(a.value)
+    def sort_key(self, value) -> tuple:
+        """(norm, value_key) of a raw value: the window order."""
+        return (self.norm_value(value),) + self.value_key(value)
 
     def deserialize(self, obj) -> Elem:
         """Read back a serialize_value list: exactly one value_key."""
@@ -585,77 +585,75 @@ class TwistedLexGroup(PoGroup):
 _window_cache: dict[tuple, list] = {}
 
 
-def enumerate_window(group: PoGroup, w: Window) -> list[Elem]:
-    """All elements with norm <= height, sorted by (norm, value), capped."""
+def enumerate_window(group: PoGroup, w: Window) -> list:
+    """All raw values with norm <= height, sorted by group.sort_key, capped."""
     key = (group.key, w.height)
     cached = _window_cache.get(key)
     if cached is None:
-        elems = [Elem(group, v) for v in group.ball_values(w.height)]
-        elems.sort(key=group.sort_key)
-        cached = _window_cache[key] = elems
+        cached = _window_cache[key] = sorted(group.ball_values(w.height),
+                                             key=group.sort_key)
     return cached[: w.cap]
 
 
-def cone_window(group: PoGroup, w: Window) -> list[Elem]:
-    """Positive window elements (identity <= x), sorted, capped."""
-    e, leq = group.e.value, group.leq_values
+def cone_window(group: PoGroup, w: Window) -> list:
+    """Positive window values (identity <= x), sorted, capped."""
+    e, leq = group.identity_value(), group.leq_values
     return [x for x in enumerate_window(group, w.uncapped())
-            if leq(e, x.value)][: w.cap]
+            if leq(e, x)][: w.cap]
 
 
-def enumerate_interval(group: PoGroup, a: Elem, b: Elem,
-                       w: Window) -> tuple[list[Elem], bool]:
-    """Window elements x with a <= x <= b, plus an exhaustiveness flag."""
-    group.own(a)
-    group.own(b)
-    lo, hi, leq = a.value, b.value, group.leq_values
+def enumerate_interval(group: PoGroup, lo, hi, w: Window) -> tuple[list, bool]:
+    """Window values x with lo <= x <= hi, plus an exhaustiveness flag."""
+    leq = group.leq_values
     wide = Window(max(w.height, group.norm_value(lo), group.norm_value(hi)))
-    out = [x for x in enumerate_window(group, wide)
-           if leq(lo, x.value) and leq(x.value, hi)]
+    out = [x for x in enumerate_window(group, wide) if leq(lo, x) and leq(x, hi)]
     return out, group.interval_exhaustive(lo, hi)
 
 
 class PositiveCone(Frozen):
     """The positive cone of a po-group as a partial algebra for the Riesz
-    checkers: the sum is the group product, differences are defined when they
-    stay in the cone, and the window sample is cone_window."""
+    checkers, on raw values: the sum is the group product, differences are
+    defined when they stay in the cone, and the window sample is
+    cone_window."""
 
     _fields = ("group",)
 
     def __init__(self, group: PoGroup) -> None:
         setfield(self, "group", group)
-        setfield(self, "zero", group.e)
+        setfield(self, "zero", group.identity_value())
         setfield(self, "is_lattice", group.is_lattice)
 
-    def elements(self, w: Window) -> list[Elem]:
+    def elements(self, w: Window) -> list:
         return cone_window(self.group, w)
 
-    def add(self, a: Elem, b: Elem) -> Elem:
-        return self.group.mul(a, b)
+    def add(self, a, b):
+        return self.group.mul_values(a, b)
 
-    def leq(self, a: Elem, b: Elem) -> bool:
-        return self.group.leq(a, b)
+    def leq(self, a, b) -> bool:
+        return self.group.leq_values(a, b)
 
-    def ldiff(self, b: Elem, a: Elem) -> Elem | None:
+    def ldiff(self, b, a):
         """The positive c with c * a = b, or None."""
         g = self.group
-        c = g.mul(b, g.inv(a))
-        return c if g.leq(self.zero, c) else None
+        c = g.mul_values(b, g.inv_value(a))
+        return c if g.leq_values(self.zero, c) else None
 
-    def rdiff(self, a: Elem, b: Elem) -> Elem | None:
+    def rdiff(self, a, b):
         """The positive c with a * c = b, or None."""
         g = self.group
-        c = g.mul(g.inv(a), b)
-        return c if g.leq(self.zero, c) else None
+        c = g.mul_values(g.inv_value(a), b)
+        return c if g.leq_values(self.zero, c) else None
 
-    def meet(self, a: Elem, b: Elem) -> Elem:
-        return self.group.meet(a, b)
+    def meet(self, a, b):
+        if not self.is_lattice:
+            raise CapabilityError(f"{self.group.kind} is not a lattice group")
+        return self.group.meet_values(a, b)
 
-    def interval(self, a: Elem, b: Elem, w: Window) -> tuple[list[Elem], bool]:
+    def interval(self, a, b, w: Window) -> tuple[list, bool]:
         return enumerate_interval(self.group, a, b, w)
 
-    def serialize(self, x: Elem):
-        return x.serialized()
+    def serialize(self, x):
+        return self.group.serialize_value(x)
 
 
 def check_group_laws(group: PoGroup, w: Window) -> Verdict:
@@ -665,16 +663,15 @@ def check_group_laws(group: PoGroup, w: Window) -> Verdict:
     laws and over the whole window, w.uncapped(), for the unary ones.
 
     Works on raw values with the backend's value operations; witnesses are
-    serialised with serialize_value, as Elem.serialized() would. One table
-    left[i][j][k] = (s_i s_j) s_k of the capped sample s serves both the
-    associativity left side and translation invariance, where (x a) y is
-    left[x][a][y].
+    serialised with serialize_value. One table left[i][j][k] = (s_i s_j) s_k
+    of the capped sample s serves both the associativity left side and
+    translation invariance, where (x a) y is left[x][a][y].
     """
-    full = [a.value for a in enumerate_window(group, w.uncapped())]
+    full = enumerate_window(group, w.uncapped())
     sample = full[: w.cap]
     mul, inv, leq = group.mul_values, group.inv_value, group.leq_values
     ser = group.serialize_value
-    e = group.e.value
+    e = group.identity_value()
     t = Tally()
     for a in full:
         t.hit()

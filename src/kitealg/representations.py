@@ -31,51 +31,47 @@ from .verdict import Tally, Verdict
 class IntervalPEA(PositiveCone):
     """The interval [0, u] of a po-group, with a + b defined iff a*b <= u:
     the positive cone cut at the unit, so order, differences, meet and
-    intervals are the cone's.
-
-    It has every member of axioms.Algebra, so the checkers take it directly.
+    intervals are the cone's, on raw values. The unit, an Elem of the group,
+    must be strictly positive. It has every member of axioms.Algebra, so the
+    checkers take it directly.
     """
 
     _fields = ("group", "unit")
 
     def __init__(self, group: PoGroup, unit: Elem) -> None:
         super().__init__(group)
-        setfield(self, "unit", unit)
         group.own(unit)
-        if unit == self.zero or not group.leq(self.zero, unit):
+        u = unit.value
+        setfield(self, "unit", u)
+        setfield(self, "one", u)
+        if u == self.zero or not group.leq_values(self.zero, u):
             raise UsageError("unit must be strictly positive")
 
-    @property
-    def one(self) -> Elem:
-        return self.unit
-
     def name(self) -> str:
-        return f"Gamma({self.group.kind}, {self.group.serialize_value(self.unit.value)})"
+        return f"Gamma({self.group.kind}, {self.group.serialize_value(self.unit)})"
 
     def elements(self, w: Window) -> list:
         lst, _ = self.interval(self.zero, self.unit, Window(w.height))
         return lst if w.cap is None else lst[: w.cap]
 
-    def add(self, a: Elem, b: Elem) -> Optional[Elem]:
-        s = self.group.mul(a, b)
-        return s if self.group.leq(s, self.unit) else None
+    def add(self, a, b):
+        s = self.group.mul_values(a, b)
+        return s if self.group.leq_values(s, self.unit) else None
 
-    def complement_left(self, x: Elem) -> Elem:
-        return self.group.mul(self.unit, self.group.inv(x))
+    def complement_left(self, x):
+        return self.group.mul_values(self.unit, self.group.inv_value(x))
 
-    def complement_right(self, x: Elem) -> Elem:
-        return self.group.mul(self.group.inv(x), self.unit)
+    def complement_right(self, x):
+        return self.group.mul_values(self.group.inv_value(x), self.unit)
 
-    def mv_oplus(self, a: Elem, b: Elem) -> Elem:
-        return self.group.meet(self.group.mul(a, b), self.unit)
+    def mv_oplus(self, a, b):
+        return self.meet(self.group.mul_values(a, b), self.unit)
 
-    def multiples_defined(self, x: Elem, k: int) -> bool:
-        """True when x, 2x, ..., kx are all below the unit, on raw values."""
-        g, u = self.group, self.unit.value
-        g.own(x)
-        s = xv = x.value
+    def multiples_defined(self, x, k: int) -> bool:
+        """True when x, 2x, ..., kx are all below the unit."""
+        g, u, s = self.group, self.unit, x
         for _ in range(k - 1):
-            s = g.mul_values(s, xv)
+            s = g.mul_values(s, x)
             if not g.leq_values(s, u):
                 return False
         return True
@@ -134,8 +130,9 @@ class MapSpec(Frozen):
                        perms.inverse(self.tau_upper))
 
     def apply(self, x: KiteElement, target) -> Optional[Any]:
-        """Image of a kite element in the target, a Kite or an IntervalPEA;
-        None when not representable."""
+        """Image of a kite element in the target, a Kite or an IntervalPEA
+        (a raw value of its group, checked by it); None when not
+        representable."""
         tau = self.tau_lower if x.tag == LOWER else self.tau_upper
         vals = tuple(x.coords[t] for t in tau)
         if self.invert:
@@ -146,9 +143,9 @@ class MapSpec(Frozen):
         group = target.group
         lead = 0 if x.tag == LOWER else 1
         if isinstance(group, TwistedLexGroup):
-            return group.make((lead, vals))
+            return group.check_value((lead, vals))
         if isinstance(group, Integers) and not vals:
-            return group.make(lead)
+            return group.check_value(lead)
         return None
 
 

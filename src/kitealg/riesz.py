@@ -9,11 +9,12 @@ StrictCone2 at Window(2), RIP holds with 48 checked while RDP0 fails.
 
 All searches take the algebra itself: a Kite, an IntervalPEA or the positive
 cone of a po-group (pogroup.PositiveCone; the public entry points also take
-a bare PoGroup and use its cone). They use its partial addition, differences,
-interval enumeration with an exhaustiveness flag, and meet when is_lattice
-is set. RDP1's side condition, check_com, is one check on any of these: it
-asks the algebra's own sum whether everything below c12 commutes with
-everything below c21. Searches iterate candidates in descending enumeration
+a bare PoGroup and use its cone, with raw values of the group as arguments,
+each checked by the group's check_value). They use its partial addition,
+differences, interval enumeration with an exhaustiveness flag, and meet when
+is_lattice is set. RDP1's side condition, check_com, is one check on any of
+these: it asks the algebra's own sum whether everything below c12 commutes
+with everything below c21. Searches iterate candidates in descending enumeration
 order and take the first valid hit, so results are deterministic. Absence is
 conclusive only when the searched interval was exhaustive; otherwise the
 caller records a skip. find_interpolant and find_refinement return the flag
@@ -22,10 +23,11 @@ with what they found, as (witness or None, exhaustive).
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
-before being returned. Kite coordinates are raw base values, so these
-builders compute with the base's value operations; only a base table or
-split search wraps its arguments as Elems of the base, in _base_refinement
-and _base_split, and unwraps what it finds.
+before being returned. Kite coordinates are raw base values, and so are the
+elements of the base's positive cone, so these builders compute with the
+base's value operations and a base table or split search (_base_refinement,
+_base_split) passes its raw arguments straight to find_refinement or
+rdp0_split on the base.
 
 The base searches are memoised with functools.cache, because a quantified
 check asks the same few again and again: the cap-14 RDP battery over a Z
@@ -61,7 +63,7 @@ from typing import Any, Optional
 from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, LOWER, UPPER
-from .pogroup import Elem, PoGroup, PositiveCone, UsageError, Window
+from .pogroup import PoGroup, PositiveCone, UsageError, Window
 from .record import Record
 from .verdict import Status, Tally, Verdict, fails, holds, merge, unknown
 
@@ -103,9 +105,13 @@ class RefinementTable(Record):
         return (self.c11, self.c12, self.c21, self.c22)
 
 
-def _cone(obj):
-    """A bare po-group stands for its positive cone."""
-    return PositiveCone(obj) if isinstance(obj, PoGroup) else obj
+def _cone(obj, *values) -> tuple:
+    """(algebra, values). A bare po-group stands for its positive cone, and
+    the raw values passed with it come from outside, so the group checks
+    each one (UsageError when malformed) and hands back its own form."""
+    if isinstance(obj, PoGroup):
+        return PositiveCone(obj), [obj.check_value(v) for v in values]
+    return obj, values
 
 
 def check_com(ctx: Algebra | PoGroup, a, b, w: Window) -> Verdict:
@@ -116,7 +122,7 @@ def check_com(ctx: Algebra | PoGroup, a, b, w: Window) -> Verdict:
     positivity, because they come from outside rather than from a search.
     """
     if isinstance(ctx, PoGroup):
-        ctx = PositiveCone(ctx)
+        ctx, (a, b) = _cone(ctx, a, b)
         if not ctx.leq(ctx.zero, a) or not ctx.leq(ctx.zero, b):
             raise UsageError("com requires positive arguments")
     if a == ctx.zero or b == ctx.zero:
@@ -159,7 +165,7 @@ def rdp0_split(ctx: Algebra | PoGroup, a, b, c, w: Window):
     if the [0, b] interval was exhaustively enumerable; check_rdp_level
     accounts for that.
     """
-    ctx = _cone(ctx)
+    ctx, (a, b, c) = _cone(ctx, a, b, c)
     s = ctx.add(b, c)
     if s is None or not ctx.leq(ctx.zero, a) or not ctx.leq(a, s):
         raise UsageError("rdp0_split needs 0 <= a <= b + c with b + c defined")
@@ -169,7 +175,7 @@ def rdp0_split(ctx: Algebra | PoGroup, a, b, c, w: Window):
 
 def find_interpolant(ctx: Algebra | PoGroup, a1, a2, b1, b2, w: Window):
     """Smallest window element c with a1, a2 <= c <= b1, b2; plus coverage."""
-    ctx = _cone(ctx)
+    ctx, (a1, a2, b1, b2) = _cone(ctx, a1, a2, b1, b2)
     cands, exhaustive = ctx.interval(a1, b1, w)
     return _first_between(ctx, cands, a2, b2), exhaustive
 
@@ -220,7 +226,7 @@ def find_refinement(ctx: Algebra | PoGroup, a1, a2, b1, b2, level: RdpLevel,
     condition is window-bounded is kept only as a fallback if no candidate
     verifies exactly. RDP2 treats the meet condition the same way.
     """
-    ctx = _cone(ctx)
+    ctx, (a1, a2, b1, b2) = _cone(ctx, a1, a2, b1, b2)
     s1, s2 = ctx.add(a1, a2), ctx.add(b1, b2)
     if s1 is None or s2 is None or s1 != s2:
         raise UsageError("refinement needs a1 + a2 = b1 + b2, both defined")
@@ -272,8 +278,8 @@ def _upper_bound(base: PoGroup, a, b):
     leq = base.leq_values
     h = max(base.norm_value(a), base.norm_value(b)) + 2
     for x in pg.enumerate_window(base, Window(h)):
-        if leq(a, x.value) and leq(b, x.value):
-            return x.value
+        if leq(a, x) and leq(b, x):
+            return x
     return None
 
 
@@ -319,19 +325,15 @@ _shared_sides: dict = {}
 def _base_refinement(base: PoGroup, args: tuple, lv: RdpLevel, w: Window):
     """find_refinement on the base cone for raw args, as an immutable
     (c11, c12, c21, c22, side) tuple of raw values, or None (memoised)."""
-    t, _ = find_refinement(base, *[Elem(base, v) for v in args], lv, w)
+    t, _ = find_refinement(base, *args, lv, w)
     if t is None:
         return None
     side = _shared_sides.setdefault(t.side, t.side)
-    return tuple(c.value for c in t.cells()) + (side,)
+    return t.cells() + (side,)
 
 
-@functools.cache
-def _base_split(base: PoGroup, a, b, c, w: Window):
-    """rdp0_split of a below b + c in the base, in raw values, or None
-    (memoised)."""
-    pair = rdp0_split(base, Elem(base, a), Elem(base, b), Elem(base, c), w)
-    return None if pair is None else (pair[0].value, pair[1].value)
+# rdp0_split of a below b + c in the base: (b1, c1) or None (memoised)
+_base_split = functools.cache(rdp0_split)
 
 
 @functools.cache
@@ -505,7 +507,7 @@ def check_rdp_level(ctx: Algebra | PoGroup, level: RdpLevel,
     exhaustive; otherwise it is a skip. For kites the constructive builders
     run first, so a found witness never depends on search coverage.
     """
-    ctx = _cone(ctx)
+    ctx, _ = _cone(ctx)
     if level is RdpLevel.RIP:
         return _check_rip(ctx, w)
     if level is RdpLevel.RDP0:

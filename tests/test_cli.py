@@ -142,6 +142,14 @@ MALFORMED_ARGV = {
     "perm-entries": ["check", "--shape",
                      '{"n":2,"lambda":[0,"a"],"rho":"id"}'],
     "grid-unknown-key": ["sweep", "--grid", '{"group":["strictcone2"]}'],
+    # a bool is an int to Python, but not a permutation entry
+    "perm-entries-bool": ["check", "--shape",
+                          '{"n":2,"lambda":[true,false],"rho":"id"}'],
+    "grid-perm-pairs-bool": ["sweep", "--grid",
+                             '{"n":[2],"perm_pairs":[[[1,0],[false,true]]]}'],
+    "twisted-lex-twist-bool": ["check", "--group",
+                               '{"kind":"TwistedLex","params":{"n":2,'
+                               '"lam":[true,false],"rho":[0,1],"base":"z"}}'],
     "twisted-lex-n-bool": ["check", "--group",
                            '{"kind":"TwistedLex","params":{"n":true,"lam":[0],'
                            '"rho":[0],"base":"z"}}'],

@@ -312,7 +312,7 @@ def test_elements_returns_a_fresh_copy_of_the_memo(w):
 
 def _fresh_carrier(kite, height):
     """The window carrier built from scratch, sorted like Kite.elements."""
-    pool = [c.value for c in cone_window(kite.base, Window(height))]
+    pool = cone_window(kite.base, Window(height))
     out = []
     for make, vals in ((kite.lower, pool),
                        (kite.upper, [kite.base.inv_value(v) for v in pool])):
@@ -389,7 +389,7 @@ class RefKite:
         self.n, self.base = n, base
         self.lam_inv = {j: i for i, j in enumerate(lam)}  # i -> lam^-1(i)
         self.rho_inv = {j: i for i, j in enumerate(rho)}
-        self.e = base.e.value
+        self.e = base.identity_value()
         self.one = (UPPER, (self.e,) * n)
 
     def add(self, x, y):
@@ -481,7 +481,7 @@ class RefKite:
 
 @functools.cache
 def _positive_pool(name):
-    return [c.value for c in cone_window(RAW_BASES[name](), Window(2))]
+    return cone_window(RAW_BASES[name](), Window(2))
 
 
 @st.composite

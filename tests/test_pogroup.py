@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     CapabilityError,
+    Elem,
     Integers,
     Product,
     StrictCone2,
@@ -44,24 +45,23 @@ def test_window_rejects_bad_bounds():
 
 
 def test_integer_window_contents():
-    vals = [x.value for x in enumerate_window(Z, Window(2))]
-    # sorted by (|x|, x)
-    assert vals == [0, -1, 1, -2, 2]
-    assert [x.value for x in enumerate_window(Z, Window(2, 3))] == [0, -1, 1]
-    assert [x.value for x in cone_window(Z, Window(2))] == [0, 1, 2]
+    # raw values, sorted by (|x|, x)
+    assert enumerate_window(Z, Window(2)) == [0, -1, 1, -2, 2]
+    assert enumerate_window(Z, Window(2, 3)) == [0, -1, 1]
+    assert cone_window(Z, Window(2)) == [0, 1, 2]
     # the cone is filtered from the whole window, then cut to the cap
-    assert [x.value for x in cone_window(Z, Window(2, 2))] == [0, 1]
+    assert cone_window(Z, Window(2, 2)) == [0, 1]
 
 
 def test_product_window_is_full_grid():
     g = integer_product(2)
-    vals = {x.value for x in enumerate_window(g, Window(1))}
+    vals = set(enumerate_window(g, Window(1)))
     assert vals == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
     assert len(cone_window(g, Window(2))) == 9
 
 
 def test_strict_cone_window_and_order():
-    cone = {x.value for x in cone_window(SC, Window(2))}
+    cone = set(cone_window(SC, Window(2)))
     assert cone == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
     a = SC.make((1, 2))
     b = SC.make((2, 1))
@@ -71,10 +71,8 @@ def test_strict_cone_window_and_order():
 
 
 def test_strict_cone_interval_skips_incomparable_lattice_points():
-    lo = SC.make((0, 0))
-    hi = SC.make((2, 2))
-    elems, exhaustive = enumerate_interval(SC, lo, hi, Window(2))
-    assert {x.value for x in elems} == {(0, 0), (1, 1), (2, 2)}
+    elems, exhaustive = enumerate_interval(SC, (0, 0), (2, 2), Window(2))
+    assert set(elems) == {(0, 0), (1, 1), (2, 2)}
     assert exhaustive
 
 
@@ -179,7 +177,7 @@ def test_twisted_lex_order_is_lex():
 
 def test_twisted_lex_noncommutative_witness():
     g = tl(2, (0, 1), (1, 0))
-    u = g.make((1, (0, 0)))
+    u = (1, (0, 0))
     v = check_com(g, u, u, Window(2, None))
     assert v.status is Status.FAILS
     w = v.witness_dict()
@@ -188,7 +186,9 @@ def test_twisted_lex_noncommutative_witness():
     assert g.mul(x, y) != g.mul(y, x)
     # a bare group's arguments come from outside, so they are checked
     with pytest.raises(UsageError):
-        check_com(g, g.inv(u), u, Window(2))
+        check_com(g, g.inv_value(u), u, Window(2))
+    with pytest.raises(UsageError):
+        check_com(g, g.make(u), u, Window(2))
     # on a kite the check reads the kite's own partial sum
     k = Kite(KiteShape(2, (0, 1), (1, 0), Z))
     v = check_com(k, k.one, k.one, Window(1))
@@ -200,14 +200,14 @@ def test_twisted_lex_noncommutative_witness():
 def test_twisted_lex_same_direction_is_abelian():
     g = tl(2, (1, 0), (1, 0))
     assert g.is_abelian
-    u = g.make((1, (0, 0)))
+    u = (1, (0, 0))
     # the interval [0, u] spans two lex levels, so the scan is honest about
     # truncation: no witness, but no exhaustiveness claim either
     v = check_com(g, u, u, Window(2))
     assert not v.failed
     assert v.skipped > 0
     # zero commutes with everything, whatever the window
-    v = check_com(g, g.e, u, Window(2))
+    v = check_com(g, g.identity_value(), u, Window(2))
     assert v.ok and v.checked == 1
 
 
@@ -231,20 +231,25 @@ def test_group_laws_hold(group):
 
 
 def _reference_group_laws(group, w, cap=12):
-    """check_group_laws as it was written on Elem objects, kept verbatim as
-    the reference for the value-level version."""
-    full = enumerate_window(group, w)
+    """check_group_laws as it was written on Elem objects, kept as the
+    reference for the value-level version: the window's raw values are
+    wrapped into Elems here, and ser writes one out."""
+    full = [Elem(group, v) for v in enumerate_window(group, w)]
     sample = full[:cap]
     e = group.e
     t = Tally()
+
+    def ser(a):
+        return group.serialize_value(a.value)
+
     for a in full:
         t.hit()
         if group.mul(a, e) != a or group.mul(e, a) != a:
-            return t.fail({"a": a.serialized()}, reason="identity law broken")
+            return t.fail({"a": ser(a)}, reason="identity law broken")
         if group.mul(a, group.inv(a)) != e or group.mul(group.inv(a), a) != e:
-            return t.fail({"a": a.serialized()}, reason="inverse law broken")
+            return t.fail({"a": ser(a)}, reason="inverse law broken")
         if group.leq(e, a) and group.leq(a, e) and a != e:
-            return t.fail({"a": a.serialized()},
+            return t.fail({"a": ser(a)},
                           reason="positive and negative cone share a non-identity element")
     for a in sample:
         for b in sample:
@@ -252,7 +257,7 @@ def _reference_group_laws(group, w, cap=12):
                 t.hit()
                 if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
                     return t.fail(
-                        {"a": a.serialized(), "b": b.serialized(), "c": c.serialized()},
+                        {"a": ser(a), "b": ser(b), "c": ser(c)},
                         reason="associativity broken")
     pairs = [(a, b) for a in sample for b in sample if group.leq(a, b)]
     for a, b in pairs:
@@ -263,8 +268,8 @@ def _reference_group_laws(group, w, cap=12):
                 rhs = group.mul(group.mul(x, b), y)
                 if not group.leq(lhs, rhs):
                     return t.fail(
-                        {"a": a.serialized(), "b": b.serialized(),
-                         "x": x.serialized(), "y": y.serialized()},
+                        {"a": ser(a), "b": ser(b),
+                         "x": ser(x), "y": ser(y)},
                         reason="order not translation invariant")
     if group.is_lattice:
         for a in sample:
@@ -273,21 +278,21 @@ def _reference_group_laws(group, w, cap=12):
                 j = group.join(a, b)
                 m = group.meet(a, b)
                 if not (group.leq(a, j) and group.leq(b, j)):
-                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                    return t.fail({"a": ser(a), "b": ser(b)},
                                   reason="join is not an upper bound")
                 if not (group.leq(m, a) and group.leq(m, b)):
-                    return t.fail({"a": a.serialized(), "b": b.serialized()},
+                    return t.fail({"a": ser(a), "b": ser(b)},
                                   reason="meet is not a lower bound")
                 for c in sample:
                     if group.leq(a, c) and group.leq(b, c) and not group.leq(j, c):
                         return t.fail(
-                            {"a": a.serialized(), "b": b.serialized(),
-                             "c": c.serialized()},
+                            {"a": ser(a), "b": ser(b),
+                             "c": ser(c)},
                             reason="join is not least among window bounds")
                     if group.leq(c, a) and group.leq(c, b) and not group.leq(c, m):
                         return t.fail(
-                            {"a": a.serialized(), "b": b.serialized(),
-                             "c": c.serialized()},
+                            {"a": ser(a), "b": ser(b),
+                             "c": ser(c)},
                             reason="meet is not greatest among window bounds")
     return t.done()
 
@@ -360,16 +365,14 @@ def test_value_level_law_check_fails_like_reference(broken, reason):
 
 
 def test_integer_interval_is_exact():
-    elems, exhaustive = enumerate_interval(Z, Z.make(-1), Z.make(2), Window(1))
-    assert [x.value for x in elems] == [0, -1, 1, 2]
+    elems, exhaustive = enumerate_interval(Z, -1, 2, Window(1))
+    assert elems == [0, -1, 1, 2]
     assert exhaustive
 
 
 def test_twisted_lex_interval_across_levels_not_exhaustive():
     g = tl(1, (0,), (0,))
-    lo = g.make((0, (0,)))
-    hi = g.make((1, (0,)))
-    _, exhaustive = enumerate_interval(g, lo, hi, Window(2))
+    _, exhaustive = enumerate_interval(g, (0, (0,)), (1, (0,)), Window(2))
     assert not exhaustive
 
 
@@ -436,7 +439,7 @@ def _coordinate_pairs(g, k, count=300):
     """Pairs of k-tuples of window values: coordinatewise ordered pairs,
     the same with one coordinate swapped, and arbitrary pairs."""
     rng = random.Random(k)
-    vals = [x.value for x in enumerate_window(g, Window(1))]
+    vals = enumerate_window(g, Window(1))
     ordered = [(a, b) for a in vals for b in vals if g.leq_values(a, b)]
     out = []
     for _ in range(count):
@@ -480,7 +483,7 @@ def test_twisted_products_match_the_per_coordinate_formula(g):
     """(m1, x) * (m2, y) = (m1 + m2, < x[lam^-m2(i)] y[rho^-m1(i)] >), one
     base product per coordinate, for leading integers m1, m2 in -3..3."""
     rng = random.Random(g.n)
-    vals = [x.value for x in enumerate_window(g.base, Window(1))]
+    vals = enumerate_window(g.base, Window(1))
     for _ in range(400):
         m1, m2 = rng.randint(-3, 3), rng.randint(-3, 3)
         xs = tuple(rng.choice(vals) for _ in range(g.n))
@@ -504,7 +507,7 @@ def test_product_value_operations_match_the_components(g):
     zk = all(type(c) is Integers for c in g.components)
     assert ("mul_values" in vars(g)) == zk
     cs = g.components
-    vals = [x.value for x in enumerate_window(g, Window(1))]
+    vals = enumerate_window(g, Window(1))
     for x in vals:
         assert g.inv_value(x) == tuple(c.inv_value(a) for c, a in zip(cs, x))
         for y in vals:

@@ -9,9 +9,9 @@ import pytest
 from kitealg import riesz
 from kitealg.cli import main as cli_main
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
-from kitealg.pogroup import (Elem, Integers, PoGroup, PositiveCone,
-                             StrictCone2, TwistedLexGroup, UsageError, Window,
-                             cone_window, integer_product, parse_group)
+from kitealg.pogroup import (Integers, PoGroup, PositiveCone, StrictCone2,
+                             TwistedLexGroup, UsageError, Window, cone_window,
+                             integer_product, parse_group)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
@@ -62,29 +62,28 @@ def assert_table(kite, tab, a1, a2, b1, b2):
 
 
 def test_rdp0_split_takes_largest_first_part():
-    pair = rdp0_split(Z, Z.make(3), Z.make(2), Z.make(2), Window(3))
-    assert pair == (Z.make(2), Z.make(1))
+    pair = rdp0_split(Z, 3, 2, 2, Window(3))
+    assert pair == (2, 1)
 
 
 def test_rdp0_split_rejects_bad_instances():
     with pytest.raises(UsageError):
-        rdp0_split(Z, Z.make(5), Z.make(2), Z.make(2), Window(3))
+        rdp0_split(Z, 5, 2, 2, Window(3))
 
 
 def test_find_interpolant_takes_smallest():
-    c, exhaustive = find_interpolant(
-        Z, Z.make(0), Z.make(1), Z.make(1), Z.make(2), Window(2))
-    assert c == Z.make(1)
+    c, exhaustive = find_interpolant(Z, 0, 1, 1, 2, Window(2))
+    assert c == 1
     assert exhaustive
 
 
 def test_refinement_table_golden():
-    args = (Z.make(2), Z.make(1), Z.make(1), Z.make(2))
+    args = (2, 1, 1, 2)
     tab, exhaustive = find_refinement(Z, *args, RdpLevel.RDP, Window(3))
-    assert [c.value for c in tab.cells()] == [1, 1, 0, 1]
+    assert tab.cells() == (1, 1, 0, 1)
     # the coverage flag is that of the [0, a1] candidate interval
     assert exhaustive
-    assert exhaustive == PositiveCone(Z).interval(Z.e, args[0], Window(3))[1]
+    assert exhaustive == PositiveCone(Z).interval(0, args[0], Window(3))[1]
     # RIP and RDP0 search plain RDP tables
     for lv in (RdpLevel.RIP, RdpLevel.RDP0):
         assert find_refinement(Z, *args, lv, Window(3)) == (tab, exhaustive)
@@ -99,9 +98,8 @@ def test_refinement_table_golden():
 
 
 def test_refinement_side_conditions():
-    one = Z.make(1)
-    tab, _ = find_refinement(Z, one, one, one, one, RdpLevel.RDP2, Window(2))
-    assert [c.value for c in tab.cells()] == [1, 0, 0, 1]
+    tab, _ = find_refinement(Z, 1, 1, 1, 1, RdpLevel.RDP2, Window(2))
+    assert tab.cells() == (1, 0, 0, 1)
     assert tab.side is not None and tab.side.ok
 
 
@@ -114,6 +112,34 @@ def test_com_is_unknown_when_either_interval_is_incomplete():
     assert v.reason == "interval coverage incomplete (1)"
 
 
+def test_positive_cone_differences_stay_in_the_cone():
+    cone = PositiveCone(Z)
+    assert (cone.rdiff(1, 3), cone.ldiff(3, 1)) == (2, 2)
+    assert cone.rdiff(3, 1) is None and cone.ldiff(1, 3) is None
+    # so the strict cone has an instance with no refinement table
+    v = check_rdp_level(SC, RdpLevel.RDP, Window(2))
+    assert (v.status, v.checked) == (Status.FAILS, 31)
+    assert v.witness_dict() == {"a1": [1, 1], "a2": [2, 2],
+                                "b1": [1, 2], "b2": [2, 1]}
+
+
+def test_base_cone_check_builds_no_elem(elems_built):
+    v = check_rdp_level(SC, RdpLevel.RDP1, Window(2))
+    assert v.checked > 0
+    assert elems_built == []
+
+
+@pytest.mark.parametrize("bad", ["1", 1.5, True, Z.make(1)],
+                         ids=["str", "float", "bool", "elem"])
+def test_bare_group_arguments_are_checked_raw_values(bad):
+    # a bare group's arguments come from outside: its check_value refuses
+    # anything but its own raw values, an Elem included
+    with pytest.raises(UsageError, match="Integers value must be int"):
+        find_refinement(Z, bad, 1, 1, 2, RdpLevel.RDP, Window(2))
+    with pytest.raises(UsageError, match="Integers value must be int"):
+        rdp0_split(Z, 1, bad, 1, Window(2))
+
+
 def test_integer_levels_all_hold():
     for lv in RDP_ORDER:
         v = check_rdp_level(Z, lv, Window(2))
@@ -121,7 +147,7 @@ def test_integer_levels_all_hold():
 
 
 def test_positive_cone_sample_honours_the_cap():
-    assert [x.value for x in PositiveCone(Z).elements(Window(3, 2))] == [0, 1]
+    assert PositiveCone(Z).elements(Window(3, 2)) == [0, 1]
     capped = check_rdp_level(Z, RdpLevel.RDP, Window(3, 2))
     whole = check_rdp_level(Z, RdpLevel.RDP, Window(3))
     assert capped.ok and whole.ok
@@ -144,15 +170,13 @@ def test_lattice_bases_have_rdp2(base):
 
 def test_strict_cone_interpolation_failure_instance():
     c, exhaustive = find_interpolant(
-        SC, SC.make((0, 0)), SC.make((1, -1)), SC.make((2, 1)), SC.make((2, 2)),
-        Window(2))
+        SC, (0, 0), (1, -1), (2, 1), (2, 2), Window(2))
     assert c is None
     assert exhaustive
 
 
 def test_strict_cone_split_failure_instance():
-    pair = rdp0_split(
-        SC, SC.make((2, 2)), SC.make((1, 2)), SC.make((2, 1)), Window(3))
+    pair = rdp0_split(SC, (2, 2), (1, 2), (2, 1), Window(3))
     assert pair is None
 
 
@@ -160,7 +184,7 @@ def test_strict_cone_rdp0_fails_with_replayable_witness():
     v = check_rdp_level(SC, RdpLevel.RDP0, Window(2))
     assert v.status is Status.FAILS
     w = v.witness_dict()
-    a, b, c = (SC.deserialize(w[k]) for k in ("a", "b", "c"))
+    a, b, c = (SC.deserialize(w[k]).value for k in ("a", "b", "c"))
     assert rdp0_split(SC, a, b, c, Window(2)) is None
 
 
@@ -393,16 +417,10 @@ def test_rip_loop_matches_reference(obj, w, expect):
 
 def _ref_base_table(base, r1, r2, s1, s2, level, w):
     lv = level if level in (RdpLevel.RDP1, RdpLevel.RDP2) else RdpLevel.RDP
-    t, _ = find_refinement(base, *[Elem(base, v) for v in (r1, r2, s1, s2)], lv, w)
+    t, _ = find_refinement(base, r1, r2, s1, s2, lv, w)
     if t is None:
         return None
-    return RefinementTable(*[c.value for c in t.cells()], side=t.side,
-                           note=t.note)
-
-
-def _ref_base_split(base, a, b, c, w):
-    pair = rdp0_split(base, Elem(base, a), Elem(base, b), Elem(base, c), w)
-    return None if pair is None else (pair[0].value, pair[1].value)
+    return RefinementTable(*t.cells(), side=t.side, note=t.note)
 
 
 def _refinement_reference(kite, x1, x2, y1, y2, level):
@@ -511,8 +529,8 @@ def _split_reference(kite, x, y, z):
     if tags == (LOWER, LOWER, LOWER):
         g1, h1 = [], []
         for j in range(n):
-            pair = _ref_base_split(base, x.coords[j], y.coords[j],
-                                   z.coords[j], w)
+            pair = rdp0_split(base, x.coords[j], y.coords[j],
+                              z.coords[j], w)
             if pair is None:
                 return None
             g1.append(pair[0])
@@ -526,8 +544,8 @@ def _split_reference(kite, x, y, z):
     elif tags == (UPPER, UPPER, LOWER):
         f1 = []
         for i in range(n):
-            pair = _ref_base_split(base, inv(y.coords[i]),
-                                   z.coords[kite.rho_inv[i]], inv(x.coords[i]), w)
+            pair = rdp0_split(base, inv(y.coords[i]),
+                              z.coords[kite.rho_inv[i]], inv(x.coords[i]), w)
             if pair is None:
                 return None
             f1.append(pair[0])
@@ -538,8 +556,8 @@ def _split_reference(kite, x, y, z):
     elif tags == (UPPER, LOWER, UPPER):
         f1 = []
         for i in range(n):
-            pair = _ref_base_split(base, inv(z.coords[i]), inv(x.coords[i]),
-                                   y.coords[kite.lam_inv[i]], w)
+            pair = rdp0_split(base, inv(z.coords[i]), inv(x.coords[i]),
+                              y.coords[kite.lam_inv[i]], w)
             if pair is None:
                 return None
             f1.append(pair[1])
@@ -621,7 +639,7 @@ def _clear_base_memos():
 def test_base_memos_match_uncached_search(base, cap):
     """Two kites with different (lam, rho) share one base and so one set of
     memo entries; every instance must agree with the uncached
-    _ref_base_table/_ref_base_split path, from a cold and from a warm memo."""
+    _ref_base_table/rdp0_split path, from a cold and from a warm memo."""
     kites = [mk(2, (0, 1), (1, 0), base), mk(2, (1, 0), (0, 1), base)]
     _clear_base_memos()
     for _ in ("cold", "warm"):
@@ -636,8 +654,8 @@ def test_base_memos_match_uncached_search(base, cap):
 def _tlex_instances():
     """Table instances r1 + r2 = s1 + s2 over a few positive TwistedLex
     values; (1, (-1, -1)) has a wider table in a wider window."""
-    pos = [x.value for x in cone_window(TLEX, Window(1))][:5]
-    mul, inv, e = TLEX.mul_values, TLEX.inv_value, TLEX.e.value
+    pos = cone_window(TLEX, Window(1))[:5]
+    mul, inv, e = TLEX.mul_values, TLEX.inv_value, TLEX.identity_value()
     out = []
     for r1, r2, s1 in itertools.product(pos, repeat=3):
         s2 = mul(inv(s1), mul(r1, r2))
@@ -671,7 +689,7 @@ def test_base_table_memo_keys_on_flip_level_and_window():
     wide = _base_table(TLEX, False, u, u, u, u, RdpLevel.RDP, Window(3))
     assert narrow[:4] != wide[:4]
     split2 = _base_split(TLEX, u, u, u, Window(2))
-    assert split2 == _ref_base_split(TLEX, u, u, u, Window(2))
+    assert split2 == rdp0_split(TLEX, u, u, u, Window(2))
     assert split2 != _base_split(TLEX, u, u, u, Window(3))
 
 
@@ -717,7 +735,7 @@ def test_base_searches_run_once_per_key(monkeypatch):
     same process searches nothing."""
     runs = []
     base_table, base_split = riesz._base_table, riesz._base_split
-    search, split = riesz.find_refinement, riesz.rdp0_split
+    search = riesz.find_refinement
 
     def count(name, fn, only=lambda *args: True):
         def wrapper(*args):
@@ -730,11 +748,9 @@ def test_base_searches_run_once_per_key(monkeypatch):
     monkeypatch.setattr(riesz, "_base_split", count("splits", base_split))
     monkeypatch.setattr(riesz, "find_refinement", count(
         "searches", search, lambda ctx, *args: isinstance(ctx, PoGroup)))
-    monkeypatch.setattr(riesz, "rdp0_split", count("base_splits", split))
     _clear_base_memos()
     for _ in ("cold", "warm"):
-        runs.append({"tables": [], "splits": [], "searches": [],
-                     "base_splits": []})
+        runs.append({"tables": [], "splits": [], "searches": []})
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(["check", "--group", "z", "--shape",
                              '{"n": 2, "lambda": "id", "rho": "swap"}',
@@ -746,8 +762,10 @@ def test_base_searches_run_once_per_key(monkeypatch):
     assert len(cold["splits"]) == len(warm["splits"]) == 1266
     assert len(set(cold["splits"])) == 23
     assert len(cold["searches"]) == len(set(cold["searches"])) == 57
-    assert len(cold["base_splits"]) == 23
-    assert warm["searches"] == [] and warm["base_splits"] == []
+    # _base_split is rdp0_split memoised: each miss is one search, and the
+    # warm run adds none
+    assert base_split.cache_info().misses == 23
+    assert warm["searches"] == []
     # each distinct argument tuple missed the table memo once, in the cold run
     assert base_table.cache_info().misses == 84
 

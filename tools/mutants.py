@@ -189,10 +189,30 @@ MUTANTS = [
            ("tests/test_pogroup.py::test_integer_window_contents",)),
     # the positive cone ignores the cap
     Mutant("cone-ignores-cap", "src/kitealg/pogroup.py",
-           "            if leq(e, x.value)][: w.cap]\n",
-           "            if leq(e, x.value)]\n",
+           "            if leq(e, x)][: w.cap]\n",
+           "            if leq(e, x)]\n",
            ("tests/test_riesz.py::"
             "test_positive_cone_sample_honours_the_cap",)),
+    # the cone's rdiff keeps a difference that leaves the cone
+    Mutant("cone-rdiff-without-positivity", "src/kitealg/pogroup.py",
+           "        c = g.mul_values(g.inv_value(a), b)\n"
+           "        return c if g.leq_values(self.zero, c) else None\n",
+           "        c = g.mul_values(g.inv_value(a), b)\n"
+           "        return c\n",
+           ("tests/test_riesz.py::"
+            "test_positive_cone_differences_stay_in_the_cone",)),
+    # an interval algebra's sum ignores the unit bound
+    Mutant("interval-add-ignores-unit", "src/kitealg/representations.py",
+           "        return s if self.group.leq_values(s, self.unit) else None\n",
+           "        return s\n",
+           ("tests/test_representations.py::test_integer_chain_carrier",)),
+    # a bare group's arguments reach the search unchecked
+    Mutant("bare-group-values-unchecked", "src/kitealg/riesz.py",
+           "        return PositiveCone(obj), "
+           "[obj.check_value(v) for v in values]\n",
+           "        return PositiveCone(obj), values\n",
+           ("tests/test_riesz.py::"
+            "test_bare_group_arguments_are_checked_raw_values",)),
     # a group's structural key is its kind, so groups of one kind that
     # differ in a parameter compare equal
     Mutant("group-key-is-kind", "src/kitealg/pogroup.py",
