@@ -260,27 +260,37 @@ _RDP_TOKEN = {"rip": (RdpLevel.RIP,), "rdp0": (RdpLevel.RDP0,),
 _canonical_kite = functools.lru_cache(maxsize=8)(Kite)
 
 
-def run_check_token(token: str, kite: Kite, cfg: RunConfig,
-                    payloads: bool = True) -> tuple[dict, dict]:
-    """(verdicts by label, extra JSON payloads) for one check token; with
-    payloads false, only the classification, which a sweep row reads."""
-    w = Window(cfg.height, cfg.cap)
+def _check_units(token: str, kite: Kite, cfg: RunConfig, w: Window) -> list:
+    """The independent units of one check token, each a function of no
+    arguments returning (verdicts by label, payload renderers by name). No
+    unit reads another's result: axioms splits into the PEA axioms, the PMV
+    axioms (lattice bases) and the classification, rdp into its levels."""
+    if token == "axioms":
+        units = [lambda: (check_pea_axioms(kite, w), {})]
+        if kite.is_lattice:
+            units.append(lambda: (check_pmv_axioms(kite, w), {}))
+
+        def classification():
+            # descriptive, not pass/fail: an asymmetric or noncommutative
+            # kite is a valid kite
+            sym, com = check_symmetric(kite, w), check_commutative(kite, w)
+            return {}, {"classification": lambda: {
+                "symmetry": vjson(sym), "commutativity": vjson(com)}}
+
+        return units + [classification]
+    if token in _RDP_TOKEN:
+        return [lambda level=level: (
+                    {level.value: check_rdp_level(kite, level, w)}, {})
+                for level in _RDP_TOKEN[token]]
+    return [functools.partial(_one_unit, token, kite, cfg, w)]
+
+
+def _one_unit(token: str, kite: Kite, cfg: RunConfig, w: Window) -> tuple:
+    """(verdicts, payload renderers) of a token that is a single unit."""
     ser = kite.serialize
     verdicts: dict = {}
     extras: dict = {}  # payload name -> function that renders it
-    if token == "axioms":
-        verdicts.update(check_pea_axioms(kite, w))
-        if kite.is_lattice:
-            verdicts.update(check_pmv_axioms(kite, w))
-        # descriptive classification, not pass/fail: an asymmetric or
-        # noncommutative kite is a valid kite
-        sym, com = check_symmetric(kite, w), check_commutative(kite, w)
-        extras["classification"] = lambda: {
-            "symmetry": vjson(sym), "commutativity": vjson(com)}
-    elif token in _RDP_TOKEN:
-        for level in _RDP_TOKEN[token]:
-            verdicts[level.value] = check_rdp_level(kite, level, w)
-    elif token == "ideals":
+    if token == "ideals":
         extras["orbit_report"] = lambda: orbits(kite.shape).as_json()
         v, payload = least_normal_ideal(kite, w)
         verdicts["least_normal_ideal"] = v
@@ -327,8 +337,47 @@ def run_check_token(token: str, kite: Kite, cfg: RunConfig,
                               closed_flags={"downward": True, "sums": True,
                                             "exhaustive": False})
             verdicts["state_kernel_normal"] = is_normal(kite, kernel, w)
-    return verdicts, {k: render() for k, render in extras.items()
-                      if payloads or k == "classification"}
+    return verdicts, extras
+
+
+def _unvjson(d: dict) -> Verdict:
+    """The Verdict whose vjson is d."""
+    return Verdict(Status(d["status"]), d["checked"], d["skipped"],
+                   tuple(d["witness"].items()), d["reason"])
+
+
+def run_check_token(token: str, kite: Kite, cfg: RunConfig,
+                    payloads: bool = True) -> tuple[dict, dict]:
+    """(verdicts by label, extra JSON payloads) for one check token; with
+    payloads false, only the classification, which a sweep row reads.
+
+    With payloads, the token's units (_check_units) are computed in one
+    forked process per usable CPU (_map_forked), after the window sample is
+    built, so that every worker inherits it. A sweep cell, which renders no
+    payloads, runs its units serially, so no forked cell forks again. Each
+    unit hands back the vjson of its verdicts and its rendered payloads, and
+    the verdicts are rebuilt from them in unit order: the result is the same
+    however the units were run.
+    """
+    w = Window(cfg.height, cfg.cap)
+
+    def run(unit) -> tuple[dict, dict]:
+        verdicts, extras = unit()
+        return ({k: vjson(v) for k, v in verdicts.items()},
+                {k: render() for k, render in extras.items()
+                 if payloads or k == "classification"})
+
+    units = _check_units(token, kite, cfg, w)
+    if payloads:
+        results = _map_forked(run, units, before_fork=lambda: kite.elements(w))
+    else:
+        results = [run(unit) for unit in units]
+    verdicts: dict = {}
+    extras: dict = {}
+    for unit_verdicts, unit_extras in results:
+        verdicts.update((k, _unvjson(v)) for k, v in unit_verdicts.items())
+        extras.update(unit_extras)
+    return verdicts, extras
 
 
 def cmd_check(cfg: RunConfig) -> tuple[dict, int]:
@@ -422,23 +471,28 @@ def _share(fn, items: list, start: int, step: int) -> list:
     return out
 
 
-def _map_forked(fn, items: list) -> list:
+def _map_forked(fn, items: list, before_fork=None) -> list:
     """[fn(x) for x in items], in one forked process per usable CPU.
 
-    fn must return JSON values, which come back through a pipe, and change
-    no state but pure memos. With k processes, child i computes items i::k
-    and the parent items 0::k, so neighbouring (similar) items spread over
-    all of them. Every process stops at its first failing item. The parent
-    then computes, in item order, each item that did not come back: a
-    failing item raises here what a serial loop raises, and the items of a
-    child that died or sent nothing are computed again. Without os.fork or
-    os.sched_getaffinity, or with one CPU or item, the loop runs serially.
+    It maps the cells of a sweep and the units of a check token. fn must
+    return JSON values, which come back through a pipe, and change no state
+    but pure memos. With k processes, child i computes items i::k and the
+    parent items 0::k, so neighbouring (similar) items spread over all of
+    them. Every process stops at its first failing item. The parent then
+    computes, in item order, each item that did not come back: a failing
+    item raises here what a serial loop raises, and the items of a child
+    that died or sent nothing are computed again. Without os.fork or
+    os.sched_getaffinity, or with one CPU or item, the loop runs serially;
+    otherwise before_fork, when given, runs once in the parent before the
+    first fork, to build state that every child inherits.
     """
     k = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         k = min(len(os.sched_getaffinity(0)), len(items))
     if k < 2:
         return [fn(x) for x in items]
+    if before_fork is not None:
+        before_fork()
     pids, fds = [], []
     try:
         for start in range(1, k):

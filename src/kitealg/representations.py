@@ -13,6 +13,7 @@ a stored map is replayed instead of searching, and nothing writes the file.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from importlib import resources
@@ -167,7 +168,10 @@ def mapspec_family(shape: KiteShape) -> tuple:
                  in itertools.product(distinct, distinct, (False, True)))
 
 
+@functools.cache
 def _registry() -> dict:
+    """The bundled registry, read and parsed once per process. Only
+    stored_mapspec reads it, and it hands out frozen MapSpecs, not entries."""
     data = resources.files("kitealg").joinpath("data/mapspecs.json")
     return json.loads(data.read_text())
 

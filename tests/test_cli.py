@@ -19,7 +19,8 @@ from kitealg.ideals import canonical_form, orbits
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import Window, parse_group
 from kitealg.representations import verify_iso
-from test_golden import SWEEP_ARGV, SWEEP_GOLDEN, masked_report
+from test_golden import (CHECKS, FIXTURES, SWEEP_ARGV, SWEEP_GOLDEN,
+                         fixture_argv, golden_path, masked_report)
 
 SWAP_SHAPE = '{"n": 2, "lambda": "id", "rho": "swap"}'
 
@@ -421,9 +422,8 @@ def refuse_fork():
     raise AssertionError("os.fork called")
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
-def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
+def counting_forks(monkeypatch) -> list:
+    """The pids of the children forked from here on, as os.fork returns them."""
     forks = []
     real_fork = os.fork
 
@@ -434,10 +434,18 @@ def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, cpus):
         return pid
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_sweep_report_is_the_same_for_any_cpu_count(monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    forks = counting_forks(monkeypatch)
     code, report = masked_report(SWEEP_ARGV)
     assert code == 1
     assert report == SWEEP_GOLDEN.read_text()
-    # one process per CPU, at most one per cell (the golden sweep has 12)
+    # one process per CPU, at most one per cell (the golden sweep has 12);
+    # a cell runs its axioms units serially and forks no more
     assert len(forks) == min(cpus, 12) - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -520,6 +528,54 @@ def test_sweep_without_checks_or_with_one_cpu_never_forks(
     _, report, _ = run_json(capsys, ["sweep", "--grid", grid,
                                      "--checks", checks])
     assert len(report["cells"]) == 4
+
+
+# -- check units in forked processes -------------------------------------------------
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+def test_check_report_is_the_same_for_any_cpu_count(monkeypatch, cpus):
+    # axioms has three units on a lattice base (PEA, PMV, classification)
+    # and two on the strict cone, rdp one per level; the other tokens are
+    # one unit each and never fork
+    assert CHECKS.split(",")[:2] == ["axioms", "rdp"]
+    use_cpus(monkeypatch, cpus)
+    for group, n in FIXTURES:
+        forks = counting_forks(monkeypatch)
+        _, report = masked_report(fixture_argv(group, n))
+        assert report == golden_path(group, n).read_text(), (group, n)
+        axioms_units = 2 if group == "strictcone2" else 3
+        assert len(forks) == (min(cpus, axioms_units) - 1
+                              + min(cpus, 5) - 1), (group, n)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_check_on_one_cpu_never_forks(monkeypatch):
+    use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    _, report = masked_report(fixture_argv("z", 2))
+    assert report == golden_path("z", 2).read_text()
+
+
+def test_check_unit_error_in_a_worker_exits_64_like_the_serial_loop(
+        capsys, monkeypatch):
+    # with two or three processes the PMV unit, the second of axioms, is a
+    # worker's; the parent computes it again and raises the serial error
+    def broken_pmv(kite, w):
+        raise cli.UsageError("PMV unit broke")
+
+    monkeypatch.setattr(cli, "check_pmv_axioms", broken_pmv)
+    argv = ["check", "--group", "z", "--shape", SWAP_SHAPE, "--height", "1",
+            "--checks", "axioms"]
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        forks = counting_forks(monkeypatch)
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (64, "", "config error: PMV unit broke\n")
+        assert len(forks) == cpus - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # -- show -------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kitealg import perms
+from kitealg import perms, representations
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     CapabilityError,
@@ -139,6 +139,22 @@ def test_stored_mapspec_registry():
     assert stored_mapspec("perfect:2:(0 1)") == mapspec_family(swap)[0]
 
 
+def test_stored_mapspec_reads_the_registry_once(monkeypatch):
+    opened = []
+    files = representations.resources.files
+
+    def counting_files(package):
+        opened.append(package)
+        return files(package)
+
+    monkeypatch.setattr(representations.resources, "files", counting_files)
+    representations._registry.cache_clear()
+    first = stored_mapspec("scrimger:2")
+    assert stored_mapspec("scrimger:2") == first
+    assert stored_mapspec("missing:99") is None
+    assert opened == ["kitealg"]
+
+
 # -- isomorphism verification -----------------------------------------------------------
 
 
@@ -203,14 +219,27 @@ def test_iso_into_an_interval_target_builds_no_elem(elems_built):
 
 
 def test_shifted_image_fails():
+    # 0 -> 1 and 1 -> 2 is injective, so the first failure is the zero
+    k = mk(0, (), ())
+    target = IntervalPEA(Z, Z.make(2))
+    assert target.elements(Window(1)) == [0, 1, 2]
+    shifted = {k.zero: 1, k.one: 2}.get
+    v = verify_iso(k, target, shifted, Window(1))
+    assert v.status is Status.FAILS
+    assert v.checked == 2
+    assert v.reason == "zero is not preserved"
+
+
+def test_merged_images_fail():
     k = mk(0, (), ())
     target = IntervalPEA(Z, Z.make(1))
 
-    def shifted(x):
+    def merged(x):
         return 0
 
-    v = verify_iso(k, target, shifted, Window(1))
+    v = verify_iso(k, target, merged, Window(1))
     assert v.status is Status.FAILS
+    assert v.reason == "two elements share an image"
 
 
 def test_relabel_map_and_inverse_verify():

@@ -35,6 +35,7 @@ from kitealg.riesz import (
     rdp0_split,
 )
 from kitealg.verdict import Status, Tally, holds
+from test_cli import use_cpus
 
 Z = Integers()
 SC = StrictCone2()
@@ -732,7 +733,9 @@ def test_base_searches_run_once_per_key(monkeypatch):
     asks for 2,790 base tables on 84 distinct argument tuples, which fold to
     57 keys once the flip and the level are normalised, and for 1,266 base
     splits on 23 tuples. Each key is searched once, and a second run in the
-    same process searches nothing."""
+    same process searches nothing. It runs on one CPU, so that no level is
+    computed in a forked worker, whose calls this process cannot count."""
+    use_cpus(monkeypatch, 1)
     runs = []
     base_table, base_split = riesz._base_table, riesz._base_split
     search = riesz.find_refinement

@@ -234,10 +234,29 @@ MUTANTS = [
             "test_kites_sharing_one_shape_keep_separate_tables",)),
     # a sweep row renders no payload at all, the classification included
     Mutant("sweep-row-drops-classification", "src/kitealg/cli.py",
-           '                      if payloads or k == "classification"}\n',
-           "                      if payloads}\n",
+           '                 if payloads or k == "classification"})\n',
+           "                 if payloads})\n",
            ("tests/test_cli.py::"
             "test_sweep_row_matches_the_check_report_of_its_cell",)),
+    # the map registry is read and parsed again on every lookup
+    Mutant("registry-read-per-lookup", "src/kitealg/representations.py",
+           "@functools.cache\ndef _registry() -> dict:\n",
+           "def _registry() -> dict:\n",
+           ("tests/test_representations.py::"
+            "test_stored_mapspec_reads_the_registry_once",)),
+    # a sweep cell forks its check units, so forked cells fork again
+    Mutant("sweep-cell-forks-its-units", "src/kitealg/cli.py",
+           "    if payloads:\n        results = _map_forked(",
+           "    if True:\n        results = _map_forked(",
+           ("tests/test_cli.py::"
+            "test_sweep_report_is_the_same_for_any_cpu_count",)),
+    # check computes every unit of a token in one process, whatever the
+    # number of CPUs
+    Mutant("check-never-forks", "src/kitealg/cli.py",
+           "    if payloads:\n        results = _map_forked(",
+           "    if False:\n        results = _map_forked(",
+           ("tests/test_cli.py::"
+            "test_check_report_is_the_same_for_any_cpu_count",)),
     # the parent raises the first failure of its own share, not the one of
     # the lowest cell
     Mutant("fork-parent-share-raises", "src/kitealg/cli.py",
