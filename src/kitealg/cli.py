@@ -3,7 +3,9 @@ window tables, and emit deterministic reports.
 
 Exit codes (for a sweep, over all cells): 0 when every requested check
 Holds, 1 when anything Fails, 2 when nothing Fails but some result is
-Unknown, 64 for configuration errors and budget refusals.
+Unknown, 64 for configuration errors and budget refusals. main(argv)
+returns the code; the program (console_main) flushes stdout and stderr and
+leaves through os._exit, skipping the interpreter's teardown.
 
 Reports are reproducible: given the same config the JSON is byte-identical
 except for the wall_ms timing fields.
@@ -711,5 +713,21 @@ def main(argv=None) -> int:
         return 64
 
 
+def console_main() -> int:
+    """The kitealg program: main() on sys.argv, then os._exit with its code
+    once stdout and stderr are flushed, which skips the interpreter's
+    teardown (a last garbage collection and freeing every object). An
+    exception from main propagates as usual. A flush that fails (a closed
+    pipe) returns the code instead, so that sys.exit's own flush reports
+    the error and exits 120."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

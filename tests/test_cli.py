@@ -41,6 +41,24 @@ def strip_clock(report):
     return re.sub(r'"wall_ms": [0-9.]+', '"wall_ms": 0', blob)
 
 
+def child_env(**changes) -> dict:
+    """The environment of a child interpreter that imports this checkout's
+    kitealg, with stdout buffered as it is by default: PYTHONUNBUFFERED
+    would hide output that is never flushed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **changes)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_program(argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """The kitealg program on argv, in a child interpreter."""
+    return subprocess.run([sys.executable, "-m", "kitealg.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=child_env())
+
+
 # -- check ------------------------------------------------------------------------
 
 
@@ -252,16 +270,13 @@ def test_warm_base_memos_leave_the_report_unchanged(capsys):
 
 
 def test_report_is_identical_across_hash_seeds():
-    src = str(Path(__file__).resolve().parent.parent / "src")
     argv = [sys.executable, "-m", "kitealg.cli", "check", "--group", "z",
             "--shape", SWAP_SHAPE, "--height", "1",
             "--checks", "axioms,rdp0,ideals,iso,state", "--format", "json"]
     reports = []
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        proc = subprocess.run(argv, capture_output=True, text=True,
+                              env=child_env(PYTHONHASHSEED=seed))
         assert proc.returncode == 0, proc.stderr
         reports.append(re.sub(r'"wall_ms": [0-9]+', '"wall_ms": 0', proc.stdout))
     assert reports[0] == reports[1]
@@ -489,11 +504,8 @@ cli.main(["sweep", "--grid", '{"groups":["z","z2","z3"],"n":[1]}',
 def test_sweep_cell_error_is_the_serial_error_for_any_cpu_count(cpus):
     # the failing cell is a worker's with 2 or 3 CPUs; the parent computes
     # it again and raises the serial error, and no worker prints anything
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", FAILING_SWEEP, str(cpus)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.count("Traceback") == 1
     assert proc.stderr.endswith("\nZeroDivisionError: cell broke\n")
@@ -670,10 +682,72 @@ def test_show_budget_counts_the_capped_carrier(capsys):
 # -- wiring -----------------------------------------------------------------------
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "kitealg.cli", "check", "--height", "1",
-         "--checks", "axioms", "--format", "json"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    json.loads(proc.stdout)
+STRICT_CONE_N1 = ["check", "--group", "strictcone2",
+                  "--shape", '{"n": 1, "lambda": "id", "rho": "id"}']
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--height", "1", "--checks", "axioms"], 0),
+    (STRICT_CONE_N1 + ["--height", "3", "--cap", "24", "--checks", "rdp0"], 1),
+    (STRICT_CONE_N1 + ["--height", "1", "--checks", "ideals"], 2),
+    (["check", "--checks", "axioms,nope"], 64),
+], ids=["0", "1", "2", "64"])
+def test_module_entry_point_runs(argv, code):
+    # the exit code is main's, through the program's os._exit
+    proc = run_program(argv + ["--format", "json"])
+    assert proc.returncode == code, proc.stderr
+    if code == 64:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: field 'checks'")
+    else:
+        assert json.loads(proc.stdout)["exit_code"] == code
+
+
+def _masked(text: str) -> str:
+    """text with the wall time of every check section set to 0, in the
+    JSON report and in the text one."""
+    text = re.sub(r'"wall_ms": [0-9]+', '"wall_ms": 0', text)
+    return re.sub(r"^(\[\w+\]) \([0-9]+ ms\)$", r"\1 (0 ms)", text,
+                  flags=re.M)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--height", "1", "--checks", "axioms,rdp0", "--format", "json"],
+    ["check", "--height", "1", "--checks", "axioms,rdp0", "--format", "text"],
+    SWEEP_ARGV,
+    ["check", "--height", "1", "--checks", "axioms,state", "--out", "OUT"],
+], ids=["check-json", "check-text", "sweep", "out-file"])
+def test_program_prints_what_main_prints(capsys, tmp_path, argv):
+    # the program leaves through os._exit, so whatever it does not flush
+    # itself is lost; the sweep report is larger than the stdout buffer
+    argv = [str(tmp_path / a) if a == "OUT" else a for a in argv]
+    proc = run_program(argv)
+    out_file = tmp_path / "OUT"
+    child_file = out_file.read_text() if "--out" in argv else None
+    code, out, _ = run(capsys, argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ""
+    assert _masked(proc.stdout) == _masked(out) != ""
+    if argv[0] == "sweep":
+        assert len(proc.stdout.encode()) > 8192
+    if child_file is not None:
+        assert _masked(child_file) == _masked(out_file.read_text()) != ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the report fits the stdout buffer: the program's flush fails, and
+    # the interpreter's own flush at exit reports it
+    (["check", "--height", "1", "--checks", "axioms"], 120),
+    # the report does not fit: print raises in main
+    (SWEEP_ARGV, 1),
+], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_an_error_exit(argv, code):
+    # no process holds the read end, so every write to the pipe fails
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_program(argv, stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == code
+    assert "BrokenPipeError" in proc.stderr

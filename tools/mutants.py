@@ -329,6 +329,22 @@ MUTANTS = [
            "        if out > bound:\n            pass\n",
            ("tests/test_cli.py::"
             "test_count_stops_at_the_first_product_past_the_bound",)),
+    # the program leaves without flushing stdout, so a report still in
+    # the buffer is lost
+    Mutant("program-exits-before-stdout-flush", "src/kitealg/cli.py",
+           "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+           "        sys.stderr.flush()\n",
+           ("tests/test_cli.py::test_program_prints_what_main_prints",)),
+    # the program exits 0 whatever main returned
+    Mutant("program-exits-0", "src/kitealg/cli.py",
+           "    os._exit(code)\n",
+           "    os._exit(0)\n",
+           ("tests/test_cli.py::test_module_entry_point_runs",)),
+    # a failed flush is swallowed, so a lost report exits 0
+    Mutant("program-swallows-flush-error", "src/kitealg/cli.py",
+           "    except OSError:\n        return code\n",
+           "    except OSError:\n        pass\n",
+           ("tests/test_cli.py::test_closed_stdout_is_an_error_exit",)),
 ]
 
 
