@@ -23,9 +23,9 @@ from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
                       UsageError, Window, check_group_laws, cone_window,
                       enumerate_interval, enumerate_window, integer_product,
                       parse_group)
-from .representations import (IntervalPEA, MapSpec, mapspec_family,
-                              perfect_representation, scrimger_fixture,
-                              stored_mapspec, twisted_lex_group, verify_iso)
+from .representations import (IntervalPEA, MapSpec, perfect_representation,
+                              scrimger_fixture, stored_mapspec,
+                              twisted_lex_group, verify_iso)
 from .riesz import (RdpLevel, RefinementTable, check_com, check_rdp_level,
                     find_interpolant, find_refinement,
                     kite_rdp0_split_constructive,
@@ -47,7 +47,7 @@ __all__ = [
     "find_interpolant", "find_refinement",
     "ideal_closure", "integer_product", "is_normal",
     "kite_rdp0_split_constructive", "kite_refinement_constructive",
-    "least_normal_ideal", "least_o_ideal", "mapspec_family",
+    "least_normal_ideal", "least_o_ideal",
     "normal_ideal_generated", "orbits", "parse_group",
     "perfect_representation", "perfect_split", "rdp0_split",
     "scrimger_fixture", "stored_mapspec", "twisted_lex_group",

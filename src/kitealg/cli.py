@@ -5,7 +5,8 @@ Exit codes (for a sweep, over all cells): 0 when every requested check
 Holds, 1 when anything Fails, 2 when nothing Fails but some result is
 Unknown, 64 for configuration errors and budget refusals. main(argv)
 returns the code; the program (console_main) flushes stdout and stderr and
-leaves through os._exit, skipping the interpreter's teardown.
+leaves through os._exit, skipping the interpreter's teardown, and exits 120
+when its report cannot be written.
 
 Reports are reproducible: given the same config the JSON is byte-identical
 except for the wall_ms timing fields.
@@ -169,6 +170,8 @@ def _validate(cfg: RunConfig) -> None:
             "field 'seed': must be an integer or null")
     _expect(cfg.out is None or isinstance(cfg.out, str),
             "field 'out': must be a file name or null")
+    _expect(isinstance(cfg.checks, (list, tuple)),
+            "field 'checks': must be a list of names or a comma string")
     checks = tuple(cfg.checks)
     for c in checks:
         _expect(c in CHECK_TOKENS,
@@ -319,8 +322,7 @@ def _one_unit(token: str, kite: Kite, cfg: RunConfig, w: Window) -> tuple:
         if kite.shape.lam == kite.shape.rho and kite.base.is_lattice:
             target, spec, v = perfect_representation(kite, w)
             verdicts["perfect_representation"] = v
-            if spec is not None:
-                extras["representation_map"] = spec.as_json
+            extras["representation_map"] = spec.as_json
             extras["representation_target"] = target.name
     elif token == "state":
         split = perfect_split(kite, w, nmax=cfg.nmax)
@@ -717,15 +719,17 @@ def console_main() -> int:
     """The kitealg program: main() on sys.argv, then os._exit with its code
     once stdout and stderr are flushed, which skips the interpreter's
     teardown (a last garbage collection and freeing every object). An
-    exception from main propagates as usual. A flush that fails (a closed
-    pipe) returns the code instead, so that sys.exit's own flush reports
-    the error and exits 120."""
-    code = main()
+    OSError from main or from the flush (a closed stdout pipe, whatever the
+    report's size) means that no whole report was written: it is named on
+    stderr and the program exits 120, as Python does when its own flush at
+    exit fails. Any other exception from main propagates (exit 1)."""
     try:
+        code = main()
         sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        return code
+    except OSError as exc:
+        print(f"kitealg: report not written: {exc!r}", file=sys.stderr)
+        code = 120
+    sys.stderr.flush()
     os._exit(code)
 
 

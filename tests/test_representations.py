@@ -1,5 +1,6 @@
 """Interval algebras, map specifications, and isomorphism verification."""
 
+import itertools
 import json
 
 import pytest
@@ -18,7 +19,6 @@ from kitealg.pogroup import (
 from kitealg.representations import (
     IntervalPEA,
     MapSpec,
-    mapspec_family,
     perfect_representation,
     scrimger_fixture,
     stored_mapspec,
@@ -110,7 +110,9 @@ def test_mapspec_json_roundtrip():
     assert back.invert == spec.invert
     # a map is its JSON: equal JSON, equal maps
     assert back == spec
-    for m in mapspec_family(KiteShape(3, (1, 2, 0), (0, 1, 2), Z)):
+    three = list(itertools.permutations(range(3)))
+    for m in itertools.starmap(MapSpec, itertools.product(
+            three, three, (False, True))):
         assert MapSpec.from_json(m.as_json()) == m
 
 
@@ -119,24 +121,15 @@ def test_mapspec_validation():
         MapSpec(tau_lower=(0, 0), tau_upper=(0, 1))
 
 
-def test_mapspec_family_contains_standard_maps():
-    shape = KiteShape(3, (1, 2, 0), (0, 1, 2), Z)
-    fam = mapspec_family(shape)
-    pairs = {(m.tau_lower, m.tau_upper) for m in fam}
-    ident = tuple(perms.identity(3))
-    assert (ident, ident) in pairs
-    assert any(m.invert for m in fam)
-    assert len(fam) == len({(m.tau_lower, m.tau_upper, m.invert) for m in fam})
-
-
 def test_stored_mapspec_registry():
     spec = stored_mapspec("scrimger:2")
     assert spec is not None
     assert spec.as_json() == {"tauL": [1, 0], "tauU": [0, 1], "invert": False}
     assert stored_mapspec("missing:99") is None
-    # the stored perfect map is the family's first candidate, the identity
-    swap = KiteShape(2, (1, 0), (1, 0), Z)
-    assert stored_mapspec("perfect:2:(0 1)") == mapspec_family(swap)[0]
+    for n in (2, 3, 4):
+        assert stored_mapspec(f"scrimger:{n}") == scrimger_fixture(n)[2]
+    # the stored perfect map is the identity re-indexing
+    assert stored_mapspec("perfect:2:(0 1)") == MapSpec((0, 1), (0, 1))
 
 
 def test_stored_mapspec_reads_the_registry_once(monkeypatch):
@@ -242,6 +235,23 @@ def test_merged_images_fail():
     assert v.reason == "two elements share an image"
 
 
+def test_a_target_without_images_is_a_usage_error():
+    # an interval of Z^2 is neither a TwistedLex interval nor Z at n = 0
+    k = mk(1, (0,), (0,))
+    g = integer_product(2)
+    target = IntervalPEA(g, g.make((1, 1)))
+    spec = MapSpec(tau_lower=(0,), tau_upper=(0,))
+    with pytest.raises(UsageError, match="maps only into"):
+        spec.apply(k.zero, target)
+    with pytest.raises(UsageError, match="maps only into"):
+        verify_iso(k, target, spec, Window(1))
+    with pytest.raises(UsageError, match="no image"):
+        verify_iso(k, target, lambda x: None, Window(1))
+    # Z takes only the n = 0 kite
+    with pytest.raises(UsageError, match="maps only into"):
+        spec.apply(k.zero, IntervalPEA(Z, Z.make(1)))
+
+
 def test_relabel_map_and_inverse_verify():
     a = KiteShape(3, (1, 2, 0), (0, 1, 2), Z)
     from kitealg.ideals import canonical_form
@@ -260,6 +270,27 @@ def test_perfect_representation_same_direction():
     assert v.ok, v.describe()
     assert target.group.lam == (1, 0)
     assert spec.as_json()["invert"] is False
+
+
+LATTICE_BASES = {"z": Z, "z2": integer_product(2),
+                 "lex": TwistedLexGroup(1, (0,), (0,), Z)}
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("base", LATTICE_BASES)
+def test_perfect_representation_is_the_identity_map(base, n):
+    # every symmetric shape at heights 1 and 2, uncapped; a capped window is
+    # a prefix of the uncapped one on both sides, so a capped run checks a
+    # subset of these instances and cannot fail. Z^2 and lex at n = 3,
+    # height 2 (about 2.1 million pairs each) are left out.
+    ident = tuple(range(n))
+    for lam, h in itertools.product(itertools.permutations(range(n)), (1, 2)):
+        if n == 3 and h == 2 and base != "z":
+            continue
+        _, spec, v = perfect_representation(
+            mk(n, lam, lam, LATTICE_BASES[base]), Window(h))
+        assert spec == MapSpec(ident, ident)
+        assert v.ok and v.skipped == 0, (lam, h, v.describe())
 
 
 def test_perfect_representation_requires_symmetry():

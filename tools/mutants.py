@@ -332,19 +332,52 @@ MUTANTS = [
     # the program leaves without flushing stdout, so a report still in
     # the buffer is lost
     Mutant("program-exits-before-stdout-flush", "src/kitealg/cli.py",
-           "        sys.stdout.flush()\n        sys.stderr.flush()\n",
-           "        sys.stderr.flush()\n",
+           "        code = main()\n        sys.stdout.flush()\n",
+           "        code = main()\n",
            ("tests/test_cli.py::test_program_prints_what_main_prints",)),
     # the program exits 0 whatever main returned
     Mutant("program-exits-0", "src/kitealg/cli.py",
            "    os._exit(code)\n",
            "    os._exit(0)\n",
            ("tests/test_cli.py::test_module_entry_point_runs",)),
-    # a failed flush is swallowed, so a lost report exits 0
+    # a failed write is swallowed, so a lost report that fits the stdout
+    # buffer exits 0, and a larger one exits 1
     Mutant("program-swallows-flush-error", "src/kitealg/cli.py",
-           "    except OSError:\n        return code\n",
-           "    except OSError:\n        pass\n",
+           "        code = 120\n",
+           "        pass\n",
            ("tests/test_cli.py::test_closed_stdout_is_an_error_exit",)),
+    # a config file's checks are read whatever their type
+    Mutant("checks-of-any-type", "src/kitealg/cli.py",
+           "    _expect(isinstance(cfg.checks, (list, tuple)),\n",
+           "    _expect(True,\n",
+           ("tests/test_cli.py::test_malformed_config_file_values_exit_64",)),
+    # a capped target element that no window element maps to counts as
+    # checked
+    Mutant("iso-unreached-target-counted-as-hit",
+           "src/kitealg/representations.py",
+           '            t.skip("target window element not reached")\n',
+           "            t.hit()\n",
+           ("tests/test_cli.py::"
+            "test_capped_perfect_representation_skips_an_unreached_target",)),
+    # the perfect representation verifies a map other than the
+    # construction's own
+    Mutant("perfect-representation-reversed-upper-map",
+           "src/kitealg/representations.py",
+           "    spec = MapSpec(ident, ident)\n",
+           "    spec = MapSpec(ident, ident[::-1])\n",
+           ("tests/test_golden.py",
+            "tests/test_acceptance.py::"
+            "test_criterion_07_interval_representations")),
+    # a target that no map spec maps into gives None images instead of an
+    # error
+    Mutant("mapspec-apply-none-for-unsupported-target",
+           "src/kitealg/representations.py",
+           '        raise UsageError("a map spec maps only into a kite or an '
+           'interval "\n'
+           '                         "of a TwistedLex group (of Z at n = 0)")\n',
+           "        return None\n",
+           ("tests/test_representations.py::"
+            "test_a_target_without_images_is_a_usage_error",)),
 ]
 
 
