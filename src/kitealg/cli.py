@@ -29,7 +29,7 @@ from .axioms import (check_commutative, check_pea_axioms, check_pmv_axioms,
 from .ideals import (IdealSet, canonical_form, is_normal, least_normal_ideal,
                      normal_ideal_generated, orbits)
 from .kite import Kite, KiteShape
-from .pogroup import UsageError, Window, cone_window, parse_group
+from .pogroup import UsageError, Window, check_perms, cone_window, parse_group
 from .record import Record
 from .representations import perfect_representation, verify_iso
 from .riesz import RdpLevel, check_rdp_level
@@ -184,10 +184,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def _parse_perm(spec, n: int, fieldname: str) -> tuple:
     if isinstance(spec, (list, tuple)):
-        try:
-            return tuple(perms.check_perm(spec, n))
-        except ValueError as exc:
-            raise UsageError(f"field '{fieldname}': {exc}")
+        return check_perms(n, f"field '{fieldname}'", spec)[0]
     if isinstance(spec, str):
         name = spec.strip().lower()
         if name in ("id", "identity"):

@@ -8,12 +8,12 @@ z + x = x + y and x + z = y + x; the solution is unique in a pseudo effect
 algebra, so a solution found inside the window but outside the ideal is a
 definite failure, while a solution outside the window only counts as a skip.
 
-On a kite over an abelian base a lower member y = lower(g) has closed-form
-solutions that depend only on x's tag: z = y for a lower x, and for an upper
-x z = lower(g[rho^-1(lam(j))]) on the left and lower(g[lam^-1(rho(j))]) on
-the right (cancel u_i in the mixed sums of kite.py), which are y's two
-double complements. Only the definedness of x + y and y + x still depends on
-x. Upper members, and any other algebra or base, are solved per instance.
+On a kite over an abelian base a lower member y has closed-form solutions
+that depend only on x's tag: z = y for a lower x, and for an upper x y's two
+double complements, (y')' on the left and the mirror image on the right
+(cancel u_i in the mixed sums of kite.py). Only the definedness of x + y and
+y + x still depends on x. Upper members, and any other algebra or base, are
+solved per instance.
 
 Connectivity of the two twisting bijections drives everything in the second
 half: sigma = rho o lam^-1 is reported per shape, while element-level orbit
@@ -125,12 +125,11 @@ def _closed_form(P: Algebra) -> bool:
     return isinstance(P, Kite) and P.base.is_abelian
 
 
-def _lower_conjugates(kite: Kite, y) -> tuple:
-    """(left, right) closed-form z of a lower member y against an upper x:
-    y's coordinates re-indexed through rho^-1 o lam and lam^-1 o rho."""
-    g = y.coords
-    return (kite.intern(LOWER, [g[kite.rho_inv[i]] for i in kite.lam]),
-            kite.intern(LOWER, [g[kite.lam_inv[i]] for i in kite.rho]))
+def _double_complements(P: Algebra, m) -> tuple:
+    """(left, right) double complements of m: by the module docstring, a
+    lower kite member's closed-form z against an upper x."""
+    return (P.complement_left(P.complement_left(m)),
+            P.complement_right(P.complement_right(m)))
 
 
 def _companions(P: Algebra, x, y, zs=None):
@@ -173,7 +172,7 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     ser = P.serialize
     conjugates = {}
     if _closed_form(P):
-        conjugates = {y: _lower_conjugates(P, y)
+        conjugates = {y: _double_complements(P, y)
                       for y in members if y.tag == LOWER}
     for x in sample:
         for y in members:
@@ -238,8 +237,7 @@ def normal_ideal_generated(P: Algebra, a, w: Window,
                     for _, _, z in _companions(P, t_el, m):
                         if z is not None and z in universe:
                             new.add(z)
-            for img in (P.complement_left(P.complement_left(m)),
-                        P.complement_right(P.complement_right(m))):
+            for img in _double_complements(P, m):
                 if img in universe:
                     new.add(img)
         if new == members:
@@ -265,24 +263,23 @@ def _support_orbit_components(shape: KiteShape) -> tuple:
 
 
 def least_o_ideal(group: PoGroup):
-    """(Verdict, descriptor) for existence of a least non-trivial o-ideal.
+    """(Verdict, least) for existence of a least non-trivial o-ideal.
 
-    Builtin groups are answered analytically, with the reasoning recorded in
-    the descriptor; any other group stays Unknown.
+    Builtin groups are answered analytically, with the reasoning in the
+    verdict; any other group stays Unknown. least names the least o-ideal
+    when the verdict holds: "whole-group", or "coordinate-block" (on a
+    TwistedLex group, the block over the base's least o-ideal); else None.
     """
     if group.is_trivial:
-        return (fails(reason="no non-trivial o-ideal exists"),
-                {"kind": "trivial", "least": None})
+        return fails(reason="no non-trivial o-ideal exists"), None
     if isinstance(group, Integers):
         return (holds(checked=1,
                       reason="only subgroups are k-multiples; convexity"
-                             " forces the whole group"),
-                {"kind": "whole-group", "least": "whole-group"})
+                             " forces the whole group"), "whole-group")
     if isinstance(group, StrictCone2):
         return (holds(checked=1,
                       reason="any non-trivial convex directed subgroup"
-                             " grows to the whole group"),
-                {"kind": "whole-group", "least": "whole-group"})
+                             " grows to the whole group"), "whole-group")
     if isinstance(group, Product):
         nontrivial = [i for i, c in enumerate(group.components)
                       if not c.is_trivial]
@@ -290,38 +287,25 @@ def least_o_ideal(group: PoGroup):
             i, j = nontrivial[0], nontrivial[1]
             return (fails(witness={"axis_a": i, "axis_b": j},
                           reason="two factor axes are o-ideals meeting"
-                                 " only in the identity"),
-                    {"kind": "product", "least": None,
-                     "axes": [i, j]})
-        sub, desc = least_o_ideal(group.components[nontrivial[0]])
-        desc = dict(desc)
-        desc["kind"] = "product-single-axis"
-        desc["axis"] = nontrivial[0]
-        return sub, desc
+                                 " only in the identity"), None)
+        return least_o_ideal(group.components[nontrivial[0]])
     if isinstance(group, TwistedLexGroup):
-        base_v, base_desc = least_o_ideal(group.base)
+        base_v, _ = least_o_ideal(group.base)
         joint = _joint_orbits(group.lam, group.rho)
         if len(joint) > 1 and not group.base.is_trivial:
             return (fails(witness={"components": [list(c) for c in joint]},
                           reason="coordinate components are separated"
-                                 " o-ideals"),
-                    {"kind": "twisted-lex", "least": None,
-                     "components": [list(c) for c in joint]})
+                                 " o-ideals"), None)
         if base_v.failed:
             return (fails(witness=base_v.witness_dict() or None,
-                          reason="base group has no least o-ideal"),
-                    {"kind": "twisted-lex", "least": None,
-                     "base": base_desc})
+                          reason="base group has no least o-ideal"), None)
         if base_v.ok:
             return (holds(checked=1,
                           reason="coordinate block over the base least"
-                                 " o-ideal"),
-                    {"kind": "twisted-lex", "least": "coordinate-block",
-                     "base": base_desc})
-        return base_v, {"kind": "twisted-lex", "base": base_desc}
+                                 " o-ideal"), "coordinate-block")
+        return base_v, None
     return (unknown(skipped=1,
-                    reason="o-ideal lattice not analytically known"),
-            {"kind": group.kind, "least": None})
+                    reason="o-ideal lattice not analytically known"), None)
 
 
 def _joint_orbits(lam, rho) -> tuple:
@@ -382,10 +366,10 @@ def least_normal_ideal(kite: Kite, w: Window):
     if not base.is_lattice and not _base_has_rdp1(base):
         return (unknown(skipped=1, reason="base RDP1 not established"), None)
     report = orbits(kite.shape)
-    base_v, base_desc = least_o_ideal(base)
+    base_v, least = least_o_ideal(base)
     if base_v.ok and report.connected:
         ideal = _lower_component_ideal(kite, range(kite.n), w,
-                                       base_o_ideal=base_desc.get("least"))
+                                       base_o_ideal=least)
         v = holds(checked=len(ideal.elements),
                   reason="connected shape over a base with least o-ideal")
         return v, ideal

@@ -33,7 +33,8 @@ import itertools
 from typing import Optional
 
 from . import perms
-from .pogroup import CapabilityError, PoGroup, UsageError, Window, cone_window
+from .pogroup import (CapabilityError, PoGroup, UsageError, Window,
+                      check_perms, cone_window)
 from .record import Frozen, setfield
 
 
@@ -43,8 +44,7 @@ class KiteShape(Frozen):
     _fields = ("n", "lam", "rho", "base")
 
     def __init__(self, n: int, lam, rho, base: PoGroup) -> None:
-        lam = tuple(perms.check_perm(lam, n))
-        rho = tuple(perms.check_perm(rho, n))
+        lam, rho = check_perms(n, "kite shape twist", lam, rho)
         setfield(self, "n", n)
         setfield(self, "lam", lam)
         setfield(self, "rho", rho)

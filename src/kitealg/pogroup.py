@@ -41,6 +41,15 @@ class CapabilityError(UsageError):
     """Operation requires a capability the structure does not have."""
 
 
+def check_perms(n: int, what: str, *tables) -> tuple:
+    """The tables as tuples, each a permutation of range(n), or UsageError
+    led by what."""
+    try:
+        return tuple(tuple(perms.check_perm(p, n)) for p in tables)
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}")
+
+
 class Window(Frozen):
     """Enumeration bound.
 
@@ -467,11 +476,7 @@ class TwistedLexGroup(PoGroup):
 
     def __init__(self, n: int, lam, rho, base: PoGroup):
         self.n = n
-        try:
-            self.lam = tuple(perms.check_perm(lam, n))
-            self.rho = tuple(perms.check_perm(rho, n))
-        except ValueError as exc:
-            raise UsageError(f"TwistedLex twist: {exc}")
+        self.lam, self.rho = check_perms(n, "TwistedLex twist", lam, rho)
         if perms.compose(self.lam, self.rho) != perms.compose(self.rho, self.lam):
             raise UsageError("TwistedLex requires commuting index bijections")
         self.rho_lam = tuple(perms.compose(self.rho, self.lam))

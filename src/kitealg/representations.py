@@ -3,11 +3,11 @@ window isomorphism verification between kites and interval algebras.
 
 The bridge objects here are finite piecewise maps (MapSpec): a lower element
 maps to leading integer 0 and an upper element to leading integer 1, with the
-coordinate tuple re-indexed through a stored permutation per tag and
-optionally inverted. A symmetric kite's perfect representation uses the
-construction's own map, the identity re-indexing. The bundled registry,
-data/mapspecs.json, is a fixed file of known maps that stored_mapspec reads
-for the acceptance fixtures; nothing writes the file.
+coordinate tuple re-indexed through a stored permutation per tag. A symmetric
+kite's perfect representation uses the construction's own map, the identity
+re-indexing. The bundled registry, data/mapspecs.json, is a fixed file of
+known maps that stored_mapspec reads for the acceptance fixtures; nothing
+writes the file.
 """
 
 from __future__ import annotations
@@ -97,34 +97,31 @@ class MapSpec(Frozen):
 
     Lower(f) goes to leading 0, Upper(u) to leading 1 (or to the same tags
     when apply is given a Kite); new coordinate i reads old coordinate tau[i]
-    for the tag's tuple, inverted elementwise when invert is set. The fields
-    are exactly the JSON form, so equal JSON means equal maps.
+    for the tag's tuple. The two tables, permutations of one range(n), are
+    the whole map; its JSON form adds "invert": false.
     """
 
-    _fields = ("tau_lower", "tau_upper", "invert")
+    _fields = ("tau_lower", "tau_upper")
 
-    def __init__(self, tau_lower, tau_upper, invert: bool = False) -> None:
-        tau_lower, tau_upper = tuple(tau_lower), tuple(tau_upper)
-        for tau in (tau_lower, tau_upper):
-            if sorted(tau) != list(range(len(tau))):
-                raise UsageError("index tables must be permutations")
+    def __init__(self, tau_lower, tau_upper) -> None:
+        tau_lower, tau_upper = pg.check_perms(
+            len(tau_lower), "map spec index table", tau_lower, tau_upper)
         setfield(self, "tau_lower", tau_lower)
         setfield(self, "tau_upper", tau_upper)
-        setfield(self, "invert", invert)
 
     def as_json(self) -> dict:
         return {"tauL": list(self.tau_lower),
                 "tauU": list(self.tau_upper),
-                "invert": self.invert}
+                "invert": False}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MapSpec":
-        return cls(obj["tauL"], obj["tauU"], bool(obj["invert"]))
+        if obj["invert"] is not False:
+            raise UsageError("a map spec does not invert coordinates")
+        return cls(obj["tauL"], obj["tauU"])
 
     def inverse(self) -> "MapSpec":
         """The inverse of a kite-to-kite re-indexing."""
-        if self.invert:
-            raise UsageError("coordinate-inverting maps do not invert here")
         return MapSpec(perms.inverse(self.tau_lower),
                        perms.inverse(self.tau_upper))
 
@@ -134,9 +131,6 @@ class MapSpec(Frozen):
         of its group, checked by it. Any other target raises UsageError."""
         tau = self.tau_lower if x.tag == LOWER else self.tau_upper
         vals = tuple(x.coords[t] for t in tau)
-        if self.invert:
-            inv = x.shape.base.inv_value
-            vals = tuple(inv(v) for v in vals)
         if isinstance(target, Kite):
             return target.intern(x.tag, vals)
         group = target.group if isinstance(target, IntervalPEA) else None

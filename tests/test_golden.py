@@ -7,7 +7,9 @@ n = 1..3 and the axioms, rdp, ideals, iso and state checks, plus one
 which pins the row order of a sweep whichever way its cells were split over
 processes. The stored reports have every `wall_ms` set to 0; everything else must match byte for
 byte, so a change that alters any verdict, witness, count or payload shows
-up here.
+up here. The default text rendering of three of these commands (one check,
+the show table and the sweep) is stored too, with every `[token] (N ms)`
+line at 0 ms.
 
 Regenerate the corpus (only when a report change is intended) with
 
@@ -39,6 +41,7 @@ SWEEP_ARGV = ["sweep", "--grid", '{"groups":["z","strictcone2"],"n":[0,1,2],'
 SWEEP_GOLDEN = GOLDEN / "sweep_n0-2.json"
 
 _CLOCK = re.compile(r'"wall_ms": [0-9]+')
+_TEXT_CLOCK = re.compile(r"^(\[[a-z]+\]) \([0-9]+ ms\)$", re.MULTILINE)
 
 
 def fixture_argv(group: str, n: int) -> list:
@@ -46,16 +49,33 @@ def fixture_argv(group: str, n: int) -> list:
             "--cap", "10", "--checks", CHECKS, "--format", "json"]
 
 
-def masked_report(argv: list) -> tuple[int, str]:
-    """(exit code, stdout JSON report with every wall_ms set to 0)."""
+def _run(argv: list) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
-    return code, _CLOCK.sub('"wall_ms": 0', buf.getvalue())
+    return code, buf.getvalue()
+
+
+def masked_report(argv: list) -> tuple[int, str]:
+    """(exit code, stdout JSON report with every wall_ms set to 0)."""
+    code, out = _run(argv)
+    return code, _CLOCK.sub('"wall_ms": 0', out)
+
+
+def masked_text(argv: list) -> tuple[int, str]:
+    """(exit code, stdout text report) of argv, which ends in
+    `--format json`, run with `--format text`; every token's time is 0 ms."""
+    code, out = _run([*argv[:-1], "text"])
+    return code, _TEXT_CLOCK.sub(r"\1 (0 ms)", out)
 
 
 def golden_path(group: str, n: int) -> Path:
     return GOLDEN / f"{group}_n{n}.json"
+
+
+TEXT_GOLDENS = {"strictcone2_n2.txt": fixture_argv("strictcone2", 2),
+                "z_n2_show.txt": SHOW_ARGV,
+                "sweep_n0-2.txt": SWEEP_ARGV}
 
 
 @pytest.mark.parametrize("group,n", FIXTURES,
@@ -78,6 +98,13 @@ def test_sweep_report_matches_golden():
     assert report == SWEEP_GOLDEN.read_text()
 
 
+@pytest.mark.parametrize("name", TEXT_GOLDENS)
+def test_text_report_matches_golden(name):
+    code, report = masked_text(TEXT_GOLDENS[name])
+    assert report.endswith(f"exit: {code}\n")
+    assert report == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for group, n in FIXTURES:
@@ -88,3 +115,7 @@ if __name__ == "__main__":
         code, report = masked_report(argv)
         path.write_text(report)
         print(f"{path.name}: exit {code}", file=sys.stderr)
+    for name, argv in TEXT_GOLDENS.items():
+        code, report = masked_text(argv)
+        (GOLDEN / name).write_text(report)
+        print(f"{name}: exit {code}", file=sys.stderr)

@@ -266,18 +266,20 @@ def test_orbit_report_two_transpositions():
 
 
 def test_least_o_ideal_table():
-    v, desc = least_o_ideal(Z)
-    assert v.ok and desc["least"] == "whole-group"
-    v, desc = least_o_ideal(StrictCone2())
-    assert v.ok and desc["least"] == "whole-group"
-    v, desc = least_o_ideal(integer_product(2))
-    assert v.failed and desc["axes"] == [0, 1]
-    v, desc = least_o_ideal(integer_product(1))
-    assert v.ok and desc["kind"] == "product-single-axis"
-    v, _ = least_o_ideal(TwistedLexGroup(2, (0, 1), (1, 0), Z))
-    assert v.ok
-    v, desc = least_o_ideal(TwistedLexGroup(2, (0, 1), (0, 1), Z))
-    assert v.failed and desc["components"] == [[0], [1]]
+    v, least = least_o_ideal(Z)
+    assert v.ok and least == "whole-group"
+    v, least = least_o_ideal(StrictCone2())
+    assert v.ok and least == "whole-group"
+    v, least = least_o_ideal(integer_product(2))
+    assert v.failed and least is None
+    assert v.witness_dict() == {"axis_a": 0, "axis_b": 1}
+    v, least = least_o_ideal(integer_product(1))
+    assert v.ok and least == "whole-group"
+    v, least = least_o_ideal(TwistedLexGroup(2, (0, 1), (1, 0), Z))
+    assert v.ok and least == "coordinate-block"
+    v, least = least_o_ideal(TwistedLexGroup(2, (0, 1), (0, 1), Z))
+    assert v.failed and least is None
+    assert v.witness_dict() == {"components": [[0], [1]]}
 
 
 # -- least normal ideals ----------------------------------------------------------------

@@ -35,6 +35,9 @@ def test_constructor_validation():
         ID2.upper(0, 1)
     with pytest.raises(UsageError):
         ID2.own(SWAP2.lower(0, 0))
+    # a malformed twist is a usage error, as every other malformed input is
+    with pytest.raises(UsageError):
+        KiteShape(n=2, lam=(0, 0), rho=(0, 1), base=Z)
 
 
 def test_strict_cone_constructors_reject_out_of_cone_coordinates():

@@ -40,7 +40,7 @@ RECORDS = {
     "KiteElement": (lambda: KiteElement(SHAPE, LOWER, (1,)),
                     lambda: KiteElement(SHAPE, LOWER, (2,)), True),
     "MapSpec": (lambda: MapSpec([1, 0], (0, 1)),
-                lambda: MapSpec((1, 0), (0, 1), True), True),
+                lambda: MapSpec((0, 1), (0, 1)), True),
     "RefinementTable": (lambda: RefinementTable(1, 2, 3, 4, note="n"),
                         lambda: RefinementTable(1, 2, 3, 4), False),
     "RunConfig": (lambda: RunConfig(), lambda: RunConfig(height=3), False),
@@ -97,8 +97,7 @@ def test_constructors_normalise_index_tables_to_tuples():
     with pytest.raises(ValueError):
         KiteShape(2, (0, 0), (0, 1), Z)
     spec = MapSpec([1, 0], [0, 1])
-    assert (spec.tau_lower, spec.tau_upper, spec.invert) == ((1, 0), (0, 1),
-                                                              False)
+    assert (spec.tau_lower, spec.tau_upper) == ((1, 0), (0, 1))
 
 
 def test_mutable_records_start_with_fresh_containers():

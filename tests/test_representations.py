@@ -102,23 +102,34 @@ def test_twisted_lex_group_builder_validates():
 
 
 def test_mapspec_json_roundtrip():
-    spec = MapSpec(tau_lower=(1, 0), tau_upper=(0, 1), invert=False)
+    spec = MapSpec(tau_lower=(1, 0), tau_upper=(0, 1))
     blob = json.dumps(spec.as_json())
+    assert json.loads(blob) == {"tauL": [1, 0], "tauU": [0, 1],
+                                "invert": False}
     back = MapSpec.from_json(json.loads(blob))
     assert back.tau_lower == spec.tau_lower
     assert back.tau_upper == spec.tau_upper
-    assert back.invert == spec.invert
-    # a map is its JSON: equal JSON, equal maps
+    # a map is its two tables: equal JSON, equal maps
     assert back == spec
     three = list(itertools.permutations(range(3)))
-    for m in itertools.starmap(MapSpec, itertools.product(
-            three, three, (False, True))):
+    for m in itertools.starmap(MapSpec, itertools.product(three, three)):
         assert MapSpec.from_json(m.as_json()) == m
+    # no map inverts its coordinates
+    for invert in (True, 0, None):
+        with pytest.raises(UsageError):
+            MapSpec.from_json({"tauL": [1, 0], "tauU": [0, 1],
+                               "invert": invert})
 
 
 def test_mapspec_validation():
     with pytest.raises(UsageError):
         MapSpec(tau_lower=(0, 0), tau_upper=(0, 1))
+    # a bool is an int to Python, but not an index
+    with pytest.raises(UsageError):
+        MapSpec(tau_lower=(True, False), tau_upper=(0, 1))
+    # both tables index the same n coordinates
+    with pytest.raises(UsageError):
+        MapSpec(tau_lower=(0,), tau_upper=(0, 1))
 
 
 def test_stored_mapspec_registry():

@@ -166,6 +166,17 @@ def test_lattice_bases_have_rdp2(base):
     assert v.ok, v.describe()
 
 
+def test_window_bounded_table_search_is_a_skip():
+    # over a twisted strict cone some refinement searches run out of window
+    # before they find a table or can rule one out
+    base = TwistedLexGroup(1, (0,), (0,), SC)
+    v = check_rdp_level(mk(2, (0, 1), (0, 1), base), RdpLevel.RDP2,
+                        Window(1, 26))
+    assert (v.status, v.checked, v.skipped) == (Status.UNKNOWN, 2915, 322)
+    assert v.reason == ("only side-condition-bounded table found (314); "
+                        "table search window-bounded (8)")
+
+
 # -- the strict cone as the standard negative fixture ------------------------------
 
 

@@ -163,13 +163,12 @@ MUTANTS = [
            ("tests/test_ideals.py::"
             "test_closed_form_normality_matches_the_per_instance_solve"
             "[Integers-1]",)),
-    # only the left double complement is adjoined, so a lower member's
-    # right closed-form image is lost
+    # the left double complement stands in for the right one, so a lower
+    # member's right closed-form image is lost
     Mutant("generated-ideal-left-double-complement-only",
            "src/kitealg/ideals.py",
-           "            for img in (P.complement_left(P.complement_left(m)),\n"
-           "                        P.complement_right(P.complement_right(m))):\n",
-           "            for img in (P.complement_left(P.complement_left(m)),):\n",
+           "            P.complement_right(P.complement_right(m)))\n",
+           "            P.complement_left(P.complement_left(m)))\n",
            ("tests/test_ideals.py::"
             "test_semi_naive_rounds_match_the_naive_reference",)),
     # a companion outside the window counts as a hit, not a skip
@@ -206,6 +205,12 @@ MUTANTS = [
            "        return s if self.group.leq_values(s, self.unit) else None\n",
            "        return s\n",
            ("tests/test_representations.py::test_integer_chain_carrier",)),
+    # a refinement search that ran out of window counts as a table found
+    Mutant("table-search-skip-counted-as-hit", "src/kitealg/riesz.py",
+           '                t.skip("table search window-bounded")\n',
+           "                t.hit()\n",
+           ("tests/test_riesz.py::"
+            "test_window_bounded_table_search_is_a_skip",)),
     # a bare group's arguments reach the search unchecked
     Mutant("bare-group-values-unchecked", "src/kitealg/riesz.py",
            "        return PositiveCone(obj), "
@@ -359,6 +364,26 @@ MUTANTS = [
            "            t.hit()\n",
            ("tests/test_cli.py::"
             "test_capped_perfect_representation_skips_an_unreached_target",)),
+    # a map spec's tables are only sorted and compared, so booleans pass
+    # for indices
+    Mutant("mapspec-tables-without-check-perm",
+           "src/kitealg/representations.py",
+           "        tau_lower, tau_upper = pg.check_perms(\n"
+           '            len(tau_lower), "map spec index table", tau_lower, '
+           "tau_upper)\n",
+           "        tau_lower, tau_upper = tuple(tau_lower), tuple(tau_upper)\n"
+           "        for tau in (tau_lower, tau_upper):\n"
+           "            if sorted(tau) != list(range(len(tau))):\n"
+           '                raise UsageError("index tables must be '
+           'permutations")\n',
+           ("tests/test_representations.py::test_mapspec_validation",)),
+    # a kite shape lets check_perm's ValueError through on a malformed
+    # twist
+    Mutant("kite-shape-raises-value-error", "src/kitealg/kite.py",
+           '        lam, rho = check_perms(n, "kite shape twist", lam, rho)\n',
+           "        lam, rho = (tuple(perms.check_perm(p, n)) "
+           "for p in (lam, rho))\n",
+           ("tests/test_kite.py::test_constructor_validation",)),
     # the perfect representation verifies a map other than the
     # construction's own
     Mutant("perfect-representation-reversed-upper-map",
