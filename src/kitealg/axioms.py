@@ -245,26 +245,20 @@ def check_pmv_axioms(M: Algebra, w: Window) -> dict:
     op, nl, nr = M.mv_oplus, M.complement_left, M.complement_right
     odot = derived_odot(M)
 
-    def pairs_law(fn, label) -> Verdict:
+    def law(arity, terms, label, anchor=None) -> Verdict:
+        """One hit per sampled x (or (x, y) at arity 2) at which every term
+        equals anchor(x), or, with no anchor, the first term; a failure at
+        the first tuple where one differs, with the terms as its values."""
         t = Tally()
-        for x in sample:
-            for y in sample:
-                wit = fn(x, y)
-                if wit is not None:
-                    return t.fail({"x": _ser(M, x), "y": _ser(M, y),
-                                   "values": [_ser(M, v) for v in wit]}, label)
-                t.hit()
-        return t.done("holds on all sampled pairs")
-
-    def singles_law(fn, label) -> Verdict:
-        t = Tally()
-        for x in sample:
-            wit = fn(x)
-            if wit is not None:
-                return t.fail({"x": _ser(M, x),
-                               "values": [_ser(M, v) for v in wit]}, label)
+        for xs in itertools.product(sample, repeat=arity):
+            vals = terms(*xs)
+            want = vals[0] if anchor is None else anchor(*xs)
+            if not all(v == want for v in vals):
+                return t.fail({**{k: _ser(M, x) for k, x in zip("xy", xs)},
+                               "values": [_ser(M, v) for v in vals]}, label)
             t.hit()
-        return t.done("holds on all sampled elements")
+        return t.done("holds on all sampled "
+                      + ("pairs" if arity == 2 else "elements"))
 
     def a1() -> Verdict:
         t = Tally()
@@ -278,14 +272,10 @@ def check_pmv_axioms(M: Algebra, w: Window) -> dict:
         return t.done("oplus associative on sampled triples")
 
     out = {"PMV.A1": a1()}
-    out["PMV.A2"] = singles_law(
-        lambda x: None if op(x, M.zero) == x == op(M.zero, x)
-        else (op(x, M.zero), op(M.zero, x)),
-        "0 is not a two-sided oplus unit")
-    out["PMV.A3"] = singles_law(
-        lambda x: None if op(x, M.one) == M.one == op(M.one, x)
-        else (op(x, M.one), op(M.one, x)),
-        "1 does not absorb")
+    out["PMV.A2"] = law(1, lambda x: (op(x, M.zero), op(M.zero, x)),
+                        "0 is not a two-sided oplus unit", anchor=lambda x: x)
+    out["PMV.A3"] = law(1, lambda x: (op(x, M.one), op(M.one, x)),
+                        "1 does not absorb", anchor=lambda x: M.one)
 
     t4 = Tally()
     if nr(M.one) != M.zero or nl(M.one) != M.zero:
@@ -296,33 +286,20 @@ def check_pmv_axioms(M: Algebra, w: Window) -> dict:
         t4.hit()
         out["PMV.A4"] = t4.done("both negations send 1 to 0")
 
-    out["PMV.A5"] = pairs_law(
-        lambda x, y: None
-        if nr(op(nl(x), nl(y))) == nl(op(nr(x), nr(y)))
-        else (nr(op(nl(x), nl(y))), nl(op(nr(x), nr(y)))),
-        "the two de-Morgan products differ")
-
-    def a6(x, y):
-        t1 = op(x, odot(nr(x), y))
-        t2 = op(y, odot(nr(y), x))
-        t3 = op(odot(x, nl(y)), y)
-        t4_ = op(odot(y, nl(x)), x)
-        if t1 == t2 == t3 == t4_:
-            return None
-        return (t1, t2, t3, t4_)
-
-    out["PMV.A6"] = pairs_law(a6, "join forms disagree")
-
-    out["PMV.A7"] = pairs_law(
-        lambda x, y: None
-        if odot(x, op(nl(x), y)) == odot(op(x, nr(y)), y)
-        else (odot(x, op(nl(x), y)), odot(op(x, nr(y)), y)),
-        "meet forms disagree")
-
-    out["PMV.A8"] = singles_law(
-        lambda x: None if nr(nl(x)) == x else (nr(nl(x)),),
-        "right negation does not undo left negation")
-
+    out["PMV.A5"] = law(2, lambda x, y: (nr(op(nl(x), nl(y))),
+                                         nl(op(nr(x), nr(y)))),
+                        "the two de-Morgan products differ")
+    out["PMV.A6"] = law(2, lambda x, y: (op(x, odot(nr(x), y)),
+                                         op(y, odot(nr(y), x)),
+                                         op(odot(x, nl(y)), y),
+                                         op(odot(y, nl(x)), x)),
+                        "join forms disagree")
+    out["PMV.A7"] = law(2, lambda x, y: (odot(x, op(nl(x), y)),
+                                         odot(op(x, nr(y)), y)),
+                        "meet forms disagree")
+    out["PMV.A8"] = law(1, lambda x: (nr(nl(x)),),
+                        "right negation does not undo left negation",
+                        anchor=lambda x: x)
     return out
 
 

@@ -30,6 +30,7 @@ odot(x, y) = 0.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Optional
 
 from . import perms
@@ -130,16 +131,17 @@ class Kite:
     foreign shape and is re-interned otherwise. Two kites that share one
     KiteShape still have separate tables and ids.
 
-    Operations are memoised in rows indexed by id, filled on demand and
-    kept as long as the Kite: add, mv_oplus, ldiff and rdiff keep one dict
-    per id (of x, or of b for both differences) keyed on the other
-    operand's id, and the two complements and the norm keep one slot per id.
-    Ownership is settled before any row is read. The add, ldiff and rdiff
-    rows store None for an undefined result, so a miss is told from it by
-    a sentinel default of dict.get, not by catching KeyError. Over an
-    abelian base an add or mv_oplus of two elements in one part is stored
-    under both orders. multiples_defined, the infinitesimality test, is a
-    closed form on the tag (k < 2 or x lower) and sums nothing.
+    Operations are memoised by id, filled on demand and kept as long as
+    the Kite: add, mv_oplus, ldiff and rdiff keep one row per id (of x, or
+    of b for both differences), a dict keyed on the other operand's id and
+    made on its first use, and the two complements and the norm one dict
+    keyed by id. Interning makes no row. Ownership is settled before any
+    row is read. The add, ldiff and rdiff rows store None for an undefined
+    result, so a miss is told from it by a sentinel default of dict.get,
+    not by catching KeyError. Over an abelian base an add or mv_oplus of
+    two elements in one part is stored under both orders.
+    multiples_defined, the infinitesimality test, is a closed form on the
+    tag (k < 2 or x lower) and sums nothing.
 
     Window samples are memoised per Window: elements(w) builds and sorts
     the carrier sample once and hands out a fresh list copy on every call,
@@ -167,11 +169,11 @@ class Kite:
         self.rho_inv = perms.inverse(self.rho)
         self._samples: dict[Window, list[KiteElement]] = {}
         self._table: dict[tuple, KiteElement] = {}
-        # indexed by id: dict rows for the binary operations, slots for the
+        # keyed by id: a row for the binary operations, a value for the
         # complements and the norm
-        rows = self._rows = ([], [], [], [])
-        self._add_rows, self._oplus_rows, self._ldiff_rows, self._rdiff_rows = rows
-        self._slots = self._left, self._right, self._norms = [], [], []
+        self._add_rows, self._oplus_rows, self._ldiff_rows, self._rdiff_rows = (
+            defaultdict(dict) for _ in range(4))
+        self._left, self._right, self._norms = {}, {}, {}
         e = self._e = self.base.identity_value()
         es = self._es = (e,) * self.n
         self.zero = self.intern(LOWER, es)
@@ -206,10 +208,6 @@ class Kite:
         if x is None:
             x = self._table[tag, coords] = KiteElement(
                 self.shape, tag, coords, self, len(self._table))
-            for rows in self._rows:
-                rows.append({})
-            for slots in self._slots:
-                slots.append(None)
         return x
 
     def own(self, x: KiteElement) -> KiteElement:
@@ -282,17 +280,17 @@ class Kite:
         """(right complement, left complement): d with x+d=1, then d with d+x=1."""
         return (self.complement_right(x), self.complement_left(x))
 
-    def _complement(self, x: KiteElement, slots: list, lower_perm,
+    def _complement(self, x: KiteElement, memo: dict, lower_perm,
                     upper_perm) -> KiteElement:
         """Inverted coordinates of x re-indexed through lower_perm (x lower,
         the result is upper) or upper_perm (x upper, the result is lower)."""
         x = x if x.kite is self else self.own(x)
-        d = slots[x.id]
+        d = memo.get(x.id)
         if d is None:
             inv, xs = self.base.inv_value, x.coords
             tag, perm = ((UPPER, lower_perm) if x.tag == LOWER
                          else (LOWER, upper_perm))
-            d = slots[x.id] = self.intern(tag, [inv(xs[j]) for j in perm])
+            d = memo[x.id] = self.intern(tag, [inv(xs[j]) for j in perm])
         return d
 
     # -- differences -------------------------------------------------------------
@@ -408,7 +406,7 @@ class Kite:
     def norm(self, x: KiteElement) -> int:
         """Largest base norm of a coordinate, read once per id."""
         x = x if x.kite is self else self.own(x)
-        h = self._norms[x.id]
+        h = self._norms.get(x.id)
         if h is None:
             norm = self.base.norm_value
             h = self._norms[x.id] = max((norm(c) for c in x.coords), default=0)

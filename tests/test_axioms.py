@@ -296,6 +296,133 @@ def test_pmv_axioms_catch_broken_oplus():
     assert any(v.status is Status.FAILS for v in out.values())
 
 
+def reference_pmv_a2_to_a8(M, sample):
+    """PMV.A2 .. A8, each law's terms written out in its own plain loop."""
+    op, nl, nr = M.mv_oplus, M.complement_left, M.complement_right
+
+    def odot(a, b):
+        return nr(op(nl(b), nl(a)))
+
+    def fail(t, witness, values, reason):
+        return t.fail({**witness, "values": [ser(M, v) for v in values]},
+                      reason)
+
+    out = {}
+    t = Tally()
+    for x in sample:
+        if not op(x, M.zero) == x == op(M.zero, x):
+            out["PMV.A2"] = fail(t, {"x": ser(M, x)},
+                                 [op(x, M.zero), op(M.zero, x)],
+                                 "0 is not a two-sided oplus unit")
+            break
+        t.hit()
+    else:
+        out["PMV.A2"] = t.done("holds on all sampled elements")
+    t = Tally()
+    for x in sample:
+        if not op(x, M.one) == M.one == op(M.one, x):
+            out["PMV.A3"] = fail(t, {"x": ser(M, x)},
+                                 [op(x, M.one), op(M.one, x)],
+                                 "1 does not absorb")
+            break
+        t.hit()
+    else:
+        out["PMV.A3"] = t.done("holds on all sampled elements")
+    t = Tally()
+    if nr(M.one) != M.zero or nl(M.one) != M.zero:
+        out["PMV.A4"] = t.fail({"values": [ser(M, nr(M.one)),
+                                           ser(M, nl(M.one))]},
+                               "negations of 1 are not 0")
+    else:
+        t.hit()
+        out["PMV.A4"] = t.done("both negations send 1 to 0")
+    pair_laws = {
+        "PMV.A5": (lambda x, y: (nr(op(nl(x), nl(y))), nl(op(nr(x), nr(y)))),
+                   "the two de-Morgan products differ"),
+        "PMV.A6": (lambda x, y: (op(x, odot(nr(x), y)), op(y, odot(nr(y), x)),
+                                 op(odot(x, nl(y)), y), op(odot(y, nl(x)), x)),
+                   "join forms disagree"),
+        "PMV.A7": (lambda x, y: (odot(x, op(nl(x), y)),
+                                 odot(op(x, nr(y)), y)),
+                   "meet forms disagree"),
+    }
+    for key, (terms, reason) in pair_laws.items():
+        t = Tally()
+        out[key] = None
+        for x in sample:
+            for y in sample:
+                values = terms(x, y)
+                if not all(a == b for a, b in zip(values, values[1:])):
+                    out[key] = fail(t, {"x": ser(M, x), "y": ser(M, y)},
+                                    values, reason)
+                    break
+                t.hit()
+            if out[key] is not None:
+                break
+        else:
+            out[key] = t.done("holds on all sampled pairs")
+    t = Tally()
+    for x in sample:
+        if nr(nl(x)) != x:
+            out["PMV.A8"] = fail(t, {"x": ser(M, x)}, [nr(nl(x))],
+                                 "right negation does not undo left negation")
+            break
+        t.hit()
+    else:
+        out["PMV.A8"] = t.done("holds on all sampled elements")
+    return out
+
+
+class JoinTruncatedOplus(Kite):
+    """mv_oplus truncates a mixed pair's coordinate products with join
+    instead of meet, so 1 no longer absorbs a nonzero lower and 0 no longer
+    fixes a nonzero upper."""
+
+    def mv_oplus(self, x, y):
+        if x.tag == y.tag:
+            return Kite.mv_oplus(self, x, y)
+        vals = self._twisted(x.tag, x.coords, y.coords)
+        return self.intern(UPPER, map(self.base.join_values, vals, self._es))
+
+
+class RightForLeftNegation(Kite):
+    """The left complement of an upper is its right complement."""
+
+    def complement_left(self, x):
+        return (Kite.complement_right(self, x) if x.tag == UPPER
+                else Kite.complement_left(self, x))
+
+
+PMV_CORPUS = [
+    pytest.param(cls(KiteShape(n, lam, rho, base)),
+                 id=f"{name}-{bname}-n{n}-{perms.perm_name(lam)}-"
+                    f"{perms.perm_name(rho)}")
+    for name, cls in (("intact", Kite), ("oplus", JoinTruncatedOplus),
+                      ("negation", RightForLeftNegation))
+    for bname, base in (("z", Z), ("z2", integer_product(2)))
+    for n in range(3)
+    for lam in perms.all_perms(n)
+    for rho in perms.all_perms(n)
+]
+
+
+@pytest.mark.parametrize("M", PMV_CORPUS)
+def test_pmv_laws_match_the_plain_loops(M):
+    w = Window(2, 24)
+    sample = M.elements(w)
+    got = check_pmv_axioms(M, w)
+    want = {"PMV.A1": reference_pmv_a1(M, sample),
+            **reference_pmv_a2_to_a8(M, sample)}
+    assert got == want
+
+
+def test_pmv_corpus_breaks_every_law_but_a4():
+    broken = {key for p in PMV_CORPUS
+              for key, v in check_pmv_axioms(p.values[0], Window(2, 24)).items()
+              if v.failed}
+    assert broken == {f"PMV.A{i}" for i in (1, 2, 3, 5, 6, 7, 8)}
+
+
 def test_pmv_axioms_need_a_lattice_kite():
     # the capability is checked by the first mv_oplus call
     with pytest.raises(CapabilityError):

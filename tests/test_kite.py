@@ -590,6 +590,20 @@ def test_equal_elements_are_one_object():
         assert y.kite is k
 
 
+def test_interning_makes_no_memo_rows():
+    k = mk(2, (0, 1), (1, 0))
+    sample = k.elements(Window(2))
+    assert len(sample) == 18
+    memos = (k._add_rows, k._oplus_rows, k._ldiff_rows, k._rdiff_rows,
+             k._left, k._right)
+    assert not any(memos)
+    x, u = k.lower(1, 0), k.upper(-1, -2)
+    k.add(u, x)
+    k.ldiff(k.one, x)
+    assert (list(k._add_rows), list(k._ldiff_rows)) == ([u.id], [k.one.id])
+    assert not any((k._oplus_rows, k._rdiff_rows, k._left, k._right))
+
+
 def _interned_in(kite, r) -> bool:
     """Every kite element in an operation's result belongs to kite."""
     if isinstance(r, KiteElement):

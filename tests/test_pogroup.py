@@ -347,7 +347,8 @@ def test_value_level_law_check_matches_elem_reference(group):
 def test_value_level_law_check_matches_reference_on_twisted_lex(n, lam, rho):
     for base in (Z, SC):
         g = tl(n, lam, rho, base)
-        # the construction self-check's window and cap
+        # the window and cap on which the tests check every group the
+        # library builds
         want = _reference_group_laws(g, Window(1), cap=8)
         assert want.ok
         assert check_group_laws(g, Window(1, 8)) == want

@@ -14,6 +14,7 @@ from kitealg.pogroup import (
     TwistedLexGroup,
     UsageError,
     Window,
+    check_group_laws,
     integer_product,
 )
 from kitealg.representations import (
@@ -263,6 +264,19 @@ def test_a_target_without_images_is_a_usage_error():
         spec.apply(k.zero, IntervalPEA(Z, Z.make(1)))
 
 
+def test_a_map_spec_of_another_arity_is_a_usage_error():
+    k2, k3 = mk(2, (0, 1), (0, 1)), mk(3, (0, 1, 2), (0, 1, 2))
+    spec = MapSpec((0, 1), (0, 1))
+    g = TwistedLexGroup(2, (0, 1), (0, 1), Z)
+    for x, target in ((k3.lower(1, 2, 3), k3), (k2.lower(1, 2), k3),
+                      (k3.lower(1, 2, 3), IntervalPEA(g, g.strong_unit()))):
+        with pytest.raises(UsageError, match="map spec on 2 coordinates"):
+            spec.apply(x, target)
+    with pytest.raises(UsageError, match="map spec on 2 coordinates"):
+        verify_iso(k3, k3, spec, Window(1))
+    assert spec.apply(k2.lower(1, 2), k2) is k2.lower(1, 2)
+
+
 def test_relabel_map_and_inverse_verify():
     a = KiteShape(3, (1, 2, 0), (0, 1, 2), Z)
     from kitealg.ideals import canonical_form
@@ -302,6 +316,23 @@ def test_perfect_representation_is_the_identity_map(base, n):
             mk(n, lam, lam, LATTICE_BASES[base]), Window(h))
         assert spec == MapSpec(ident, ident)
         assert v.ok and v.skipped == 0, (lam, h, v.describe())
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("base", LATTICE_BASES)
+def test_perfect_representation_targets_satisfy_the_group_laws(base, n):
+    # twisted_lex_group checks no law, so the groups it builds are checked
+    # here, on a window of height 1 capped at 8
+    for lam in itertools.permutations(range(n)):
+        target, _, _ = perfect_representation(
+            mk(n, lam, lam, LATTICE_BASES[base]), Window(1, 1))
+        assert check_group_laws(target.group, Window(1, 8)).ok, lam
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cyclic_fixture_group_satisfies_the_group_laws(n):
+    _, group, _ = scrimger_fixture(n)
+    assert check_group_laws(group, Window(1, 8)).ok
 
 
 def test_perfect_representation_requires_symmetry():

@@ -403,6 +403,32 @@ MUTANTS = [
            "        return None\n",
            ("tests/test_representations.py::"
             "test_a_target_without_images_is_a_usage_error",)),
+    # PMV.A8 compares its one term with itself, not with x, so it always
+    # holds
+    Mutant("pmv-a8-anchor-dropped", "src/kitealg/axioms.py",
+           '                        "right negation does not undo left '
+           'negation",\n'
+           "                        anchor=lambda x: x)\n",
+           '                        "right negation does not undo left '
+           'negation")\n',
+           ("tests/test_axioms.py::test_pmv_laws_match_the_plain_loops",)),
+    # ldiff and rdiff read and fill one memo, so each answers the other's
+    # stored results
+    Mutant("diffs-share-one-memo", "src/kitealg/kite.py",
+           "        row = (self._rdiff_rows if flip else self._ldiff_rows)"
+           "[b.id]\n",
+           "        row = self._ldiff_rows[b.id]\n",
+           ("tests/test_kite.py::"
+            "test_memoised_operations_match_plain_tuple_reference",)),
+    # a map spec re-indexes an element of another arity, or into a kite of
+    # another n, instead of refusing it
+    Mutant("mapspec-apply-without-arity-check",
+           "src/kitealg/representations.py",
+           "        if len(x.coords) != n or isinstance(target, Kite) "
+           "and target.n != n:\n",
+           "        if False:\n",
+           ("tests/test_representations.py::"
+            "test_a_map_spec_of_another_arity_is_a_usage_error",)),
 ]
 
 
