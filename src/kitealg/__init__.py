@@ -18,9 +18,9 @@ from .ideals import (IdealSet, OrbitReport, canonical_form, ideal_closure,
                      is_normal, least_normal_ideal, least_o_ideal,
                      normal_ideal_generated, orbits)
 from .kite import Kite, KiteElement, KiteShape, LOWER, UPPER
-from .pogroup import (CapabilityError, Elem, Integers, PoGroup,
-                      PositiveCone, Product, StrictCone2, TwistedLexGroup,
-                      UsageError, Window, check_group_laws, cone_window,
+from .pogroup import (CapabilityError, Integers, PoGroup, PositiveCone,
+                      Product, StrictCone2, TwistedLexGroup, UsageError,
+                      Window, check_group_laws, cone_window,
                       enumerate_interval, enumerate_window, integer_product,
                       parse_group)
 from .representations import (IntervalPEA, MapSpec, perfect_representation,
@@ -35,7 +35,7 @@ from .verdict import Status, Tally, Verdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "CapabilityError", "Elem", "IdealSet", "Integers",
+    "Algebra", "CapabilityError", "IdealSet", "Integers",
     "IntervalPEA", "Kite", "KiteElement", "KiteShape", "LOWER", "MapSpec",
     "OrbitReport", "PerfectSplit", "PoGroup", "PositiveCone", "Product",
     "RdpLevel", "RefinementTable", "StateTable", "Status", "StrictCone2",

@@ -12,11 +12,12 @@ of Integers (Z^k) runs every value operation, in C-level maps.
 The window norm is the maximum absolute value of the integers appearing in the
 element's canonical serialization. Window enumeration is deterministic, sorted
 ascending by (norm, serialized value), contains the identity, and is closed
-under inversion; a cap keeps its lowest prefix. Windows, intervals and the
-positive cone hold raw values. An Elem, a value with its group, is the type
-of the values that come in from outside: make, deserialize, e. A group is
-identified by its descriptor: groups built apart from equal descriptors are
-equal. A malformed value raises UsageError in every backend.
+under inversion; a cap keeps its lowest prefix. Every value is raw. own,
+mul, inv, leq, join, meet and deserialize check the values that come in from
+outside with the backend's check_value, and the *_values operations, which
+the layers above call, do not; a malformed value raises UsageError in every
+backend. A group is identified by its descriptor: groups built apart from
+equal descriptors are equal.
 
 Order queries never guess: incomparability is op_leq false in both directions.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from . import perms
 from .record import Frozen, setfield
@@ -43,7 +44,9 @@ class CapabilityError(UsageError):
 
 def check_perms(n: int, what: str, *tables) -> tuple:
     """The tables as tuples, each a permutation of range(n), or UsageError
-    led by what."""
+    led by what; n must be a non-negative int, not a bool."""
+    if type(n) is not int or n < 0:
+        raise UsageError(f"{what}: n must be a non-negative integer, not {n!r}")
     try:
         return tuple(tuple(perms.check_perm(p, n)) for p in tables)
     except ValueError as exc:
@@ -83,33 +86,12 @@ class Window(Frozen):
         return Window(self.height)
 
 
-class Elem(Frozen):
-    """A group element: opaque value owned by a specific group."""
-
-    _fields = ("group", "value")
-
-    def __init__(self, group: "PoGroup", value: Any) -> None:
-        setfield(self, "group", group)
-        setfield(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Elem:
-            return NotImplemented
-        return self.group == other.group and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.value))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.group.kind}:{self.group.serialize_value(self.value)}"
-
-
 class PoGroup:
     """Base class for the pluggable po-group backends.
 
     Subclasses set their parameters before calling this constructor, which
-    fixes the structural key, describe() as canonical JSON, and the identity
-    element. Groups are immutable after construction.
+    fixes the structural key: describe() as canonical JSON. Groups are
+    immutable after construction.
 
     leq_coords and mul_coords are the coordinate kernels: one call answers
     for two equally long iterables of values, such as a kite's coordinates.
@@ -122,7 +104,6 @@ class PoGroup:
     def __init__(self) -> None:
         self.key = json.dumps(self.describe(), sort_keys=True)
         self._hash = hash(self.key)
-        self.e = Elem(self, self.identity_value())
 
     # -- identity & structural equality ------------------------------------
 
@@ -147,15 +128,13 @@ class PoGroup:
     def identity_value(self):
         raise NotImplementedError
 
-    def make(self, value) -> Elem:
-        return Elem(self, self.check_value(value))
-
     def check_value(self, value):
+        """value in this group's own form, or UsageError."""
         raise NotImplementedError
 
-    def own(self, a: Elem) -> None:
-        if a.group is not self and a.group != self:
-            raise UsageError(f"element of {a.group.kind} used with {self.kind}")
+    def own(self, value):
+        """The checked value of an argument from outside (check_value)."""
+        return self.check_value(value)
 
     def mul_values(self, x, y):
         raise NotImplementedError
@@ -174,32 +153,26 @@ class PoGroup:
         """The coordinatewise product (xs[i] ys[i])."""
         return tuple(map(self.mul_values, xs, ys))
 
-    def mul(self, a: Elem, b: Elem) -> Elem:
-        self.own(a)
-        self.own(b)
-        return Elem(self, self.mul_values(a.value, b.value))
+    def mul(self, a, b):
+        return self.mul_values(self.own(a), self.own(b))
 
-    def inv(self, a: Elem) -> Elem:
-        self.own(a)
-        return Elem(self, self.inv_value(a.value))
+    def inv(self, a):
+        return self.inv_value(self.own(a))
 
-    def leq(self, a: Elem, b: Elem) -> bool:
-        self.own(a)
-        self.own(b)
-        return self.leq_values(a.value, b.value)
+    def leq(self, a, b) -> bool:
+        return self.leq_values(self.own(a), self.own(b))
 
-    def join(self, a: Elem, b: Elem) -> Elem:
+    def join(self, a, b):
         return self._lattice_op(self.join_values, a, b)
 
-    def meet(self, a: Elem, b: Elem) -> Elem:
+    def meet(self, a, b):
         return self._lattice_op(self.meet_values, a, b)
 
-    def _lattice_op(self, op, a: Elem, b: Elem) -> Elem:
-        self.own(a)
-        self.own(b)
+    def _lattice_op(self, op, a, b):
+        a, b = self.own(a), self.own(b)
         if not self.is_lattice:
             raise CapabilityError(f"{self.kind} is not a lattice group")
-        return Elem(self, op(a.value, b.value))
+        return op(a, b)
 
     def join_values(self, x, y):
         raise CapabilityError(f"{self.kind} is not a lattice group")
@@ -230,11 +203,12 @@ class PoGroup:
         """(norm, value_key) of a raw value: the window order."""
         return (self.norm_value(value),) + self.value_key(value)
 
-    def deserialize(self, obj) -> Elem:
-        """Read back a serialize_value list: exactly one value_key."""
+    def deserialize(self, obj):
+        """Read back a serialize_value list, exactly one value_key, as a
+        checked raw value."""
         ints = iter(obj) if isinstance(obj, list) else iter(())
         try:
-            x = self.make(self._read_key(ints))
+            x = self.check_value(self._read_key(ints))
         except StopIteration:
             raise UsageError(f"{self.kind}: {obj!r} is not one value_key list")
         if list(ints):
@@ -560,7 +534,7 @@ class TwistedLexGroup(PoGroup):
                 and isinstance(obj[1], list)):
             raise UsageError(f"{self.kind}: {obj!r} is not [m, [coordinates]]")
         m, coords = obj
-        return self.make((m, tuple(self.base.deserialize(c).value for c in coords)))
+        return self.check_value((m, tuple(self.base.deserialize(c) for c in coords)))
 
     def ball_values(self, height):
         base_ball = list(self.base.ball_values(height))
@@ -574,9 +548,10 @@ class TwistedLexGroup(PoGroup):
         # lex intervals across different leading integers are infinite
         return lo[0] == hi[0]
 
-    def strong_unit(self) -> Elem:
+    def strong_unit(self):
+        """(1, e...): the raw unit of the interval a kite maps onto."""
         e = self.base.identity_value()
-        return Elem(self, (1, tuple(e for _ in range(self.n))))
+        return (1, tuple(e for _ in range(self.n)))
 
     def _params(self):
         return {"n": self.n, "lam": list(self.lam), "rho": list(self.rho),
@@ -772,9 +747,6 @@ def parse_group(desc) -> PoGroup:
         missing = [k for k in ("n", "lam", "rho", "base") if k not in params]
         if missing:
             raise UsageError(f"TwistedLex params lack {', '.join(missing)}")
-        n = params["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise UsageError("TwistedLex 'n' must be a non-negative integer")
-        return TwistedLexGroup(n, params["lam"], params["rho"],
+        return TwistedLexGroup(params["n"], params["lam"], params["rho"],
                                parse_group(params["base"]))
     raise UsageError(f"unknown group kind {kind!r}")

@@ -5,7 +5,7 @@ A Record names its fields in _fields: == compares them between objects of
 the same class (NotImplemented against any other class) and repr lists
 them. A Frozen record also hashes them and refuses assignment and deletion,
 so its __init__ writes each field with setfield. The hot records (Window,
-Elem, KiteShape, KiteElement) write their own __eq__ and __hash__, and
+KiteShape, KiteElement) write their own __eq__ and __hash__, and
 Verdict, whose witness need not hash, keeps its hash once it is asked for.
 """
 

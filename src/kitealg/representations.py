@@ -21,7 +21,7 @@ from . import perms
 from . import pogroup as pg
 from .axioms import Algebra
 from .kite import Kite, KiteElement, KiteShape, LOWER
-from .pogroup import (Elem, Integers, PoGroup, PositiveCone, TwistedLexGroup,
+from .pogroup import (Integers, PoGroup, PositiveCone, TwistedLexGroup,
                       UsageError, Window)
 from .record import Frozen, setfield
 from .verdict import Tally, Verdict
@@ -30,17 +30,16 @@ from .verdict import Tally, Verdict
 class IntervalPEA(PositiveCone):
     """The interval [0, u] of a po-group, with a + b defined iff a*b <= u:
     the positive cone cut at the unit, so order, differences, meet and
-    intervals are the cone's, on raw values. The unit, an Elem of the group,
-    must be strictly positive. It has every member of axioms.Algebra, so the
-    checkers take it directly.
+    intervals are the cone's, on raw values. The unit, a raw value checked
+    by group.own, must be strictly positive. It has every member of
+    axioms.Algebra, so the checkers take it directly.
     """
 
     _fields = ("group", "unit")
 
-    def __init__(self, group: PoGroup, unit: Elem) -> None:
+    def __init__(self, group: PoGroup, unit) -> None:
         super().__init__(group)
-        group.own(unit)
-        u = unit.value
+        u = group.own(unit)
         setfield(self, "unit", u)
         setfield(self, "one", u)
         if u == self.zero or not group.leq_values(self.zero, u):

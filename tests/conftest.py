@@ -1,26 +1,6 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run, and
-provides the elems_built fixture."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run."""
 
 import re
-
-import pytest
-
-from kitealg.pogroup import Elem
-
-
-@pytest.fixture
-def elems_built(monkeypatch):
-    """A list that gets the value of every Elem built from now on: the
-    layers below the public API compute on raw values and build none."""
-    built = []
-    init = Elem.__init__
-
-    def counting(self, group, value):
-        built.append(value)
-        init(self, group, value)
-
-    monkeypatch.setattr(Elem, "__init__", counting)
-    return built
 
 CRITERIA = {
     1: "kite axioms hold across the base/shape grid",

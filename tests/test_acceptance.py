@@ -84,7 +84,7 @@ def grid_window(kite: Kite, height: int = 2) -> Window:
 
 
 def rebuild(kite: Kite, obj):
-    vals = [kite.base.deserialize(c).value for c in obj["coords"]]
+    vals = [kite.base.deserialize(c) for c in obj["coords"]]
     return kite.lower(*vals) if obj["tag"] == LOWER else kite.upper(*vals)
 
 
@@ -258,7 +258,7 @@ def test_criterion_06_perfect_and_state():
     assert not is_normal(ktl, kernel, w).failed
 
     # a bounded integer interval admits no such split
-    assert perfect_split(IntervalPEA(Z, Z.make(2)), Window(2)) is None
+    assert perfect_split(IntervalPEA(Z, 2), Window(2)) is None
 
 
 # -- criterion 7: stored interval representations ----------------------------------
@@ -278,7 +278,7 @@ def test_criterion_07_interval_representations():
         assert v.ok and v.skipped == 0, (key, v.describe())
 
     # (a) the trivial kite is the two-element interval
-    replay("boolean:0", mk(Z, 0), IntervalPEA(Z, Z.make(1)))
+    replay("boolean:0", mk(Z, 0), IntervalPEA(Z, 1))
 
     # (b) the one-coordinate integer kite is the unit interval of the
     # lexicographic plane

@@ -57,8 +57,8 @@ def test_pea_axioms_exact_on_small_integer_kite():
 
 
 def test_pea_axioms_hold_on_intervals():
-    for P in (IntervalPEA(Z, Z.make(2)),
-              IntervalPEA(integer_product(2), integer_product(2).make((1, 1)))):
+    for P in (IntervalPEA(Z, 2),
+              IntervalPEA(integer_product(2), (1, 1))):
         out = check_pea_axioms(P, Window(3))
         assert all_hold(out)
 
@@ -275,12 +275,12 @@ def test_pmv_axioms_hold_on_kites(kite):
 
 
 def test_pmv_axioms_hold_on_integer_chain():
-    out = check_pmv_axioms(IntervalPEA(Z, Z.make(3)), Window(3))
+    out = check_pmv_axioms(IntervalPEA(Z, 3), Window(3))
     assert all_hold(out)
 
 
 def test_pmv_axioms_catch_broken_oplus():
-    M = IntervalPEA(Z, Z.make(2))
+    M = IntervalPEA(Z, 2)
 
     def bad_oplus(x, y):
         if x or y:
@@ -292,7 +292,7 @@ def test_pmv_axioms_catch_broken_oplus():
         def mv_oplus(self, x, y):
             return bad_oplus(x, y)
 
-    out = check_pmv_axioms(BrokenOplus(Z, Z.make(2)), Window(2))
+    out = check_pmv_axioms(BrokenOplus(Z, 2), Window(2))
     assert any(v.status is Status.FAILS for v in out.values())
 
 
@@ -491,9 +491,9 @@ LEX = TwistedLexGroup(1, (0,), (0,), Z)
                  id="strictcone2-n2"),
     pytest.param(mk(1, (0,), (0,), TwistedLexGroup(2, (0, 1), (1, 0), Z)),
                  Window(1, 40), id="twistedlex-n1"),
-    pytest.param(IntervalPEA(Z, Z.make(2)), Window(2), id="interval-z-2"),
-    pytest.param(IntervalPEA(Z, Z.make(7)), Window(7), id="interval-z-7"),
-    pytest.param(IntervalPEA(LEX, LEX.make((1, (0,)))), Window(2),
+    pytest.param(IntervalPEA(Z, 2), Window(2), id="interval-z-2"),
+    pytest.param(IntervalPEA(Z, 7), Window(7), id="interval-z-7"),
+    pytest.param(IntervalPEA(LEX, (1, (0,))), Window(2),
                  id="interval-lex"),
 ])
 def test_multiples_defined_matches_the_add_chain(P, w):
@@ -518,12 +518,12 @@ def test_kite_splits_into_lowers_and_uppers():
 
 
 def test_integer_chain_has_no_perfect_split():
-    assert perfect_split(IntervalPEA(Z, Z.make(2)), Window(2)) is None
+    assert perfect_split(IntervalPEA(Z, 2), Window(2)) is None
 
 
 def test_lex_interval_is_perfect():
     g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = IntervalPEA(g, g.make((1, (0,))))
+    P = IntervalPEA(g, (1, (0,)))
     split = perfect_split(P, Window(2))
     assert split is not None
     assert all(x[0] == 0 for x in split.e0)

@@ -36,7 +36,7 @@ def mk(n, lam, rho, base=None):
 
 
 def kel(kite, obj):
-    vals = [kite.base.deserialize(c).value for c in obj["coords"]]
+    vals = [kite.base.deserialize(c) for c in obj["coords"]]
     return kite.lower(*vals) if obj["tag"] == "L" else kite.upper(*vals)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kitealg import perms
 from kitealg.kite import Kite, KiteElement, KiteShape, LOWER, UPPER
-from kitealg.pogroup import (CapabilityError, Elem, Integers, StrictCone2,
+from kitealg.pogroup import (CapabilityError, Integers, StrictCone2,
                              TwistedLexGroup, UsageError, Window, cone_window,
                              parse_group)
 
@@ -367,7 +367,6 @@ def test_coordinates_are_raw_base_values(name):
     assert len(found) > 3 * len(sample)
     for r in found:
         for c in r.coords:
-            assert not isinstance(c, Elem)
             assert base.check_value(c) == c
     # a kite on an equal but distinct shape has equal, equally hashed elements
     twin = mk(2, (0, 1), (1, 0), RAW_BASES[name]())

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     CapabilityError,
-    Elem,
     Integers,
     Product,
     StrictCone2,
@@ -63,11 +62,11 @@ def test_product_window_is_full_grid():
 def test_strict_cone_window_and_order():
     cone = set(cone_window(SC, Window(2)))
     assert cone == {(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
-    a = SC.make((1, 2))
-    b = SC.make((2, 1))
+    a = (1, 2)
+    b = (2, 1)
     assert not SC.leq(a, b)
     assert not SC.leq(b, a)
-    assert SC.leq(SC.make((1, 1)), SC.make((2, 2)))
+    assert SC.leq((1, 1), (2, 2))
 
 
 def test_strict_cone_interval_skips_incomparable_lattice_points():
@@ -78,41 +77,44 @@ def test_strict_cone_interval_skips_incomparable_lattice_points():
 
 def test_strict_cone_has_no_meet():
     with pytest.raises(CapabilityError):
-        SC.meet(SC.make((1, 1)), SC.make((2, 2)))
+        SC.meet((1, 1), (2, 2))
 
 
-# -- ownership ----------------------------------------------------------------
+# -- checked raw values ---------------------------------------------------------
 
 
 def test_ops_reject_elements_of_another_group_kind():
-    z2 = integer_product(2)
-    pair, cone_pair = z2.make((1, 1)), SC.make((1, 1))
-    # same value shape, different group: only the ownership check can tell
+    # every argument is checked by the group's own check_value, so a value
+    # in another group's form is refused
+    z2, g = integer_product(2), tl(1, [0], [0])
     with pytest.raises(UsageError):
-        SC.mul(pair, cone_pair)
+        z2.mul((1, 1), 1)
     with pytest.raises(UsageError):
-        SC.leq(cone_pair, pair)
+        z2.leq(1, (1, 1))
     with pytest.raises(UsageError):
-        z2.mul(pair, Z.make(1))
+        z2.inv((1, 1, 1))
     with pytest.raises(UsageError):
-        z2.leq(Z.make(1), pair)
+        z2.join((1, 1), (1, True))
     with pytest.raises(UsageError):
-        z2.meet(pair, cone_pair)
+        Z.meet(1, (1, 1))
     with pytest.raises(UsageError):
-        Z.meet(Z.make(1), pair)
-    g = tl(1, [0], [0])
+        SC.mul((1, 1), (1, (0,)))
     with pytest.raises(UsageError):
-        g.meet(g.e, Z.make(0))
+        g.meet(g.identity_value(), 0)
+    # own hands back the value in the group's own form
+    assert z2.own([1, 2]) == (1, 2)
+    assert g.own([1, [0]]) == (1, (0,))
+    assert g.mul([1, [0]], (0, [2])) == (1, (2,))
 
 
 def test_separately_parsed_equal_groups_combine():
     g1, g2 = parse_group("z2"), parse_group("z2")
     assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
-    a, b = g1.make((1, 2)), g2.make((3, -1))
-    assert g1.mul(a, b) == g2.make((4, 1))
-    assert g2.leq(a, g1.make((1, 3)))
-    assert g1.meet(a, b) == g2.make((1, -1))
-    assert g2.join(a, b) == g1.make((3, 2))
+    a, b = (1, 2), (3, -1)
+    assert g1.mul(a, b) == (4, 1)
+    assert g2.leq(a, (1, 3))
+    assert g1.meet(a, b) == (1, -1)
+    assert g2.join(a, b) == (3, 2)
 
 
 class RenamedIntegers(Integers):
@@ -147,20 +149,30 @@ def test_groups_differing_in_one_parameter_are_unequal(g1, g2):
 
 def test_twisted_lex_multiplication_oracle():
     g = tl(2, (0, 1), (1, 0))
-    a = g.make((1, (0, 0)))
-    b = g.make((0, (1, 0)))
+    a = (1, (0, 0))
+    b = (0, (1, 0))
     # coordinate i of a*b is a[lam^-0(i)] + b[rho^-1(i)], rho = swap
-    assert g.mul(a, b).value == (1, (0, 1))
-    assert g.mul(b, a).value == (1, (1, 0))
+    assert g.mul(a, b) == (1, (0, 1))
+    assert g.mul(b, a) == (1, (1, 0))
 
 
 def test_twisted_lex_inverse_oracle():
     g = tl(2, (0, 1), (1, 0))
-    a = g.make((1, (1, 0)))
+    a = (1, (1, 0))
     ai = g.inv(a)
-    assert ai.value == (-1, (0, -1))
-    assert g.mul(a, ai) == g.e
-    assert g.mul(ai, a) == g.e
+    assert ai == (-1, (0, -1))
+    assert g.mul(a, ai) == g.identity_value()
+    assert g.mul(ai, a) == g.identity_value()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: KiteShape(True, (0,), (0,), Z), id="kite-shape-bool"),
+    pytest.param(lambda: KiteShape(1.0, (0,), (0,), Z), id="kite-shape-float"),
+    pytest.param(lambda: tl(True, (0,), (0,)), id="twisted-lex-bool"),
+])
+def test_twist_size_must_be_a_non_negative_int(build):
+    with pytest.raises(UsageError, match="n must be a non-negative integer"):
+        build()
 
 
 def test_twisted_lex_requires_commuting_bijections():
@@ -170,9 +182,9 @@ def test_twisted_lex_requires_commuting_bijections():
 
 def test_twisted_lex_order_is_lex():
     g = tl(2, (0, 1), (1, 0))
-    assert g.leq(g.make((0, (5, -7))), g.make((1, (0, 0))))
-    assert g.leq(g.make((1, (0, 0))), g.make((1, (0, 1))))
-    assert not g.leq(g.make((1, (1, 0))), g.make((1, (0, 1))))
+    assert g.leq((0, (5, -7)), (1, (0, 0)))
+    assert g.leq((1, (0, 0)), (1, (0, 1)))
+    assert not g.leq((1, (1, 0)), (1, (0, 1)))
 
 
 def test_twisted_lex_noncommutative_witness():
@@ -188,7 +200,7 @@ def test_twisted_lex_noncommutative_witness():
     with pytest.raises(UsageError):
         check_com(g, g.inv_value(u), u, Window(2))
     with pytest.raises(UsageError):
-        check_com(g, g.make(u), u, Window(2))
+        check_com(g, (1, (0,)), u, Window(2))
     # on a kite the check reads the kite's own partial sum
     k = Kite(KiteShape(2, (0, 1), (1, 0), Z))
     v = check_com(k, k.one, k.one, Window(1))
@@ -231,16 +243,14 @@ def test_group_laws_hold(group):
 
 
 def _reference_group_laws(group, w, cap=12):
-    """check_group_laws as it was written on Elem objects, kept as the
-    reference for the value-level version: the window's raw values are
-    wrapped into Elems here, and ser writes one out."""
-    full = [Elem(group, v) for v in enumerate_window(group, w)]
+    """check_group_laws as it was written on the checked operations (mul,
+    inv, leq, join, meet), kept as the reference for the version on the
+    unchecked value operations."""
+    full = enumerate_window(group, w)
     sample = full[:cap]
-    e = group.e
+    e = group.identity_value()
     t = Tally()
-
-    def ser(a):
-        return group.serialize_value(a.value)
+    ser = group.serialize_value
 
     for a in full:
         t.hit()
@@ -412,10 +422,10 @@ def test_direct_sort_keys_and_norms_match_the_flattened_form(name):
         flat = tuple(_flatten(ser))
         assert g.value_key(v) == flat
         assert g.norm_value(v) == max((abs(c) for c in flat), default=0)
-        assert g.deserialize(ser).value == v
+        assert g.deserialize(ser) == v
     if not isinstance(g, TwistedLexGroup):
         # a flat serialization reads back whole or not at all
-        key = g.serialize_value(g.e.value)
+        key = g.serialize_value(g.identity_value())
         with pytest.raises(UsageError):
             g.deserialize(key + [0])
         if key:
@@ -530,11 +540,11 @@ TL1 = TwistedLexGroup(1, [0], [0], Integers())
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda: StrictCone2().make(5), id="strictcone2-int"),
-    pytest.param(lambda: StrictCone2().make((1, 2, 3)), id="strictcone2-triple"),
-    pytest.param(lambda: integer_product(2).make(5), id="z2-int"),
-    pytest.param(lambda: TL1.make(5), id="twistedlex-int"),
-    pytest.param(lambda: TL1.make((0, 5)), id="twistedlex-int-coords"),
+    pytest.param(lambda: StrictCone2().own(5), id="strictcone2-int"),
+    pytest.param(lambda: StrictCone2().own((1, 2, 3)), id="strictcone2-triple"),
+    pytest.param(lambda: integer_product(2).own(5), id="z2-int"),
+    pytest.param(lambda: TL1.own(5), id="twistedlex-int"),
+    pytest.param(lambda: TL1.own((0, 5)), id="twistedlex-int-coords"),
     pytest.param(lambda: TL1.deserialize(5), id="twistedlex-de-int"),
     pytest.param(lambda: TL1.deserialize([5]), id="twistedlex-de-short"),
     pytest.param(lambda: TL1.deserialize("x"), id="twistedlex-de-str"),
@@ -576,24 +586,21 @@ tl_vals = st.tuples(st.integers(-2, 2), st.tuples(st.integers(-2, 2),
 @given(x=tl_vals, y=tl_vals, z=tl_vals)
 def test_twisted_lex_associative(x, y, z):
     g = tl(2, (0, 1), (1, 0))
-    a, b, c = g.make(x), g.make(y), g.make(z)
-    assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+    assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=tl_vals, y=tl_vals, t=tl_vals)
 def test_twisted_lex_order_translation_invariant(x, y, t):
     g = tl(2, (0, 1), (1, 0))
-    a, b, c = g.make(x), g.make(y), g.make(t)
-    if g.leq(a, b):
-        assert g.leq(g.mul(c, a), g.mul(c, b))
-        assert g.leq(g.mul(a, c), g.mul(b, c))
+    if g.leq(x, y):
+        assert g.leq(g.mul(t, x), g.mul(t, y))
+        assert g.leq(g.mul(x, t), g.mul(y, t))
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=pairs, y=pairs)
 def test_strict_cone_order_is_partial_order(x, y):
-    a, b = SC.make(x), SC.make(y)
-    assert SC.leq(a, a)
-    if SC.leq(a, b) and SC.leq(b, a):
-        assert a == b
+    assert SC.leq(x, x)
+    if SC.leq(x, y) and SC.leq(y, x):
+        assert x == y

@@ -7,7 +7,7 @@ from kitealg.axioms import PerfectSplit, StateTable
 from kitealg.cli import RunConfig
 from kitealg.ideals import IdealSet, OrbitReport
 from kitealg.kite import LOWER, KiteElement, KiteShape
-from kitealg.pogroup import Elem, Integers, PositiveCone, StrictCone2, Window
+from kitealg.pogroup import Integers, PositiveCone, StrictCone2, Window
 from kitealg.representations import IntervalPEA, MapSpec
 from kitealg.riesz import RefinementTable
 from kitealg.verdict import Status, Tally, Verdict, holds
@@ -22,11 +22,10 @@ RECORDS = {
     "Tally": (lambda: Tally(2, 1, {"a": 1}), lambda: Tally(2, 1, {"b": 1}),
               False),
     "Window": (lambda: Window(2, 5), lambda: Window(2), True),
-    "Elem": (lambda: Elem(Z, 3), lambda: Elem(Z, -3), True),
     "PositiveCone": (lambda: PositiveCone(Integers()),
                      lambda: PositiveCone(StrictCone2()), True),
-    "IntervalPEA": (lambda: IntervalPEA(Z, Z.make(2)),
-                    lambda: IntervalPEA(Z, Z.make(1)), True),
+    "IntervalPEA": (lambda: IntervalPEA(Z, 2),
+                    lambda: IntervalPEA(Z, 1), True),
     "PerfectSplit": (lambda: PerfectSplit((1,), (2,)),
                      lambda: PerfectSplit((2,), (1,)), True),
     "StateTable": (lambda: StateTable({1: 0}), lambda: StateTable({1: 1}),
@@ -77,7 +76,7 @@ def test_record_is_unequal_to_every_other_record_class(name):
 
 
 def test_interval_pea_is_not_its_positive_cone():
-    cone, interval = PositiveCone(Z), IntervalPEA(Z, Z.make(1))
+    cone, interval = PositiveCone(Z), IntervalPEA(Z, 1)
     assert cone != interval and interval != cone
     assert (interval.zero, interval.is_lattice) == (cone.zero, cone.is_lattice)
 

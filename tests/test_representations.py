@@ -39,7 +39,7 @@ def mk(n, lam, rho, base=None):
 
 
 def test_integer_chain_carrier():
-    P = IntervalPEA(Z, Z.make(2))
+    P = IntervalPEA(Z, 2)
     # the elements are raw values of the group
     assert P.elements(Window(3)) == [0, 1, 2]
     assert P.add(1, 1) == 2
@@ -49,7 +49,7 @@ def test_integer_chain_carrier():
 
 def test_unit_square_is_boolean():
     g = integer_product(2)
-    P = IntervalPEA(g, g.make((1, 1)))
+    P = IntervalPEA(g, (1, 1))
     els = P.elements(Window(2))
     assert set(els) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     a = (1, 0)
@@ -59,14 +59,21 @@ def test_unit_square_is_boolean():
 
 def test_unit_must_be_strictly_positive():
     with pytest.raises(UsageError):
-        IntervalPEA(Z, Z.make(0))
+        IntervalPEA(Z, 0)
     with pytest.raises(UsageError):
-        IntervalPEA(Z, Z.make(-1))
+        IntervalPEA(Z, -1)
+
+
+def test_unit_is_a_checked_raw_value():
+    with pytest.raises(UsageError, match="Integers value must be int"):
+        IntervalPEA(Z, True)
+    # the unit is kept in the group's own form
+    assert IntervalPEA(integer_product(2), [1, 1]).unit == (1, 1)
 
 
 def test_lex_interval_algebra_shape():
     g = TwistedLexGroup(1, (0,), (0,), Z)
-    P = IntervalPEA(g, g.make((1, (0,))))
+    P = IntervalPEA(g, (1, (0,)))
     els = P.elements(Window(2))
     levels = {x[0] for x in els}
     assert levels == {0, 1}
@@ -84,7 +91,7 @@ def test_interval_mv_oplus_needs_a_lattice_group():
 
 
 def test_interval_pea_wrapper_is_enumerable():
-    P = IntervalPEA(Z, Z.make(2))
+    P = IntervalPEA(Z, 2)
     assert P.zero == 0
     assert P.one == 2
 
@@ -165,7 +172,7 @@ def test_stored_mapspec_reads_the_registry_once(monkeypatch):
 
 def test_trivial_kite_is_the_two_chain():
     k = mk(0, (), ())
-    target = IntervalPEA(Z, Z.make(1))
+    target = IntervalPEA(Z, 1)
     spec = MapSpec(tau_lower=(), tau_upper=())
     v = verify_iso(k, target, spec, Window(2))
     assert v.ok, v.describe()
@@ -213,20 +220,21 @@ def test_cyclic_fixture_wrong_orientation_fails():
     assert v.status is Status.FAILS
 
 
-def test_iso_into_an_interval_target_builds_no_elem(elems_built):
+def test_iso_into_an_interval_target_maps_to_raw_values():
     k = mk(2, (1, 0), (1, 0))
     target, spec, v = perfect_representation(k, Window(1))
     assert v.ok and v.checked > 0
-    elems_built.clear()
-    # MapSpec.apply hands back the target group's raw values
     assert verify_iso(k, target, spec, Window(1)) == v
-    assert elems_built == []
+    # MapSpec.apply hands back the target group's raw values
+    for x in k.elements(Window(1)):
+        image = spec.apply(x, target)
+        assert target.group.check_value(image) == image
 
 
 def test_shifted_image_fails():
     # 0 -> 1 and 1 -> 2 is injective, so the first failure is the zero
     k = mk(0, (), ())
-    target = IntervalPEA(Z, Z.make(2))
+    target = IntervalPEA(Z, 2)
     assert target.elements(Window(1)) == [0, 1, 2]
     shifted = {k.zero: 1, k.one: 2}.get
     v = verify_iso(k, target, shifted, Window(1))
@@ -237,7 +245,7 @@ def test_shifted_image_fails():
 
 def test_merged_images_fail():
     k = mk(0, (), ())
-    target = IntervalPEA(Z, Z.make(1))
+    target = IntervalPEA(Z, 1)
 
     def merged(x):
         return 0
@@ -251,7 +259,7 @@ def test_a_target_without_images_is_a_usage_error():
     # an interval of Z^2 is neither a TwistedLex interval nor Z at n = 0
     k = mk(1, (0,), (0,))
     g = integer_product(2)
-    target = IntervalPEA(g, g.make((1, 1)))
+    target = IntervalPEA(g, (1, 1))
     spec = MapSpec(tau_lower=(0,), tau_upper=(0,))
     with pytest.raises(UsageError, match="maps only into"):
         spec.apply(k.zero, target)
@@ -261,7 +269,7 @@ def test_a_target_without_images_is_a_usage_error():
         verify_iso(k, target, lambda x: None, Window(1))
     # Z takes only the n = 0 kite
     with pytest.raises(UsageError, match="maps only into"):
-        spec.apply(k.zero, IntervalPEA(Z, Z.make(1)))
+        spec.apply(k.zero, IntervalPEA(Z, 1))
 
 
 def test_a_map_spec_of_another_arity_is_a_usage_error():

@@ -211,6 +211,12 @@ MUTANTS = [
            "                t.hit()\n",
            ("tests/test_riesz.py::"
             "test_window_bounded_table_search_is_a_skip",)),
+    # an RDP0 split search that ran out of window counts as a split found
+    Mutant("split-search-skip-counted-as-hit", "src/kitealg/riesz.py",
+           '                t.skip("split search window-bounded")\n',
+           "                t.hit()\n",
+           ("tests/test_riesz.py::"
+            "test_window_bounded_split_search_is_a_skip",)),
     # a bare group's arguments reach the search unchecked
     Mutant("bare-group-values-unchecked", "src/kitealg/riesz.py",
            "        return PositiveCone(obj), "
@@ -377,6 +383,20 @@ MUTANTS = [
            '                raise UsageError("index tables must be '
            'permutations")\n',
            ("tests/test_representations.py::test_mapspec_validation",)),
+    # a group's own operations take their raw arguments unchecked
+    Mutant("group-ops-unchecked", "src/kitealg/pogroup.py",
+           "        return self.check_value(value)\n",
+           "        return value\n",
+           ("tests/test_pogroup.py::"
+            "test_ops_reject_elements_of_another_group_kind",
+            "tests/test_representations.py::"
+            "test_unit_is_a_checked_raw_value")),
+    # a twist size that is a bool passes for an int
+    Mutant("check-perms-admits-bool-n", "src/kitealg/pogroup.py",
+           "    if type(n) is not int or n < 0:\n",
+           "    if not isinstance(n, int) or n < 0:\n",
+           ("tests/test_pogroup.py::"
+            "test_twist_size_must_be_a_non_negative_int",)),
     # a kite shape lets check_perm's ValueError through on a malformed
     # twist
     Mutant("kite-shape-raises-value-error", "src/kitealg/kite.py",
