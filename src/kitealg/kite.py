@@ -46,6 +46,8 @@ class KiteShape(Frozen):
 
     def __init__(self, n: int, lam, rho, base: PoGroup) -> None:
         lam, rho = check_perms(n, "kite shape twist", lam, rho)
+        if not isinstance(base, PoGroup):
+            raise UsageError(f"kite shape base must be a PoGroup, not {base!r}")
         setfield(self, "n", n)
         setfield(self, "lam", lam)
         setfield(self, "rho", rho)

@@ -65,10 +65,12 @@ class Window(Frozen):
     _fields = ("height", "cap")
 
     def __init__(self, height: int, cap: int | None = None) -> None:
-        if height < 0:
-            raise UsageError("window height must be >= 0")
-        if cap is not None and cap < 1:
-            raise UsageError("window cap must be >= 1")
+        # a bool is an int to Python, but not a bound
+        if type(height) is not int or height < 0:
+            raise UsageError(f"window height must be an integer >= 0, "
+                             f"not {height!r}")
+        if cap is not None and (type(cap) is not int or cap < 1):
+            raise UsageError(f"window cap must be an integer >= 1, not {cap!r}")
         setfield(self, "height", height)
         setfield(self, "cap", cap)
         # windows key many memos, so hash the fields once

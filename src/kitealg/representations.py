@@ -96,6 +96,8 @@ class MapSpec(Frozen):
     _fields = ("tau_lower", "tau_upper")
 
     def __init__(self, tau_lower, tau_upper) -> None:
+        if not isinstance(tau_lower, (list, tuple)):
+            raise UsageError(f"map spec index table: not a list: {tau_lower!r}")
         tau_lower, tau_upper = pg.check_perms(
             len(tau_lower), "map spec index table", tau_lower, tau_upper)
         setfield(self, "tau_lower", tau_lower)

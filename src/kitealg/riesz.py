@@ -20,6 +20,14 @@ conclusive only when the searched interval was exhaustive; otherwise the
 caller records a skip. find_interpolant and find_refinement return the flag
 with what they found, as (witness or None, exhaustive).
 
+The RIP check decides a block of instances at a time. Sets of sample
+indices are int bitsets, and up[i] holds the elements above the i-th. For a
+fixed (a1, a2, b1), the b2 reached by an in-sample interpolant are one OR of
+up over the [a1, b1] candidates above a2, counted with int.bit_count; only
+the b2 it misses try the candidates outside the sample, by leq. Its verdict,
+counts, skip notes and witness are those of the serial loop over
+(a1, a2, b1, b2), which calls find_interpolant once per instance.
+
 For kites the refinement tables and splits are also built directly from base
 group data (directedness witnesses plus base tables), one coordinate at a
 time; every constructed table is validated against its four sum equations
@@ -515,48 +523,75 @@ def check_rdp_level(ctx: Algebra | PoGroup, level: RdpLevel,
     return _check_tables(ctx, level, w)
 
 
-def _check_rip(ctx: Algebra, w: Window) -> Verdict:
-    """find_interpolant over every instance, in the order of the sample.
+def _bits(x: int):
+    """The indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    The order tests come from one matrix up[i][j] = leq(pos[i], pos[j]),
-    computed once per call (n^2 tests for a sample of n): for each (a1, a2)
-    the instances are the b1, b2 among the indices above both. Each [a1, b1]
-    interval is computed once per (a1, b1) instead of once per
-    (a1, a2, b1, b2), with the sample index of each candidate (-1 outside
-    the sample); a candidate in the sample is tested against a2 and b2 from
-    the matrix, one outside it by leq.
+
+def _check_rip(ctx: Algebra, w: Window) -> Verdict:
+    """find_interpolant over every instance, counted a block at a time.
+
+    Sets of sample indices are int bitsets, and the order tests come from
+    one pass of n^2 leq calls for a sample of n: bit j of up[i] is set when
+    pos[i] <= pos[j]. For each (a1, a2) the instances are the b1, b2 in
+    above = up[a1] & up[a2]. Each [a1, b1] interval is computed once per
+    (a1, b1), as the bitset of its candidates in the sample plus the list of
+    those outside it (past the cap or the height).
+
+    A block is a fixed (a1, a2, b1). The b2 reached by some in-sample
+    candidate above a2 are the OR of up[c] over those candidates, so the
+    block's hits are counted with one bit_count. Only the misses try the
+    outside candidates, by leq. In an exhaustive interval the lowest-index
+    miss is the failure, counted after the hits at lower b2 indices, as the
+    serial order over (a1, a2, b1, b2) counts them; otherwise each miss is a
+    skip.
     """
     pos = ctx.elements(w)
-    up = [[ctx.leq(a, b) for b in pos] for a in pos]
-    index = {x: i for i, x in enumerate(pos)}
     leq = ctx.leq
+    up = [sum(1 << j for j, b in enumerate(pos) if leq(a, b)) for a in pos]
+    index = {x: i for i, x in enumerate(pos)}
     t = Tally()
     for i, a1 in enumerate(pos):
-        intervals: list = [None] * len(pos)  # [a1, b1] by b1's index in pos
+        intervals: dict = {}  # [a1, b1] by b1's index in pos
         for k, a2 in enumerate(pos):
-            above_a2 = up[k]
-            above = [j for j, (u1, u2) in enumerate(zip(up[i], above_a2))
-                     if u1 and u2]
-            for j in above:
-                b1 = pos[j]
-                if intervals[j] is None:
-                    cands, exhaustive = ctx.interval(a1, b1, w)
-                    intervals[j] = (cands, [index.get(c, -1) for c in cands],
-                                    exhaustive)
-                cands, where, exhaustive = intervals[j]
-                for m in above:
-                    b2 = pos[m]
-                    if any(above_a2[ci] and up[ci][m] if ci >= 0
-                           else leq(a2, c) and leq(c, b2)
-                           for c, ci in zip(cands, where)):
-                        t.hit()
-                    elif exhaustive:
-                        return t.fail(
-                            {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),
-                             "b1": ctx.serialize(b1), "b2": ctx.serialize(b2)},
-                            "no interpolant")
-                    else:
-                        t.skip("interpolant search window-bounded")
+            above = up[i] & up[k]
+            for j in _bits(above):
+                if j not in intervals:
+                    cands, exhaustive = ctx.interval(a1, pos[j], w)
+                    inside, outside = 0, []
+                    for c in cands:
+                        ci = index.get(c)
+                        if ci is None:
+                            outside.append(c)
+                        else:
+                            inside |= 1 << ci
+                    intervals[j] = inside, outside, exhaustive
+                inside, outside, exhaustive = intervals[j]
+                reach = 0
+                for ci in _bits(inside & up[k]):
+                    reach |= up[ci]
+                misses = above & ~reach
+                if outside:
+                    for m in _bits(misses):
+                        if any(leq(a2, c) and leq(c, pos[m]) for c in outside):
+                            misses ^= 1 << m
+                        elif exhaustive:
+                            break
+                if misses and exhaustive:
+                    m = (misses & -misses).bit_length() - 1
+                    t.checked += (above & ((1 << m) - 1)).bit_count()
+                    return t.fail(
+                        {"a1": ctx.serialize(a1), "a2": ctx.serialize(a2),
+                         "b1": ctx.serialize(pos[j]),
+                         "b2": ctx.serialize(pos[m])},
+                        "no interpolant")
+                skipped = misses.bit_count()
+                t.checked += above.bit_count() - skipped
+                if skipped:
+                    t.skip("interpolant search window-bounded", skipped)
     return t.done("interpolant found for every sampled instance")
 
 

@@ -124,9 +124,9 @@ class Tally(Record):
     def hit(self) -> None:
         self.checked += 1
 
-    def skip(self, note: str = "") -> None:
-        self.skipped += 1
-        self.notes[note] = self.notes.get(note, 0) + 1
+    def skip(self, note: str = "", count: int = 1) -> None:
+        self.skipped += count
+        self.notes[note] = self.notes.get(note, 0) + count
 
     def fail(self, witness: dict[str, Any], reason: str = "") -> Verdict:
         return fails(witness, checked=self.checked, skipped=self.skipped, reason=reason)

@@ -38,6 +38,9 @@ def test_constructor_validation():
     # a malformed twist is a usage error, as every other malformed input is
     with pytest.raises(UsageError):
         KiteShape(n=2, lam=(0, 0), rho=(0, 1), base=Z)
+    # the base is a po-group, not its name
+    with pytest.raises(UsageError, match="base must be a PoGroup"):
+        KiteShape(1, (0,), (0,), "z")
 
 
 def test_strict_cone_constructors_reject_out_of_cone_coordinates():

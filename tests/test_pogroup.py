@@ -43,6 +43,14 @@ def test_window_rejects_bad_bounds():
     assert Window(2, 5).uncapped() == Window(2)
 
 
+@pytest.mark.parametrize("height, cap", [
+    (1.5, None), (2, 1.5), (True, None), (2, True), ("2", None),
+])
+def test_window_bounds_must_be_ints(height, cap):
+    with pytest.raises(UsageError, match="must be an integer"):
+        Window(height, cap)
+
+
 def test_integer_window_contents():
     # raw values, sorted by (|x|, x)
     assert enumerate_window(Z, Window(2)) == [0, -1, 1, -2, 2]

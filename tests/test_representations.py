@@ -138,6 +138,9 @@ def test_mapspec_validation():
     # both tables index the same n coordinates
     with pytest.raises(UsageError):
         MapSpec(tau_lower=(0,), tau_upper=(0, 1))
+    # an index table that is not a sequence at all
+    with pytest.raises(UsageError):
+        MapSpec(5, (0,))
 
 
 def test_stored_mapspec_registry():

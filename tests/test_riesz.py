@@ -410,10 +410,28 @@ class Bowtie:
         return str(x)
 
 
+class PastTheCap(Bowtie):
+    """a, b <= u <= c, d, with u past the sample's cap, so u is the only
+    interpolant of (a, b, c, d) and one that lies outside the sample; e, f
+    below g, h have none. Its intervals are exhaustive, so (e, f, g, h) is
+    a failure, after the hit at (e, f, g, g) in its block."""
+
+    order = "0abcdefghu"
+    below = {"0": set(order), "a": set("acdu"), "b": set("bcdu"),
+             "c": set("c"), "d": set("d"), "e": set("egh"), "f": set("fgh"),
+             "g": set("g"), "h": set("h"), "u": set("cdu")}
+
+    def elements(self, w):
+        return list(self.order[:-1])
+
+
 @pytest.mark.parametrize("obj, w, expect", [
     (mk(2, (0, 1), (1, 0)), Window(2), (Status.HOLDS, None, 0)),
     (mk(1, (0,), (0,), SC), Window(2), (Status.UNKNOWN, 1061, 100)),
     (Bowtie(), Window(1), (Status.FAILS, None, 0)),
+    # the riesz benchmark workload's capped sample
+    (mk(2, (0, 1), (1, 0)), Window(2, 14), (Status.HOLDS, 5685, 0)),
+    (PastTheCap(), Window(1), (Status.FAILS, 196, 0)),
 ])
 def test_rip_loop_matches_reference(obj, w, expect):
     got = _check_rip(obj, w)

@@ -217,6 +217,23 @@ MUTANTS = [
            "                t.hit()\n",
            ("tests/test_riesz.py::"
             "test_window_bounded_split_search_is_a_skip",)),
+    # the b2 that no in-sample candidate reaches count as hits
+    Mutant("rip-block-misses-counted-as-hits", "src/kitealg/riesz.py",
+           "                misses = above & ~reach\n",
+           "                misses = 0\n",
+           ("tests/test_riesz.py::test_rip_loop_matches_reference",)),
+    # a failing block's hits at lower b2 indices are not counted
+    Mutant("rip-hits-before-first-miss-dropped", "src/kitealg/riesz.py",
+           "                    t.checked += (above & ((1 << m) - 1))"
+           ".bit_count()\n",
+           "                    pass\n",
+           ("tests/test_riesz.py::test_rip_loop_matches_reference",)),
+    # a miss is not tried against the candidates outside the sample
+    Mutant("rip-outside-candidates-ignored", "src/kitealg/riesz.py",
+           "                        if any(leq(a2, c) and leq(c, pos[m]) "
+           "for c in outside):\n",
+           "                        if False:\n",
+           ("tests/test_riesz.py::test_rip_loop_matches_reference",)),
     # a bare group's arguments reach the search unchecked
     Mutant("bare-group-values-unchecked", "src/kitealg/riesz.py",
            "        return PositiveCone(obj), "
