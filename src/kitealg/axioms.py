@@ -342,7 +342,8 @@ def perfect_split(P: Algebra, w: Window,
     Verifies on the sample: negations swap the classes, defined sums land in
     the class of the index sum (which never exceeds 1), and the zero class is
     closed under addition. Class membership itself is the bounded
-    infinitesimality test, so the split is evidence at level nmax.
+    infinitesimality test, so the split is evidence at level nmax. A class
+    that the sample misses is left empty, neither shown nor broken.
     """
     sample = P.elements(w)
     cls: dict = {}
@@ -355,7 +356,7 @@ def perfect_split(P: Algebra, w: Window,
     levels = [level(x) for x in sample]
     e0 = tuple(x for x, i in zip(sample, levels) if i == 0)
     e1 = tuple(x for x, i in zip(sample, levels) if i == 1)
-    if not (e0 and e1) or level(P.zero) != 0 or level(P.one) != 1:
+    if level(P.zero) != 0 or level(P.one) != 1:
         return None
     for x, i in zip(sample, levels):
         if (level(P.complement_left(x)) == i

@@ -326,6 +326,10 @@ def _one_unit(token: str, kite: Kite, cfg: RunConfig, w: Window) -> tuple:
         if split is None:
             verdicts["perfect_split"] = fails(
                 reason="no two-class split on this window")
+        elif not (split.e0 and split.e1):
+            verdicts["perfect_split"] = unknown(skipped=1, reason=(
+                f"the window (height {w.height}, cap {w.cap}) samples "
+                "one class only"))
         else:
             verdicts["perfect_split"] = holds(
                 checked=len(split.e0) + len(split.e1))

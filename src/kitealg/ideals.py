@@ -158,10 +158,10 @@ def is_normal(P: Algebra, ideal: IdealSet, w: Window) -> Verdict:
     of the module docstring, computed once per member: a lower x is two
     hits with no sum taken, and an upper x takes its sums from the add memo
     and no difference. Order, counts and witnesses are those of the
-    per-instance solve. Where the base norm is order-convex such a z is
-    never outside the window: it permutes y's coordinates, so it lies in
-    y's norm shell; a defined sum forces norm(x) >= norm(y); and the
-    sample, a prefix in (norm, tag) order, holds an upper x only after
+    per-instance solve. Where every base interval [e, c] is exhaustive such
+    a z is never outside the window: it lies in y's norm shell, as it
+    permutes y's coordinates; a defined sum forces norm(x) >= norm(y); and
+    the sample, a prefix in (norm, tag) order, holds an upper x only after
     every lower of the shells up to x's.
     """
     sample = P.elements(w)

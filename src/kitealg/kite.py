@@ -465,7 +465,8 @@ class Kite:
 
     def interval(self, a: KiteElement, b: KiteElement,
                  w: Window) -> tuple[list[KiteElement], bool]:
-        """Window elements between a and b, with an exhaustiveness flag."""
+        """Window elements between a and b, with an exhaustiveness flag; a
+        same-tag interval is the product of its coordinates' base intervals."""
         a, b = self.own(a), self.own(b)
         if a.tag == UPPER and b.tag == LOWER:
             return [], True
@@ -473,7 +474,5 @@ class Kite:
         out = [x for x in self.elements(wide)
                if self._leq(a, x) and self._leq(x, b)]
         if a.tag == LOWER and b.tag == UPPER:
-            exhaustive = self.base.is_trivial or self.n == 0
-        else:
-            exhaustive = self.base.order_convex_norm
-        return out, exhaustive
+            return out, self.base.is_trivial or self.n == 0
+        return out, all(map(self.base.interval_exhaustive, a.coords, b.coords))

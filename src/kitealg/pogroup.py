@@ -118,12 +118,12 @@ class PoGroup:
 
     # -- capability flags ---------------------------------------------------
 
-    # every backend is directed; a lattice-ordered group also has RDP2
+    # every backend is directed; a lattice-ordered group also has RDP2.
+    # Whether a window holds a whole interval is a question about the two
+    # ends, so interval_exhaustive answers it
     is_lattice = False
     is_abelian = False
     is_trivial = False
-    # a <= x <= b forces norm(x) <= max(norm(a), norm(b))
-    order_convex_norm = True
 
     # -- core operations ----------------------------------------------------
 
@@ -230,8 +230,9 @@ class PoGroup:
         raise NotImplementedError
 
     def interval_exhaustive(self, lo, hi) -> bool:
-        """True when [lo, hi] (raw values) lies in the ball of both norms."""
-        return self.order_convex_norm
+        """True when the window of lo's and hi's larger norm holds all of
+        [lo, hi]; the norms of Integers and StrictCone2 are order-convex."""
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +389,11 @@ class Product(PoGroup):
         pools = [list(c.ball_values(height)) for c in self.components]
         return iter(itertools.product(*pools))
 
+    def interval_exhaustive(self, lo, hi):
+        # the interval is the product of its components' intervals
+        return all(c.interval_exhaustive(a, b)
+                   for c, a, b in zip(self.components, lo, hi))
+
     def _params(self):
         return {"components": [c.describe() for c in self.components]}
 
@@ -461,8 +467,6 @@ class TwistedLexGroup(PoGroup):
         self.is_lattice = base.is_lattice
         self.is_abelian = base.is_abelian and self.lam == self.rho
         super().__init__()
-
-    order_convex_norm = False
 
     def identity_value(self):
         e = self.base.identity_value()
@@ -547,8 +551,11 @@ class TwistedLexGroup(PoGroup):
         return gen()
 
     def interval_exhaustive(self, lo, hi):
-        # lex intervals across different leading integers are infinite
-        return lo[0] == hi[0]
+        # lex intervals across different leading integers are infinite; at
+        # one leading integer the interval is the product of the base's
+        # coordinate intervals
+        return lo[0] == hi[0] and all(
+            map(self.base.interval_exhaustive, lo[1], hi[1]))
 
     def strong_unit(self):
         """(1, e...): the raw unit of the interval a kite maps onto."""

@@ -185,13 +185,9 @@ def find_interpolant(ctx: Algebra | PoGroup, a1, a2, b1, b2, w: Window):
     """Smallest window element c with a1, a2 <= c <= b1, b2; plus coverage."""
     ctx, (a1, a2, b1, b2) = _cone(ctx, a1, a2, b1, b2)
     cands, exhaustive = ctx.interval(a1, b1, w)
-    return _first_between(ctx, cands, a2, b2), exhaustive
-
-
-def _first_between(ctx: Algebra, cands: list, lo, hi):
-    """First c in cands with lo <= c <= hi, or None."""
     leq = ctx.leq
-    return next((c for c in cands if leq(lo, c) and leq(c, hi)), None)
+    found = next((c for c in cands if leq(a2, c) and leq(c, b2)), None)
+    return found, exhaustive
 
 
 def _meet_zero(ctx: Algebra, x, y, w: Window) -> Verdict:
@@ -300,11 +296,9 @@ def _opposite(kite: Kite, flip: bool):
     return mul, kite.rho, kite.rho_inv
 
 
-def _anti(t: Optional[RefinementTable]) -> Optional[RefinementTable]:
+def _anti(t: RefinementTable) -> RefinementTable:
     """The table of r2 + r1 = s2 + s1 in the opposite algebra, given the table
     (c11, c12, c21, c22) of r1 + r2 = s1 + s2: (c22, c21, c12, c11)."""
-    if t is None:
-        return None
     return RefinementTable(t.c22, t.c21, t.c12, t.c11, side=t.side, note=t.note)
 
 
@@ -362,9 +356,9 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     rows; the crossed U-L-L-U has a closed-form table with a zero cell at
     c21. L-U-L-U is U-L-U-L in the opposite kite for (x2, x1, y2, y1), read
     back anti-transposed; L-U-U-L is U-L-L-U with the two decompositions
-    swapped, read back transposed. The result is validated against all four
-    sum equations before returning; None means a base-level ingredient was
-    not found.
+    swapped, read back transposed; two uppers have no sum, so no other
+    pattern occurs. The result is validated against all four sum equations
+    before returning; None means a base-level ingredient was not found.
     """
     own = kite.own
     x1, x2, y1, y2 = own(x1), own(x2), own(y1), own(y2)
@@ -384,7 +378,6 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
     a1, a2, b1, b2 = ((x2, x1, y2, y1) if flip else (y1, y2, x1, x2) if swap
                       else (x1, x2, y1, y2))
     pattern = (a1.tag, a2.tag, b1.tag, b2.tag)
-    table = None
 
     if pattern == (LOWER, LOWER, LOWER, LOWER):
         per = []
@@ -421,7 +414,7 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
         if flip:
             table = _anti(table)
 
-    elif pattern == (UPPER, LOWER, LOWER, UPPER):
+    else:  # the crossed U-L-L-U
         c = kite.intern(
             UPPER, [base.mul_values(inv(b1.coords[kite.lam_inv[i]]), a1.coords[i])
                     for i in range(n)])
@@ -429,8 +422,6 @@ def kite_refinement_constructive(kite: Kite, x1, x2, y1, y2,
         table = RefinementTable(*cells, note="crossed pattern, zero cell at "
                                 + ("c12" if swap else "c21"))
 
-    if table is None:
-        return None
     add = kite.add
     if (add(table.c11, table.c12) is not x1
             or add(table.c21, table.c22) is not x2
@@ -450,8 +441,8 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
     Case split on tags: all-lower works one coordinate at a time; a lower
     element below a mixed sum splits trivially against the upper summand;
     U-U-L reduces to base splits of the positive parts, and U-L-U is U-U-L
-    in the opposite kite for (x, z, y), read back swapped. None means a base
-    split was not found.
+    in the opposite kite for (x, z, y), read back swapped; no other pattern
+    has a defined y + z above x. None means a base split was not found.
     """
     own = kite.own
     x, y, z = own(x), own(y), own(z)
@@ -473,11 +464,9 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
             pairs.append(pair)
         g1, h1 = zip(*pairs) if pairs else ((), ())
         out = kite.intern(LOWER, g1), kite.intern(LOWER, h1)
-    elif tags == (LOWER, UPPER, LOWER):
-        out = (x, kite.zero)
-    elif tags == (LOWER, LOWER, UPPER):
-        out = (kite.zero, x)
-    elif tags in ((UPPER, UPPER, LOWER), (UPPER, LOWER, UPPER)):
+    elif x.tag == LOWER:  # L-U-L or L-L-U
+        out = (x, kite.zero) if y.tag == UPPER else (kite.zero, x)
+    else:  # U-U-L or U-L-U
         flip = y.tag == LOWER
         u, l = (z, y) if flip else (y, z)
         mul, rho, rho_inv = _opposite(kite, flip)
@@ -494,8 +483,6 @@ def kite_rdp0_split_constructive(kite: Kite, x, y, z):
         u1 = kite.intern(UPPER, [mul(x.coords[i], inv(f1[i])) for i in range(n)])
         l1 = kite.intern(LOWER, [f1[rho[j]] for j in range(n)])
         out = (l1, u1) if flip else (u1, l1)
-    else:
-        return None
 
     y1, z1 = out
     if (not kite.leq(y1, y) or not kite.leq(z1, z)

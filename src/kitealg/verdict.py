@@ -88,8 +88,6 @@ def merge(*verdicts: Verdict) -> Verdict:
     Counts are summed; the witness and reason come from the decisive verdict
     (first failure, or first unknown when nothing failed).
     """
-    if not verdicts:
-        return holds(0)
     total_checked = sum(v.checked for v in verdicts)
     total_skipped = sum(v.skipped for v in verdicts)
     decisive = None

@@ -247,6 +247,17 @@ def test_state_check_answers_on_kite(capsys):
     assert section["extras"]["split_sizes"]["e0"] >= 1
 
 
+def test_state_on_a_one_class_window_is_unknown(capsys):
+    # the capped sample is the zero alone: no class-1 element to split from
+    code, report, _ = run_json(capsys, [
+        "check", "--group", "z", "--shape", '{"n": 1}', "--height", "1",
+        "--cap", "1", "--checks", "state"])
+    assert code == 2
+    v = report["checks"]["state"]["verdicts"]["perfect_split"]
+    assert (v["status"], v["checked"], v["skipped"]) == ("unknown", 0, 1)
+    assert v["reason"] == "the window (height 1, cap 1) samples one class only"
+
+
 def test_report_is_deterministic(capsys):
     argv = ["check", "--group", "z", "--shape", SWAP_SHAPE,
             "--height", "1", "--checks", "axioms,ideals"]

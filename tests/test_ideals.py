@@ -60,6 +60,15 @@ def test_closure_collects_downsets_and_sums():
     assert k.lower(0, 1) not in ideal
 
 
+def test_closure_takes_the_elements_below_its_members():
+    # lower(2, 1) alone has no sum in the window; the nine lowers come from
+    # the elements below it and the sums of those
+    k = mk(2, (0, 1), (0, 1))
+    ideal = ideal_closure(k, [k.lower(2, 1)], Window(2))
+    assert set(ideal.elements) == {k.lower(i, j)
+                                   for i in range(3) for j in range(3)}
+
+
 def test_closure_rejects_foreign_generators():
     k = mk(1, (0,), (0,))
     with pytest.raises(UsageError):

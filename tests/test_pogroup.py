@@ -9,6 +9,7 @@ from kitealg.kite import Kite, KiteShape
 from kitealg.pogroup import (
     CapabilityError,
     Integers,
+    PositiveCone,
     Product,
     StrictCone2,
     TwistedLexGroup,
@@ -241,6 +242,9 @@ LAW_GROUPS = [
     tl(2, (0, 1), (1, 0)),
     tl(2, (1, 0), (1, 0)),
     Product(()),
+    # a lattice product off the Z^k path: its join and meet go component
+    # by component
+    Product([Z, tl(1, (0,), (0,))]),
 ]
 
 
@@ -393,6 +397,18 @@ def test_twisted_lex_interval_across_levels_not_exhaustive():
     g = tl(1, (0,), (0,))
     _, exhaustive = enumerate_interval(g, (0, (0,)), (1, (0,)), Window(2))
     assert not exhaustive
+
+
+def test_twisted_lex_interval_asks_its_base():
+    # one leading integer, but the base's coordinate interval runs across
+    # two lex levels: (0, ((0, (k,)),)) lies in it for every k >= 0
+    g = tl(1, (0,), (0,), tl(1, (0,), (0,)))
+    _, exhaustive = PositiveCone(g).interval(
+        (0, ((0, (0,)),)), (0, ((1, (0,)),)), Window(1))
+    assert not exhaustive
+    _, exhaustive = PositiveCone(g).interval(
+        (0, ((0, (0,)),)), (0, ((0, (1,)),)), Window(1))
+    assert exhaustive
 
 
 TWISTED_LEX_SC2 = {"kind": "TwistedLex", "params": {

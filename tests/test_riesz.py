@@ -9,9 +9,9 @@ import pytest
 from kitealg import riesz
 from kitealg.cli import main as cli_main
 from kitealg.kite import LOWER, UPPER, Kite, KiteElement, KiteShape
-from kitealg.pogroup import (Integers, PoGroup, PositiveCone, StrictCone2,
-                             TwistedLexGroup, UsageError, Window, cone_window,
-                             integer_product, parse_group)
+from kitealg.pogroup import (Integers, PoGroup, PositiveCone, Product,
+                             StrictCone2, TwistedLexGroup, UsageError, Window,
+                             cone_window, integer_product, parse_group)
 from kitealg.representations import IntervalPEA
 from kitealg.riesz import (
     RDP_ORDER,
@@ -161,13 +161,33 @@ def test_lattice_bases_have_rdp2(base):
 
 def test_window_bounded_table_search_is_a_skip():
     # over a twisted strict cone some refinement searches run out of window
-    # before they find a table or can rule one out
+    # before they find a table or can rule one out. A meet-zero side
+    # condition over an interval at one leading integer is decided
+    # exactly, since the base's coordinate intervals are whole
     base = TwistedLexGroup(1, (0,), (0,), SC)
     v = check_rdp_level(mk(2, (0, 1), (0, 1), base), RdpLevel.RDP2,
                         Window(1, 26))
-    assert (v.status, v.checked, v.skipped) == (Status.UNKNOWN, 2915, 322)
-    assert v.reason == ("only side-condition-bounded table found (314); "
+    assert (v.status, v.checked, v.skipped) == (Status.UNKNOWN, 2916, 321)
+    assert v.reason == ("only side-condition-bounded table found (313); "
                         "table search window-bounded (8)")
+
+
+@pytest.mark.parametrize("group", [
+    Z, integer_product(2), SC, TwistedLexGroup(1, (0,), (0,), Z),
+    TwistedLexGroup(1, (0,), (0,), SC),
+], ids=["Z", "Z2", "SC", "TL-Z", "TL-SC"])
+def test_one_factor_product_gives_the_verdicts_of_its_factor(group):
+    # Product([G]) is isomorphic to G, so every level answers alike on
+    # their cones and on kites over them; the witnesses differ only in how
+    # a Product serializes its values
+    def answers(obj, w):
+        return [(v.status, v.checked, v.skipped, v.reason)
+                for v in (check_rdp_level(obj, lv, w) for lv in RDP_ORDER)]
+
+    wrapped = Product([group])
+    assert answers(wrapped, Window(1)) == answers(group, Window(1))
+    assert (answers(mk(1, (0,), (0,), wrapped), Window(1, 10))
+            == answers(mk(1, (0,), (0,), group), Window(1, 10)))
 
 
 def test_window_bounded_split_search_is_a_skip():

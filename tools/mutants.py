@@ -466,6 +466,41 @@ MUTANTS = [
            "        if False:\n",
            ("tests/test_representations.py::"
             "test_a_map_spec_of_another_arity_is_a_usage_error",)),
+    # the ideal closure never adds the elements below its members
+    Mutant("closure-downward-step-dropped", "src/kitealg/ideals.py",
+           "            if s not in cur and any(P.leq(s, m) for m in cur):\n",
+           "            if False:\n",
+           ("tests/test_ideals.py::"
+            "test_closure_takes_the_elements_below_its_members",)),
+    # a product off the Z^k path joins its components with their meets
+    Mutant("product-join-takes-meets", "src/kitealg/pogroup.py",
+           "        return tuple([c.join_values(a, b) for c, a, b in "
+           "zip(self.components, x, y)])\n",
+           "        return tuple([c.meet_values(a, b) for c, a, b in "
+           "zip(self.components, x, y)])\n",
+           ("tests/test_pogroup.py::test_group_laws_hold",)),
+    # a product calls every interval whole, whatever its factors answer
+    Mutant("product-exhaustive-ignores-factors", "src/kitealg/pogroup.py",
+           "        return all(c.interval_exhaustive(a, b)\n"
+           "                   for c, a, b in zip(self.components, lo, hi))\n",
+           "        return True\n",
+           ("tests/test_riesz.py::"
+            "test_one_factor_product_gives_the_verdicts_of_its_factor",)),
+    # a lex group calls an interval at one leading integer whole without
+    # asking its base
+    Mutant("lex-exhaustive-ignores-base", "src/kitealg/pogroup.py",
+           "        return lo[0] == hi[0] and all(\n"
+           "            map(self.base.interval_exhaustive, lo[1], hi[1]))\n",
+           "        return lo[0] == hi[0]\n",
+           ("tests/test_pogroup.py::test_twisted_lex_interval_asks_its_base",)),
+    # a kite calls every same-tag interval whole without asking its base
+    Mutant("kite-interval-exhaustive-ignores-coordinates",
+           "src/kitealg/kite.py",
+           "        return out, all(map(self.base.interval_exhaustive, "
+           "a.coords, b.coords))\n",
+           "        return out, True\n",
+           ("tests/test_riesz.py::"
+            "test_window_bounded_table_search_is_a_skip",)),
 ]
 
 
